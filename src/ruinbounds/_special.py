@@ -1,0 +1,132 @@
+"""Log-gamma at integers, log-sum-exp and digamma without scipy.
+
+These are ports of the algorithms behind ``scipy.special.gammaln``
+(cephes ``lgam``), ``scipy.special.logsumexp`` (the max-separated ``log1p``
+form of Blanchard, Higham & Higham, "Accurately computing the log-sum-exp
+and softmax functions", IMA J. Numer. Anal. 41(4), 2021) and
+``scipy.special.digamma`` (cephes ``psi``) for the arguments this package
+uses.  They keep every operation and its order, so they return the same
+bits as scipy 1.17; scipy stays the oracle in the tests.  The libm calls
+of the cephes code are ``math`` calls here, and the numpy calls of scipy's
+log-sum-exp stay numpy calls, because numpy's vectorised ``exp``/``log``
+may round differently from libm.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+__all__ = ["lgamma_int", "logsumexp", "digamma"]
+
+# cephes lgam: log(sqrt(2*pi)) and the Stirling correction for 13 <= x < 1000
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+# cephes psi: Euler's constant, the asymptotic series, and the rational
+# approximation on [1, 2] (from Boost) around the positive root of psi
+_EULER = 0.577215664901532860606512090082402431
+_PSI_A = (
+    8.33333333333333333333e-2,
+    -2.10927960927960927961e-2,
+    7.57575757575757575758e-3,
+    -4.16666666666666666667e-3,
+    3.96825396825396825397e-3,
+    -8.33333333333333333333e-3,
+    8.33333333333333333333e-2,
+)
+_PSI_Y = 0.99558162689208984
+_PSI_ROOT1 = 1569415565.0 / 1073741824.0
+_PSI_ROOT2 = (381566830.0 / 1073741824.0) / 1073741824.0
+_PSI_ROOT3 = 0.9016312093258695918615325266959189453125e-19
+_PSI_P = (
+    -0.0020713321167745952,
+    -0.045251321448739056,
+    -0.28919126444774784,
+    -0.65031853770896507,
+    -0.32555031186804491,
+    0.25479851061131551,
+)
+_PSI_Q = (
+    -0.55789841321675513e-6,
+    0.0021284987017821144,
+    0.054151797245674225,
+    0.43593529692665969,
+    1.4606242909763515,
+    2.0767117023730469,
+    1.0,
+)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Horner evaluation with the highest-degree coefficient first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def lgamma_int(n: int) -> float:
+    """log Gamma(n) for an integer 1 <= n <= 1e8, equal to ``gammaln(n)``."""
+    if n < 13:
+        return math.log(math.factorial(n - 1))  # exact below 2**53
+    x = float(n)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
+def logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a non-empty 1-d array, equal to scipy's ``logsumexp``.
+
+    The entries equal to the maximum are taken out of the sum (they add
+    exactly ``m * exp(0)``) so that the rest enters through ``log1p``.
+    """
+    a_max = a.max()
+    if not np.isfinite(a_max):  # any +inf, all -inf, or NaN
+        return float(a_max)
+    top = a == a_max
+    m = np.count_nonzero(top)
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum() / m
+    return float(np.log1p(s) + np.log(m) + a_max)
+
+
+def digamma(x: float) -> float:
+    """psi(x) = d/dx log Gamma(x) for x > 0, equal to ``scipy.special.digamma``."""
+    x = float(x)
+    if not x > 0.0:
+        raise ValueError(f"digamma is implemented for x > 0, got {x!r}")
+    y = 0.0
+    if x <= 10.0 and x == math.floor(x):
+        for i in range(1, int(x)):
+            y += 1.0 / i
+        return y - _EULER
+    if x < 1.0:
+        y -= 1.0 / x
+        x += 1.0
+    elif x < 10.0:
+        while x > 2.0:
+            x -= 1.0
+            y += 1.0 / x
+    if x <= 2.0:
+        g = x - _PSI_ROOT1
+        g -= _PSI_ROOT2
+        g -= _PSI_ROOT3
+        r = _polevl(x - 1.0, _PSI_P) / _polevl(x - 1.0, _PSI_Q)
+        return y + (g * _PSI_Y + g * r)
+    if x < 1.0e17:
+        z = 1.0 / (x * x)
+        tail = z * _polevl(z, _PSI_A)
+    else:
+        tail = 0.0
+    return y + (math.log(x) - 0.5 / x - tail)

@@ -21,16 +21,25 @@ Orders around 60 (where binomials reach ~1e17 and the moments span many
 decades) stay exact to float precision; the linear values are recovered
 only on demand.  ``first_infinite`` is decided by the exact sign test
 ``log gamma_r >= 0`` so there is no rounding at the boundary.
+
+The log-binomial coefficients and the log-sum-exp come from the package's
+own kernels in ``_special`` (``lgamma_int``, ``logsumexp``), so importing
+the package does not load scipy.  They return the same bits as
+``scipy.special.gammaln`` and ``scipy.special.logsumexp``: reproduced
+tables, recorded benchmark outputs and every value derived from a moment
+are compared exactly, so a kernel that rounds differently in the last
+place would change published output.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
+from ._special import lgamma_int, logsumexp
 from .errors import DomainError
 from .shocks import ShockSpec
 
@@ -39,11 +48,11 @@ __all__ = ["MomentTable", "FiniteMomentGrid", "infinite_moments", "finite_moment
 
 def _log_binomial_rows(rmax: int) -> np.ndarray:
     """Matrix L with L[r, j] = log C(r, j) for j <= r, -inf above the diagonal."""
-    r = np.arange(rmax + 1)
-    j = r[:, None].T
-    with np.errstate(invalid="ignore"):
-        out = gammaln(r[:, None] + 1) - gammaln(j + 1) - gammaln(r[:, None] - j + 1)
-    return np.where(j <= r[:, None], out, -np.inf)
+    log_fact = np.array([lgamma_int(k + 1) for k in range(rmax + 1)])
+    r = np.arange(rmax + 1)[:, None]
+    j = r.T
+    out = log_fact[r] - log_fact[j] - log_fact[np.abs(r - j)]  # abs: in range above the diagonal
+    return np.where(j <= r, out, -np.inf)
 
 
 def _log_gammas(spec: ShockSpec, rmax: int) -> np.ndarray:
@@ -52,12 +61,6 @@ def _log_gammas(spec: ShockSpec, rmax: int) -> np.ndarray:
     for r in range(1, rmax + 1):
         out[r] = spec.log_inverse_moment(r)
     return out
-
-
-def _lse(terms: np.ndarray) -> float:
-    if np.any(terms == np.inf):
-        return math.inf
-    return float(logsumexp(terms))
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,11 @@ class FiniteMomentGrid:
         return self.log_beta_grid[1:, n].copy()
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # np.exp stays finite up to here
+
+
 def _exp(log_value: float) -> float:
-    if log_value == np.inf:
+    if log_value > _LOG_FLOAT_MAX:
         return math.inf
     return float(np.exp(log_value))
 
@@ -168,7 +174,7 @@ def infinite_moments(spec: ShockSpec, rmax: int) -> MomentTable:
         lg = log_gamma[r]
         # log(gamma_r / (1 - gamma_r)); expm1 keeps 1 - gamma_r exact near 1
         prefactor = lg - math.log(-math.expm1(lg))
-        log_beta[r] = prefactor + _lse(log_binom[r, :r] + log_beta[:r])
+        log_beta[r] = prefactor + logsumexp(log_binom[r, :r] + log_beta[:r])
     log_gamma.setflags(write=False)
     log_beta.setflags(write=False)
     return MomentTable(
@@ -198,7 +204,7 @@ def finite_moments(spec: ShockSpec, rmax: int, nmax: int) -> FiniteMomentGrid:
             if log_gamma[r] == np.inf:
                 grid[r, n] = np.inf
                 continue
-            grid[r, n] = log_gamma[r] + _lse(log_binom[r, : r + 1] + prev[: r + 1])
+            grid[r, n] = log_gamma[r] + logsumexp(log_binom[r, : r + 1] + prev[: r + 1])
     log_gamma.setflags(write=False)
     grid.setflags(write=False)
     return FiniteMomentGrid(spec=spec, log_gamma_values=log_gamma, log_beta_grid=grid)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import digamma
 
+from ._special import digamma
 from .errors import ConfigError, FeasibilityError
 
 __all__ = [
@@ -98,8 +98,8 @@ class Pareto:
     k: float
 
     def __post_init__(self) -> None:
-        if not (self.beta > 0 and self.k > 0):
-            raise ValueError(f"pareto requires beta > 0 and k > 0, got {self}")
+        if not (0 < self.beta < math.inf and 0 < self.k < math.inf):
+            raise ValueError(f"pareto requires finite beta > 0 and k > 0, got {self}")
 
     def log_inverse_moment(self, r: int) -> float:
         _check_order(r)
@@ -135,8 +135,8 @@ class Gamma:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.theta > 0):
-            raise ValueError(f"gamma requires alpha > 0 and theta > 0, got {self}")
+        if not (0 < self.alpha < math.inf and 0 < self.theta < math.inf):
+            raise ValueError(f"gamma requires finite alpha > 0 and theta > 0, got {self}")
 
     def log_inverse_moment(self, r: int) -> float:
         _check_order(r)
@@ -153,7 +153,7 @@ class Gamma:
         return math.inf if lg == math.inf else math.exp(lg)
 
     def expected_log(self) -> float:
-        return float(digamma(self.alpha)) - math.log(self.theta)
+        return digamma(self.alpha) - math.log(self.theta)
 
     def support_bounds(self) -> SupportBounds:
         return SupportBounds(0.0, math.inf)

@@ -225,6 +225,11 @@ class TestErrorPaths:
         cfg.write_text("[spec:c]\nfamily = cauchy\nloc = 2\n")
         assert main(["classify", "--config", str(cfg)]) == 2
 
+    def test_non_finite_parameter(self, tmp_path):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[spec:g]\nfamily = gamma\nalpha = inf\ntheta = 1\n")
+        assert main(["classify", "--config", str(cfg)]) == 2
+
     def test_no_specs(self, tmp_path):
         cfg = tmp_path / "empty.ini"
         cfg.write_text("[run]\nc = 1\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,19 @@ class TestFiniteMoments:
         for n in range(1, 4):
             assert grid.beta(3, n) == math.inf
             assert grid.beta(4, n) == math.inf
+
+    def test_linear_overflow_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = finite_moments(Lognormal(0.1, 2.0), 60, 50)
+            assert math.isfinite(grid.log_beta(60, 50))
+            assert grid.beta(60, 50) == math.inf
+            for r in range(1, 61):
+                for n in range(1, 51):
+                    if grid.log_beta(r, n) <= math.log(np.finfo(float).max):
+                        assert grid.beta(r, n) == float(np.exp(grid.log_beta(r, n)))
+                    else:
+                        assert grid.beta(r, n) == math.inf
 
     def test_agrees_with_linear_recursion(self, matched_trio):
         for spec in matched_trio.values():

@@ -219,6 +219,14 @@ class TestRecords:
         with pytest.raises(ConfigError):
             spec_from_record({"family": "lognormal", "mu": 0.0, "sigma2": -1.0})
 
+    @pytest.mark.parametrize("record", [
+        {"family": "pareto", "beta": "inf", "k": 0.9},
+        {"family": "gamma", "alpha": "inf", "theta": 1.0},
+    ])
+    def test_non_finite_parameter_value(self, record):
+        with pytest.raises(ConfigError):
+            spec_from_record(record)
+
 
 class TestValidation:
     @pytest.mark.parametrize("build", [
@@ -228,6 +236,10 @@ class TestValidation:
         lambda: Gamma(-1.0, 1.0),
         lambda: Constant(0.0),
         lambda: Lognormal(math.nan, 1.0),
+        lambda: Pareto(math.inf, 0.9),
+        lambda: Pareto(1.0, math.inf),
+        lambda: Gamma(math.inf, 1.0),
+        lambda: Gamma(17.0, math.inf),
     ])
     def test_bad_parameters_raise(self, build):
         with pytest.raises(ValueError):
