@@ -19,6 +19,9 @@ Conventions, fixed here and used by every caller:
 * the highest order whose *next* moment is still finite is the last one
   with a placeable boundary; beyond that last boundary the schedule keeps
   using that top order (its bound still beats every lower order there);
+* an edge is ``+inf`` when ``beta_{r+1}/beta_r`` overflows a double (long
+  horizons at high orders); the order below that edge then applies for
+  every finite x;
 * bounds that come out negative near ``x = c`` are clamped to zero and
   flagged as vacuous, with the raw ruin estimate kept alongside;
 * with fewer than two finite moments the schedule degenerates to the
@@ -35,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import FiniteMomentGrid, MomentTable, finite_moments, infinite_moments
+from .moments import _LOG_FLOAT_MAX, FiniteMomentGrid, MomentTable
+from .moments import finite_moments, infinite_moments
 from .shocks import ShockSpec
 
 __all__ = [
@@ -54,16 +58,18 @@ __all__ = [
 class BoundSchedule:
     """Switch boundaries and usable orders for one spec, horizon, and c.
 
-    ``boundaries[i]`` is the upper edge of order ``i+1``'s interval; all
-    entries are finite and the implicit next edge is ``+inf``.  ``horizon``
-    is the number of terms of the partial sum, or None for the full series.
+    ``boundaries[i]`` is the upper edge of order ``i+1``'s interval and the
+    implicit next edge is ``+inf``.  An entry is ``+inf`` itself when
+    ``beta_{i+2}/beta_{i+1}`` overflows; order ``i+1`` then covers every
+    finite x past the previous edge.  ``horizon`` is the number of terms of
+    the partial sum, or None for the full series.
     """
 
     spec: ShockSpec
     c: float
     horizon: int | None
     log_beta_values: np.ndarray  # index r = 0..K, log series moments, [0] = 0
-    boundaries: np.ndarray       # length max_order, strictly the finite edges
+    boundaries: np.ndarray       # length max_order, nondecreasing
     max_order: int
     degenerate: bool
 
@@ -88,6 +94,20 @@ class BoundResult:
     ruin_raw: float
     vacuous: bool            # True when the raw bound was clamped
     below_consumption: bool  # True when x <= c (ruin immediate or certain)
+
+
+def switch_boundary(log_beta, r: int, c: float) -> float:
+    """Upper edge ``c*(1 + beta_{r+1}/beta_r)`` of order r's interval, from log moments.
+
+    ``+inf`` when either moment is infinite or the ratio overflows.  Keep
+    ``math.exp``: ``np.exp`` differs in the last bit on some inputs.
+    """
+    if log_beta[r + 1] == math.inf or log_beta[r] == math.inf:
+        return math.inf
+    log_ratio = log_beta[r + 1] - log_beta[r]
+    if log_ratio > _LOG_FLOAT_MAX:
+        return math.inf
+    return c * (1.0 + math.exp(log_ratio))
 
 
 def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
@@ -116,8 +136,7 @@ def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
     degenerate = last_finite < 2
     max_order = max(last_finite - 1, 1)
     edges = np.array([
-        c * (1.0 + math.exp(log_col[r + 1] - log_col[r]))
-        for r in range(1, max_order + 1)
+        switch_boundary(log_col, r, c) for r in range(1, max_order + 1)
     ]) if not degenerate else np.empty(0)
     log_beta_values = log_col[: max(last_finite, 1) + 1]
     log_beta_values.setflags(write=False)
@@ -184,8 +203,8 @@ def boundary_table(spec: ShockSpec, c: float, horizons, rmax: int) -> BoundaryTa
     """Boundary matrix across horizons, rows r = 1..rmax-1.
 
     Finite horizons come from the partial-sum recursion; ``math.inf`` (or
-    the string "inf") selects the full-series column, where rows whose next
-    moment is infinite are reported as +inf.
+    the string "inf") selects the full-series column.  Rows whose next
+    moment is infinite, or whose moment ratio overflows, are +inf.
     """
     horizons = list(horizons)
     norm = []
@@ -202,9 +221,6 @@ def boundary_table(spec: ShockSpec, c: float, horizons, rmax: int) -> BoundaryTa
     for col, h in enumerate(norm):
         log_col = table.log_beta_values if h == math.inf else grid.log_beta_grid[:, h]
         for row, r in enumerate(orders):
-            if log_col[r + 1] == np.inf or log_col[r] == np.inf:
-                values[row, col] = math.inf
-            else:
-                values[row, col] = c * (1.0 + math.exp(log_col[r + 1] - log_col[r]))
+            values[row, col] = switch_boundary(log_col, r, c)
     values.setflags(write=False)
     return BoundaryTable(spec=spec, c=c, horizons=tuple(norm), orders=orders, values=values)

@@ -43,7 +43,7 @@ from pathlib import Path
 from . import __version__
 from .bounds import boundary_table, evaluate_bound, schedule
 from .errors import ConfigError, DomainError
-from .moments import finite_moments, infinite_moments
+from .moments import finite_moments, first_infinite_order, infinite_moments
 from .montecarlo import SimConfig, ecdf_survival, sample_Z
 from .reference import (
     DEFAULT_REPLICATES,
@@ -53,14 +53,8 @@ from .reference import (
     derive_seed,
 )
 from .regimes import classify
-from .shocks import ShockSpec, spec_from_record
+from .shocks import spec_from_record
 from .tableio import render_csv, write_csv_table, write_json
-
-_RUN_KEYS = {
-    "c", "x", "horizons", "rmax", "replicates", "truncation",
-    "adaptive_tol", "seed", "format", "out",
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -124,6 +118,21 @@ def _parse_truncation(text: str):
         raise ConfigError(f"truncation must be an integer or 'adaptive', got {text!r}") from exc
 
 
+# [run] key -> (ExperimentConfig field, parser of the raw config text)
+_RUN_FIELDS = {
+    "c": ("c", float),
+    "x": ("x_grid", _parse_floats),
+    "horizons": ("horizons", _parse_horizons),
+    "rmax": ("rmax", int),
+    "replicates": ("replicates", int),
+    "truncation": ("truncation", _parse_truncation),
+    "adaptive_tol": ("adaptive_tol", float),
+    "seed": ("seed", int),
+    "format": ("fmt", lambda text: text.strip().lower()),
+    "out": ("out", str.strip),
+}
+
+
 def load_config_file(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     parser = ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -143,13 +152,14 @@ def load_config_file(path: str) -> ExperimentConfig:
                 raise ConfigError(f"{path} [{section}]: {exc}") from exc
         elif section.lower() == "run":
             for key, value in parser.items(section):
-                if key not in _RUN_KEYS:
+                if key not in _RUN_FIELDS:
                     raise ConfigError(
                         f"{path} [run]: unknown key {key!r}; expected one of "
-                        f"{sorted(_RUN_KEYS)}"
+                        f"{sorted(_RUN_FIELDS)}"
                     )
+                name, parse = _RUN_FIELDS[key]
                 try:
-                    _apply_run_value(cfg, key, value)
+                    setattr(cfg, name, parse(value))
                 except ConfigError as exc:
                     raise ConfigError(f"{path} [run] {key}: {exc}") from exc
         else:
@@ -158,42 +168,11 @@ def load_config_file(path: str) -> ExperimentConfig:
     return cfg
 
 
-def _apply_run_value(cfg: ExperimentConfig, key: str, value: str) -> None:
-    if key == "c":
-        cfg.c = float(value)
-    elif key == "x":
-        cfg.x_grid = _parse_floats(value)
-    elif key == "horizons":
-        cfg.horizons = _parse_horizons(value)
-    elif key == "rmax":
-        cfg.rmax = int(value)
-    elif key == "replicates":
-        cfg.replicates = int(value)
-    elif key == "truncation":
-        cfg.truncation = _parse_truncation(value)
-    elif key == "adaptive_tol":
-        cfg.adaptive_tol = float(value)
-    elif key == "seed":
-        cfg.seed = int(value)
-    elif key == "format":
-        cfg.fmt = value.strip().lower()
-    elif key == "out":
-        cfg.out = value.strip()
-
-
 def _merge_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    if getattr(args, "fmt", None) is not None:
-        cfg.fmt = args.fmt
-    if getattr(args, "replicates", None) is not None:
-        cfg.replicates = args.replicates
-    if getattr(args, "truncation", None) is not None:
-        cfg.truncation = _parse_truncation(args.truncation)
-    if getattr(args, "rmax", None) is not None:
-        cfg.rmax = args.rmax
+    for name in ("seed", "out", "fmt", "replicates", "truncation", "rmax"):
+        value = getattr(args, name, None)
+        if value is not None:
+            setattr(cfg, name, _parse_truncation(value) if name == "truncation" else value)
     return cfg
 
 
@@ -209,8 +188,12 @@ def _load_experiment(args: argparse.Namespace, need_specs: bool = True) -> Exper
     return cfg
 
 
-def _emit(cfg: ExperimentConfig, columns, rows, metadata, records, default_name: str) -> None:
-    """Write one table as CSV or JSON to cfg.out, or CSV text to stdout."""
+def _emit(cfg: ExperimentConfig, columns, records, metadata, default_name: str) -> None:
+    """Write records as CSV or JSON to cfg.out, or CSV text to stdout.
+
+    CSV rows hold the ``columns`` of each record; JSON keeps every key.
+    """
+    rows = [tuple(record[col] for col in columns) for record in records]
     if cfg.out is None:
         print(render_csv(columns, rows, metadata), end="")
         return
@@ -234,15 +217,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     cfg = _load_experiment(args)
     columns = ("spec", "elog", "m", "M", "d1", "d2",
                "certain_ruin_threshold", "certain_survival_threshold", "regime")
-    rows, records = [], []
+    records = []
     for name, spec in cfg.specs:
         regime = classify(spec)
-        rows.append((name, regime.elog, regime.m, regime.M, regime.d1, regime.d2,
-                     regime.certain_ruin_threshold, regime.certain_survival_threshold,
-                     regime.describe()))
         records.append({"spec": name, **spec.to_record(), **regime.to_record(),
                         "regime": regime.describe()})
-    _emit(cfg, columns, rows, _base_metadata(cfg), records, "classify")
+    _emit(cfg, columns, records, _base_metadata(cfg), "classify")
     return 0
 
 
@@ -252,41 +232,31 @@ def cmd_moments(args: argparse.Namespace) -> int:
     want_series = math.inf in cfg.horizons
     outputs = []
     if want_series:
-        columns = ("spec", "r", "gamma_r", "beta_r")
-        rows, records = [], []
+        records = []
         meta = _base_metadata(cfg)
         for name, spec in cfg.specs:
             table = infinite_moments(spec, cfg.rmax)
-            meta[f"first_infinite_{name}"] = _first_infinite_order(spec)
+            # scan past rmax so the metadata names the order even when it is not printed
+            meta[f"first_infinite_{name}"] = first_infinite_order(spec, 1024)
             for r in range(1, cfg.rmax + 1):
-                rows.append((name, r, table.gamma(r), table.beta(r)))
                 records.append({"spec": name, "r": r, "gamma_r": table.gamma(r),
                                 "beta_r": table.beta(r)})
-        outputs.append(("moments_series", columns, rows, meta, records))
+        outputs.append(("moments_series", ("spec", "r", "gamma_r", "beta_r"), records, meta))
     if finite_hs:
-        columns = ("spec", "r", "n", "beta_r_n")
-        rows, records = [], []
+        records = []
         for name, spec in cfg.specs:
             grid = finite_moments(spec, cfg.rmax, max(finite_hs))
             for r in range(1, cfg.rmax + 1):
                 for n in finite_hs:
-                    rows.append((name, r, n, grid.beta(r, n)))
                     records.append({"spec": name, "r": r, "n": n,
                                     "beta_r_n": grid.beta(r, n)})
-        outputs.append(("moments_horizons", columns, rows, _base_metadata(cfg), records))
+        outputs.append(("moments_horizons", ("spec", "r", "n", "beta_r_n"), records,
+                        _base_metadata(cfg)))
     if not outputs:
         raise ConfigError("horizons selected neither 'inf' nor any finite horizon")
-    for default_name, columns, rows, meta, records in outputs:
-        _emit(cfg, columns, rows, meta, records, default_name)
+    for default_name, columns, records, meta in outputs:
+        _emit(cfg, columns, records, meta, default_name)
     return 0
-
-
-def _first_infinite_order(spec: ShockSpec, cap: int = 1024):
-    """Smallest order with reciprocal-shock moment >= 1, scanning past rmax."""
-    for r in range(1, cap + 1):
-        if spec.log_inverse_moment(r) >= 0.0:
-            return r
-    return None
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -295,7 +265,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         raise ConfigError("an x grid is required; set x in [run] or the config file")
     columns = ("spec", "horizon", "x", "order", "survival_lower",
                "ruin_upper", "ruin_raw", "vacuous")
-    rows, records = [], []
+    records = []
     for name, spec in cfg.specs:
         grid = None
         finite_hs = [int(h) for h in cfg.horizons if h != math.inf]
@@ -310,17 +280,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 label = int(h)
             for x in sorted(cfg.x_grid):
                 res = evaluate_bound(sched, x)
-                rows.append((name, label, x, res.order, res.survival_lower,
-                             res.ruin_upper, res.ruin_raw, res.vacuous))
                 records.append({"spec": name, "horizon": label, "x": x,
                                 "order": res.order,
                                 "survival_lower": res.survival_lower,
                                 "ruin_upper": res.ruin_upper,
                                 "ruin_raw": res.ruin_raw,
                                 "vacuous": res.vacuous})
-    meta = _base_metadata(cfg)
-    meta["rmax"] = cfg.rmax
-    _emit(cfg, columns, rows, meta, records, "bounds")
+    _emit(cfg, columns, records, {**_base_metadata(cfg), "rmax": cfg.rmax}, "bounds")
     return 0
 
 
@@ -328,17 +294,13 @@ def cmd_boundaries(args: argparse.Namespace) -> int:
     cfg = _load_experiment(args)
     labels = tuple("Z" if h == math.inf else f"Z_{int(h)}" for h in cfg.horizons)
     columns = ("spec", "r") + labels
-    rows, records = [], []
+    records = []
     for name, spec in cfg.specs:
         bt = boundary_table(spec, cfg.c, cfg.horizons, cfg.rmax)
         for i, r in enumerate(bt.orders):
-            values = tuple(float(v) for v in bt.values[i])
-            rows.append((name, r) + values)
             records.append({"spec": name, "r": r,
-                            **{lab: v for lab, v in zip(labels, values)}})
-    meta = _base_metadata(cfg)
-    meta["rmax"] = cfg.rmax
-    _emit(cfg, columns, rows, meta, records, "boundaries")
+                            **{lab: float(v) for lab, v in zip(labels, bt.values[i])}})
+    _emit(cfg, columns, records, {**_base_metadata(cfg), "rmax": cfg.rmax}, "boundaries")
     return 0
 
 

@@ -82,9 +82,6 @@ class MomentTable:
     def rmax(self) -> int:
         return len(self.log_gamma_values) - 1
 
-    def log_gamma(self, r: int) -> float:
-        return float(self.log_gamma_values[r])
-
     def log_beta(self, r: int) -> float:
         return float(self.log_beta_values[r])
 
@@ -93,20 +90,6 @@ class MomentTable:
 
     def beta(self, r: int) -> float:
         return _exp(self.log_beta_values[r])
-
-    @property
-    def gamma_column(self) -> np.ndarray:
-        """Inverse moments for orders 1..rmax (linear scale)."""
-        return np.exp(self.log_gamma_values[1:])
-
-    @property
-    def beta_column(self) -> np.ndarray:
-        """Series moments for orders 1..rmax (linear scale, +inf entries kept)."""
-        return np.array([self.beta(r) for r in range(1, self.rmax + 1)])
-
-    @property
-    def log_beta_column(self) -> np.ndarray:
-        return self.log_beta_values[1:].copy()
 
 
 @dataclass(frozen=True)
@@ -131,10 +114,6 @@ class FiniteMomentGrid:
     def beta(self, r: int, n: int) -> float:
         return _exp(self.log_beta_grid[r, n])
 
-    def log_beta_column(self, n: int) -> np.ndarray:
-        """Log moments of the n-term partial sum, orders 1..rmax."""
-        return self.log_beta_grid[1:, n].copy()
-
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # np.exp stays finite up to here
 
@@ -143,6 +122,14 @@ def _exp(log_value: float) -> float:
     if log_value > _LOG_FLOAT_MAX:
         return math.inf
     return float(np.exp(log_value))
+
+
+def first_infinite_order(spec: ShockSpec, cap: int) -> int | None:
+    """Smallest order ``r <= cap`` whose inverse moment reaches 1, else None."""
+    for r in range(1, cap + 1):
+        if spec.log_inverse_moment(r) >= 0.0:
+            return r
+    return None
 
 
 def infinite_moments(spec: ShockSpec, rmax: int) -> MomentTable:
@@ -160,11 +147,7 @@ def infinite_moments(spec: ShockSpec, rmax: int) -> MomentTable:
         )
     log_gamma = _log_gammas(spec, rmax)
     log_binom = _log_binomial_rows(rmax)
-    first_infinite = None
-    for r in range(1, rmax + 1):
-        if log_gamma[r] >= 0.0:
-            first_infinite = r
-            break
+    first_infinite = first_infinite_order(spec, rmax)
     log_beta = np.empty(rmax + 1)
     log_beta[0] = 0.0
     for r in range(1, rmax + 1):

@@ -33,10 +33,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import boundary_table, evaluate_bound, schedule
-from .moments import finite_moments, infinite_moments
+from .bounds import boundary_table, evaluate_bound, schedule, switch_boundary
+from .moments import finite_moments, first_infinite_order, infinite_moments
 from .montecarlo import GENERATOR_NAME, SimConfig, ecdf_survival, sample_Z
-from .shocks import Lognormal, Pareto, ShockSpec, match_inverse_moments
+from .shocks import Pareto, ShockSpec, match_inverse_moments
 
 __all__ = [
     "DEFAULT_REPLICATES",
@@ -58,7 +58,6 @@ PARETO_HEAVY = Pareto(0.1, 0.9)
 LOGNORMAL_HEAVY = match_inverse_moments(
     "lognormal", PARETO_HEAVY.inverse_moment(1), PARETO_HEAVY.inverse_moment(2)
 )
-LOGNORMAL_HEAVY_ROUNDED = Lognormal(3.17, 1.75)
 
 # Matched trio of tables 4-9, sharing gamma1 = 5/6 and gamma2 = 20/27
 # (the moments of Pareto(3, 0.9); captions round the other two families'
@@ -303,43 +302,22 @@ def reference_table(table_id: int) -> ReferenceTable:
     return _REFERENCE_TABLES[table_id]
 
 
-def _moment_rows(spec: ShockSpec, n_rows: int) -> list[tuple]:
-    """(r, gamma_r, beta_r, boundary) rows; the boundary needs the next moment."""
-    table = infinite_moments(spec, n_rows + 1)
-    rows = []
-    for r in range(1, n_rows + 1):
-        if table.log_beta(r + 1) == math.inf:
-            boundary = math.inf
-        else:
-            boundary = 1.0 + math.exp(table.log_beta(r + 1) - table.log_beta(r))
-        rows.append((r, table.gamma(r), table.beta(r), boundary))
-    return rows
-
-
 def _restricted_rmax(spec: ShockSpec, cap: int = 64) -> int:
     """Largest order whose reciprocal-shock moment stays below 1."""
-    fi = infinite_moments(spec, cap).first_infinite
+    fi = first_infinite_order(spec, cap)
     return cap if fi is None else fi - 1
 
 
-def _build_table_1(seed: int, replicates: int) -> TableResult:
-    ref = reference_table(1)
-    rows = tuple(_moment_rows(LOGNORMAL_HEAVY, 3))
-    meta = {
-        "spec": "lognormal",
-        "mu": LOGNORMAL_HEAVY.mu,
-        "sigma2": LOGNORMAL_HEAVY.sigma2,
-        "display_parameters": "mu=3.17, sigma2=1.75 (rounded)",
-        "c": 1.0,
-    }
-    return TableResult(1, ref.title, ref.columns, ref.kinds, rows, ref.rows, meta)
-
-
-def _build_table_2(seed: int, replicates: int) -> TableResult:
-    ref = reference_table(2)
-    rows = tuple(_moment_rows(PARETO_HEAVY, 4))
-    meta = {"spec": "pareto", "beta": 0.1, "k": 0.9, "c": 1.0}
-    return TableResult(2, ref.title, ref.columns, ref.kinds, rows, ref.rows, meta)
+def _build_moment_table(table_id: int, spec: ShockSpec, meta: dict) -> TableResult:
+    """(r, gamma_r, beta_r, boundary) rows at c = 1; the boundary needs the next moment."""
+    ref = reference_table(table_id)
+    n_rows = len(ref.rows)
+    table = infinite_moments(spec, n_rows + 1)
+    rows = tuple((r, table.gamma(r), table.beta(r),
+                  switch_boundary(table.log_beta_values, r, 1.0))
+                 for r in range(1, n_rows + 1))
+    return TableResult(table_id, ref.title, ref.columns, ref.kinds, rows, ref.rows,
+                       {**meta, "c": 1.0})
 
 
 def _build_table_3(seed: int, replicates: int) -> TableResult:
@@ -422,9 +400,14 @@ def build_table(table_id: int, seed: int = DEFAULT_SEED,
     """Recompute one reference table; deterministic given (table_id, seed)."""
     reference_table(table_id)
     if table_id == 1:
-        return _build_table_1(seed, replicates)
+        return _build_moment_table(1, LOGNORMAL_HEAVY, {
+            "spec": "lognormal",
+            "mu": LOGNORMAL_HEAVY.mu,
+            "sigma2": LOGNORMAL_HEAVY.sigma2,
+            "display_parameters": "mu=3.17, sigma2=1.75 (rounded)",
+        })
     if table_id == 2:
-        return _build_table_2(seed, replicates)
+        return _build_moment_table(2, PARETO_HEAVY, {"spec": "pareto", "beta": 0.1, "k": 0.9})
     if table_id == 3:
         return _build_table_3(seed, replicates)
     if table_id in (4, 5, 6):

@@ -211,6 +211,42 @@ class TestBoundaryTable:
         assert bt.horizons == (math.inf, 3)
 
 
+class TestLongHorizonOverflow:
+    """Order-60 columns at long horizons, where beta_{r+1}/beta_r overflows a double."""
+
+    HORIZONS = (200, 1000)
+
+    @pytest.fixture(scope="class")
+    def grids(self, matched_trio):
+        return {name: finite_moments(matched_trio[name], 60, max(self.HORIZONS))
+                for name in ("lognormal", "gamma")}
+
+    def test_overflowing_edges_are_infinite(self, grids):
+        for grid in grids.values():
+            for n in self.HORIZONS:
+                sched = schedule(grid, 1.0, horizon=n)
+                assert np.isinf(sched.boundaries[-1])
+                assert np.all(np.diff(sched.boundaries[np.isfinite(sched.boundaries)]) > 0)
+
+    def test_order_is_log_domain_argmin(self, grids):
+        for grid in grids.values():
+            for n in self.HORIZONS:
+                sched = schedule(grid, 1.0, horizon=n)
+                orders = np.arange(1, sched.max_order + 1)
+                log_beta = sched.log_beta_values[1:sched.max_order + 1]
+                for x in 1.0 + 10.0 ** np.linspace(-3.0, 6.0, 400):
+                    objective = log_beta - orders * math.log(x - 1.0)
+                    assert sched.order_for(float(x)) == int(np.argmin(objective)) + 1
+
+    def test_boundary_table_matches_schedules(self, matched_trio, grids):
+        for name, grid in grids.items():
+            bt = boundary_table(matched_trio[name], 1.0, list(self.HORIZONS), 60)
+            for col, n in enumerate(self.HORIZONS):
+                sched = schedule(grid, 1.0, horizon=n)
+                assert np.array_equal(bt.values[:sched.max_order, col], sched.boundaries)
+                assert np.all(np.isinf(bt.values[sched.max_order:, col]))
+
+
 class TestValidityAgainstSimulation:
     def test_bound_never_exceeds_ecdf_beyond_noise(self):
         spec = Pareto(3.0, 0.9)

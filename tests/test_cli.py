@@ -134,6 +134,24 @@ class TestBoundsCommand:
         assert main(["bounds", "--config", str(cfg)]) == 2
 
 
+class TestLongHorizonCommands:
+    """Order-60 moments at horizon 200, where moment ratios overflow a double."""
+
+    @pytest.mark.parametrize("command", ["bounds", "boundaries"])
+    def test_order_sixty_long_horizon(self, tmp_path, capsys, command):
+        cfg = tmp_path / "long.ini"
+        cfg.write_text(
+            "[spec:matched]\nfamily = lognormal\nmu = 0.21459085740810752\n"
+            "sigma2 = 0.06453852113757118\n"
+            "[spec:shape]\nfamily = gamma\nalpha = 17\ntheta = 13.333333333333334\n"
+            "[run]\nx = 1.5 9.5 1e6\nhorizons = 200\nrmax = 60\n"
+        )
+        assert main([command, "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("\nshape,") == (3 if command == "bounds" else 59)
+
+
 class TestBoundariesCommand:
     def test_layout_and_values(self, config_path, tmp_path):
         out = tmp_path / "b.csv"
