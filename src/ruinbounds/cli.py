@@ -82,6 +82,8 @@ class ExperimentConfig:
         for h in self.horizons:
             if h != math.inf and (int(h) != h or h < 1):
                 raise ConfigError(f"horizons must be positive integers or inf, got {h}")
+        if len(set(self.horizons)) != len(self.horizons):
+            raise ConfigError(f"horizons must not repeat, got {self.horizons}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
 

@@ -7,6 +7,13 @@ independent, order-insensitive, and identical no matter how replicates are
 scheduled: the same (seed, config, spec) always yields bit-identical sample
 sets.  The generator name is recorded in output metadata.
 
+A Philox stream is nothing but its 128-bit key, which is
+``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``.  The
+sampling loops compute the keys of all replicates in bulk with a port of
+the SeedSequence hash (``_philox_keys``) and re-key one reused generator
+per replicate; the draws equal those of ``replicate_stream``, the
+documented reference derivation, bit for bit.
+
 Two sampling modes produce survival-probability estimates:
 
 * a fixed number of terms ``n`` samples the n-term partial sum, whose
@@ -24,6 +31,7 @@ that the two formulations of the survival event coincide.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +57,96 @@ STREAM_DERIVATION = "SeedSequence(entropy=seed, spawn_key=(replicate,))"
 ADAPTIVE_FLOOR = 100
 _BLOCK = 128
 _MAX_TERMS = 1_000_000
+# Doubles drawn per block of fixed-truncation replicates (at least one row).
+_ROW_BLOCK_DOUBLES = 8192
+
+# numpy's SeedSequence hash: pool size and 32-bit constants.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
 
 
 def replicate_stream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one replicate, order-insensitive in ``index``."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(seq))
+
+
+def _philox_keys(seed: int, count: int) -> np.ndarray:
+    """Philox keys of replicates ``0..count-1`` as a ``(count, 2)`` uint64 array.
+
+    Row ``i`` equals ``SeedSequence(seed, spawn_key=(i,)).generate_state(2,
+    np.uint64)``, the key of ``replicate_stream(seed, i)``.  The hash runs on
+    uint32 arrays, so it wraps without overflow warnings.  Its entropy is the
+    seed's 32-bit words, zero-padded to the pool size, then the index word;
+    only the index word and the output hash differ between replicates.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    entropy.append(np.arange(count, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = np.empty((count, _POOL_SIZE), dtype=np.uint32)
+    for i, word in enumerate(pool):
+        value = word ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        state[:, i] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _replicate_generators(seed: int, count: int):
+    """Yield the generator of each replicate ``0..count-1`` in turn.
+
+    One Philox generator is re-keyed in place for every replicate: counter,
+    key and output buffer are all reset, so each yield draws exactly what
+    ``replicate_stream(seed, i)`` would.  Finish with one before the next.
+    """
+    keys = _philox_keys(seed, count).tolist()
+    bit_generator = np.random.Philox(0)  # every replicate overwrites this key
+    rng = np.random.Generator(bit_generator)
+    inner = {"counter": (0, 0, 0, 0), "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys:
+        inner["key"] = key
+        bit_generator.state = state
+        yield rng
+
+
+def _require_integer(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +159,8 @@ class SimConfig:
     adaptive_tol: float = 1e-9
 
     def __post_init__(self) -> None:
+        for name in ("replicates", "seed"):
+            _require_integer(name, getattr(self, name))
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if isinstance(self.truncation, str):
@@ -75,8 +169,10 @@ class SimConfig:
                     f"truncation must be a positive integer or 'adaptive', "
                     f"got {self.truncation!r}"
                 )
-        elif self.truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
+        else:
+            _require_integer("truncation", self.truncation)
+            if self.truncation < 1:
+                raise ValueError(f"truncation must be >= 1, got {self.truncation}")
         if not 0.0 < self.adaptive_tol <= 1e-6:
             raise ValueError(
                 f"adaptive_tol must be in (0, 1e-6], got {self.adaptive_tol}"
@@ -121,9 +217,21 @@ class EcdfEstimate:
         return meta
 
 
-def _series_fixed(spec: ShockSpec, rng: np.random.Generator, n: int) -> float:
-    draws = spec.sample_inverse(rng, n)
-    return float(np.cumprod(draws).sum())
+def _partial_sums(spec: ShockSpec, seed: int, n: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the n-term partial sum of each replicate.
+
+    Replicates are drawn a bounded block of rows at a time; each row's
+    cumulative product and sum equal those of its replicate alone.
+    """
+    rows = max(1, _ROW_BLOCK_DOUBLES // n)
+    block = np.empty((min(rows, len(out)), n))
+    streams = _replicate_generators(seed, len(out))
+    for start in range(0, len(out), rows):
+        part = block[: min(rows, len(out) - start)]
+        for row, rng in zip(part, streams):
+            row[:] = spec.sample_inverse(rng, n)
+        np.cumprod(part, axis=1, out=part)
+        part.sum(axis=1, out=out[start:start + len(part)])
 
 
 def _series_adaptive(spec: ShockSpec, rng: np.random.Generator, tol: float) -> float:
@@ -160,13 +268,10 @@ def sample_Z(spec: ShockSpec, config: SimConfig) -> EcdfEstimate:
         )
     out = np.empty(config.replicates)
     if config.adaptive:
-        for i in range(config.replicates):
-            out[i] = _series_adaptive(spec, replicate_stream(config.seed, i),
-                                      config.adaptive_tol)
+        for i, rng in enumerate(_replicate_generators(config.seed, config.replicates)):
+            out[i] = _series_adaptive(spec, rng, config.adaptive_tol)
     else:
-        n = int(config.truncation)
-        for i in range(config.replicates):
-            out[i] = _series_fixed(spec, replicate_stream(config.seed, i), n)
+        _partial_sums(spec, config.seed, int(config.truncation), out)
     out.sort()
     out.setflags(write=False)
     return EcdfEstimate(
@@ -250,8 +355,8 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
     if x <= c:
         raise ValueError(f"requires x > c, got x={x}, c={c}")
     inverse = np.empty((paths, horizon))
-    for i in range(paths):
-        inverse[i] = spec.sample_inverse(replicate_stream(seed, i), horizon)
+    for row, rng in zip(inverse, _replicate_generators(seed, paths)):
+        row[:] = spec.sample_inverse(rng, horizon)
     # Wealth-map side, absorbing at zero.
     wealth = np.full(paths, float(x))
     alive = np.ones(paths, dtype=bool)

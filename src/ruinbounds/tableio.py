@@ -42,6 +42,8 @@ def format_cell(value) -> str:
         return "inf" if v > 0 else "-inf"
     if math.isnan(v):
         return "nan"
+    if v == 0.0 and math.copysign(1.0, v) < 0:
+        return "-0.0"
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(v)

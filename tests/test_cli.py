@@ -253,6 +253,17 @@ class TestErrorPaths:
         cfg.write_text("[run]\nc = 1\n")
         assert main(["classify", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("horizons", ["10 10", "inf 3 inf"])
+    @pytest.mark.parametrize("command", ["bounds", "boundaries"])
+    def test_repeated_horizons(self, tmp_path, capsys, command, horizons):
+        cfg = tmp_path / "twice.ini"
+        cfg.write_text("[spec:c]\nfamily = constant\na = 2\n"
+                       f"[run]\nx = 3.5\nhorizons = {horizons}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "horizons must not repeat" in captured.err
+
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")

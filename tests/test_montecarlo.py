@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from ruinbounds import montecarlo as mc
 from ruinbounds import (
     Constant,
     DomainError,
+    Gamma,
     Lognormal,
     Pareto,
     SimConfig,
@@ -15,6 +17,44 @@ from ruinbounds import (
     simulate_path,
 )
 from ruinbounds.montecarlo import ADAPTIVE_FLOOR, GENERATOR_NAME
+from ruinbounds.reference import DEFAULT_SEED, derive_seed
+
+# One spec per family, each with E[log shock] > 0 so adaptive mode applies.
+FAMILIES = [
+    Lognormal(0.2146, 0.0645),
+    Pareto(3.0, 0.9),
+    Gamma(17.0, 13.333333333333334),
+    Constant(1.5),
+]
+
+
+def _loop_fixed(spec, seed, n, replicates):
+    """Reference: one fresh stream per replicate, partial sum of n terms."""
+    out = np.array([np.cumprod(spec.sample_inverse(replicate_stream(seed, i), n)).sum()
+                    for i in range(replicates)])
+    out.sort()
+    return out
+
+
+def _loop_adaptive(spec, seed, replicates, tol=1e-9):
+    """Reference: one fresh stream per replicate, adaptive truncation."""
+    out = np.array([mc._series_adaptive(spec, replicate_stream(seed, i), tol)
+                    for i in range(replicates)])
+    out.sort()
+    return out
+
+
+class _RecordingSpec:
+    """Shock spec proxy that keeps a copy of every draw it hands out."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.draws = []
+
+    def sample_inverse(self, rng, size=None):
+        values = self.spec.sample_inverse(rng, size)
+        self.draws.append(np.array(values, copy=True))
+        return values
 
 
 class TestStreams:
@@ -32,6 +72,70 @@ class TestStreams:
         assert not np.array_equal(a, b)
 
 
+class TestPhiloxKeys:
+    """Bulk key derivation against numpy's own SeedSequence."""
+
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
+        derive_seed(DEFAULT_SEED, 3), derive_seed(7, 0, 2),
+    ])
+    def test_equals_seed_sequence(self, seed):
+        count = 300
+        keys = mc._philox_keys(seed, count)
+        assert keys.dtype == np.uint64 and keys.shape == (count, 2)
+        for i in (0, 1, 255, count - 1):
+            want = np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+            assert np.array_equal(keys[i], want), i
+
+    def test_seed_longer_than_pool(self):
+        # more than four 32-bit seed words: the extra words mix in like the index
+        seed = 2 ** 130 + 12345
+        keys = mc._philox_keys(seed, 3)
+        for i in range(3):
+            want = np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+            assert np.array_equal(keys[i], want)
+
+    def test_no_overflow_signal(self):
+        # the hash wraps on uint32 arrays; a scalar or float path would raise here
+        with np.errstate(all="raise"):
+            keys = mc._philox_keys(2 ** 64 - 1, 1000)
+        want = np.random.SeedSequence(2 ** 64 - 1, spawn_key=(999,)).generate_state(2, np.uint64)
+        assert np.array_equal(keys[-1], want)
+
+    def test_rejects_negative_and_float_seeds(self):
+        with pytest.raises(ValueError):
+            mc._philox_keys(-1, 4)
+        with pytest.raises(TypeError):
+            mc._philox_keys(1.5, 4)
+
+
+class TestReusedGenerator:
+    def test_state_equals_fresh_stream(self):
+        for i, rng in enumerate(mc._replicate_generators(11, 5)):
+            want = replicate_stream(11, i).bit_generator.state
+            got = rng.bit_generator.state
+            assert np.array_equal(got["state"]["key"], want["state"]["key"])
+            assert np.array_equal(got["state"]["counter"], want["state"]["counter"])
+            assert np.array_equal(got["buffer"], want["buffer"])
+            assert (got["buffer_pos"], got["has_uint32"], got["uinteger"]) == (
+                want["buffer_pos"], want["has_uint32"], want["uinteger"])
+            rng.random(3)
+
+    def test_rekey_leaves_no_buffered_word(self):
+        # odd draw counts and a 32-bit draw leave half-used buffers behind;
+        # every next replicate must still start from a clean state
+        def draw(rng, i):
+            return (rng.random(2 * i + 1),
+                    rng.integers(0, 2 ** 32, size=1, dtype=np.uint32),
+                    rng.standard_normal(i + 1))
+
+        for i, rng in enumerate(mc._replicate_generators(5, 6)):
+            got = draw(rng, i)
+            want = draw(replicate_stream(5, i), i)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), i
+
+
 class TestSimConfig:
     def test_defaults(self):
         config = SimConfig()
@@ -45,10 +149,22 @@ class TestSimConfig:
         {"adaptive_tol": 0.0},
         {"adaptive_tol": 1e-3},
         {"seed": -1},
+        {"seed": 1.5},
+        {"seed": 2.0},
+        {"seed": "7"},
+        {"replicates": 2.5},
+        {"truncation": 2.5},
+        {"truncation": 3.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        config = SimConfig(replicates=np.int64(8), truncation=np.int32(5),
+                           seed=np.uint64(2 ** 64 - 1))
+        est = sample_Z(Pareto(3.0, 0.9), config)
+        assert est.samples.tobytes() == _loop_fixed(Pareto(3.0, 0.9), 2 ** 64 - 1, 5, 8).tobytes()
 
 
 class TestSampleZ:
@@ -102,6 +218,75 @@ class TestSampleZ:
         fixed = sample_Z(spec, SimConfig(replicates=3000, truncation=500, seed=21))
         for x in (1.1, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2):
             assert abs(ecdf_survival(adaptive, x) - ecdf_survival(fixed, x)) <= 0.01
+
+
+class TestBitIdentity:
+    """Bulk-keyed sampling equals the per-replicate reference loop byte for byte."""
+
+    # 70 replicates: several row blocks at n = 127..400, a partial one below
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 400])
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
+    def test_fixed_truncation(self, spec, n):
+        est = sample_Z(spec, SimConfig(replicates=70, truncation=n, seed=23))
+        assert est.samples.tobytes() == _loop_fixed(spec, 23, n, 70).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 30])
+    def test_small_row_blocks(self, monkeypatch, n):
+        # a 24-double block: many blocks, a ragged last one, and rows wider than it
+        monkeypatch.setattr(mc, "_ROW_BLOCK_DOUBLES", 24)
+        spec = Lognormal(0.2146, 0.0645)
+        est = sample_Z(spec, SimConfig(replicates=29, truncation=n, seed=4))
+        assert est.samples.tobytes() == _loop_fixed(spec, 4, n, 29).tobytes()
+
+    def test_rows_wider_than_block(self):
+        spec = Pareto(3.0, 0.9)
+        n = mc._ROW_BLOCK_DOUBLES + 1
+        est = sample_Z(spec, SimConfig(replicates=3, truncation=n, seed=8))
+        assert est.samples.tobytes() == _loop_fixed(spec, 8, n, 3).tobytes()
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
+    def test_adaptive(self, spec):
+        est = sample_Z(spec, SimConfig(replicates=70, seed=23))
+        assert est.samples.tobytes() == _loop_adaptive(spec, 23, 70).tobytes()
+
+    def test_crosscheck_draws_equal_replicate_streams(self):
+        spec = _RecordingSpec(Lognormal(0.2146, 0.0645))
+        paths, horizon = 37, 11
+        report = crosscheck_equivalence(spec, 7.5, 1.0, horizon, paths, seed=19)
+        assert report.paths == paths and report.passed
+        assert len(spec.draws) == paths
+        for i, got in enumerate(spec.draws):
+            want = spec.spec.sample_inverse(replicate_stream(19, i), horizon)
+            assert got.tobytes() == want.tobytes(), i
+
+
+class TestFastPath:
+    """The sampling loops must not build a SeedSequence per replicate."""
+
+    @pytest.fixture
+    def seed_sequences(self, monkeypatch):
+        original = np.random.SeedSequence
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        replicate_stream(0, 0)
+        assert len(calls) == 1  # the counter sees the reference derivation
+        calls.clear()
+        return calls
+
+    def test_sample_z(self, seed_sequences):
+        spec = Lognormal(3.17, 1.75)
+        sample_Z(spec, SimConfig(replicates=5000, truncation=20, seed=1))
+        sample_Z(spec, SimConfig(replicates=5000, seed=1))
+        assert len(seed_sequences) == 0
+
+    def test_crosscheck(self, seed_sequences):
+        crosscheck_equivalence(Pareto(3.0, 0.9), 3.5, 1.0, 20, 1000, seed=2)
+        assert len(seed_sequences) == 0
 
 
 class TestEcdf:
