@@ -70,8 +70,8 @@ class ExperimentConfig:
     fmt: str = "csv"
     out: str | None = None
 
-    def validate(self, need_specs: bool = True) -> None:
-        if need_specs and not self.specs:
+    def validate(self) -> None:
+        if not self.specs:
             raise ConfigError("no shock specs configured; add a [spec:NAME] section")
         if not self.c > 0:
             raise ConfigError(f"c must be positive, got {self.c}")
@@ -178,15 +178,11 @@ def _merge_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentC
     return cfg
 
 
-def _load_experiment(args: argparse.Namespace, need_specs: bool = True) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = load_config_file(args.config)
-    else:
-        if need_specs:
-            raise ConfigError("--config is required for this command")
-        cfg = ExperimentConfig()
-    cfg = _merge_flags(cfg, args)
-    cfg.validate(need_specs=need_specs)
+def _load_experiment(args: argparse.Namespace) -> ExperimentConfig:
+    if not args.config:
+        raise ConfigError("--config is required for this command")
+    cfg = _merge_flags(load_config_file(args.config), args)
+    cfg.validate()
     return cfg
 
 
@@ -276,7 +272,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         for h in sorted(cfg.horizons, key=lambda v: (v == math.inf, v)):
             if h == math.inf:
                 sched = schedule(infinite_moments(spec, cfg.rmax), cfg.c)
-                label = "inf"
+                label = math.inf
             else:
                 sched = schedule(grid, cfg.c, horizon=int(h))
                 label = int(h)

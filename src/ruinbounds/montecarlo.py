@@ -144,9 +144,11 @@ def _replicate_generators(seed: int, count: int):
         yield rng
 
 
-def _require_integer(name: str, value) -> None:
+def _require_integer(name: str, value, minimum: int | None = None) -> None:
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -159,10 +161,8 @@ class SimConfig:
     adaptive_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("replicates", "seed"):
-            _require_integer(name, getattr(self, name))
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        _require_integer("replicates", self.replicates, 1)
+        _require_integer("seed", self.seed)
         if isinstance(self.truncation, str):
             if self.truncation != "adaptive":
                 raise ValueError(
@@ -170,9 +170,7 @@ class SimConfig:
                     f"got {self.truncation!r}"
                 )
         else:
-            _require_integer("truncation", self.truncation)
-            if self.truncation < 1:
-                raise ValueError(f"truncation must be >= 1, got {self.truncation}")
+            _require_integer("truncation", self.truncation, 1)
         if not 0.0 < self.adaptive_tol <= 1e-6:
             raise ValueError(
                 f"adaptive_tol must be in (0, 1e-6], got {self.adaptive_tol}"
@@ -303,8 +301,7 @@ def simulate_path(spec: ShockSpec, x: float, c: float, horizon: int,
     """
     if x <= 0 or c <= 0:
         raise ValueError(f"x and c must be positive, got x={x}, c={c}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _require_integer("horizon", horizon, 1)
     if x <= c:
         return 0
     wealth = x
@@ -354,6 +351,8 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
     """
     if x <= c:
         raise ValueError(f"requires x > c, got x={x}, c={c}")
+    _require_integer("horizon", horizon, 1)
+    _require_integer("paths", paths, 1)
     inverse = np.empty((paths, horizon))
     for row, rng in zip(inverse, _replicate_generators(seed, paths)):
         row[:] = spec.sample_inverse(rng, horizon)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .shocks import ShockSpec
 
@@ -86,16 +86,8 @@ class Regime:
         return "; ".join(parts)
 
     def to_record(self) -> dict:
-        rec = {
-            "elog": self.elog,
-            "m": self.m,
-            "M": self.M,
-            "d1": self.d1,
-            "d2": self.d2,
-            "certain_ruin_threshold": self.certain_ruin_threshold,
-            "certain_survival_threshold": self.certain_survival_threshold,
-        }
-        return {k: ("inf" if math.isinf(v) else v) for k, v in rec.items()}
+        """Fields in order, infinities written as the marker ``"inf"``."""
+        return {k: ("inf" if math.isinf(v) else v) for k, v in asdict(self).items()}
 
 
 def deterministic_min_stock(r: float, c: float) -> float:

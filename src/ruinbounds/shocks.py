@@ -11,8 +11,11 @@ Carlo) is driven by a handful of quantities of the shock distribution:
 
 Four families are provided: lognormal, Pareto, and gamma shocks, plus a
 degenerate constant shock used as an exactly solvable oracle in tests.
-All parameterizations are validated on construction; instances are frozen
-and safe to share between threads.
+Each is a frozen dataclass derived from ``ShockSpec``, the base class that
+defines the record format (``family`` plus the dataclass fields, in field
+order), the family registry behind ``spec_from_record`` and the linear
+inverse moment.  All parameterizations are validated on construction;
+instances are frozen and safe to share between threads.
 
 Inverse moments are exposed both linearly and in log form.  The log form
 is exact (no exponentiation) and is what the moment recursion consumes, so
@@ -22,8 +25,8 @@ orders around 60 never overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,10 +57,30 @@ class SupportBounds:
             raise ValueError(f"require 0 <= m <= M, got m={self.m}, M={self.M}")
 
 
+class ShockSpec:
+    """Base class of the shock families.
+
+    A family is a frozen dataclass whose fields are its parameters, with a
+    ``family`` name and the per-family formulas ``log_inverse_moment``,
+    ``expected_log``, ``support_bounds`` and ``sample_inverse``.
+    """
+
+    family: ClassVar[str]
+
+    def inverse_moment(self, r: int) -> float:
+        """E[shock^-r], ``+inf`` where it diverges."""
+        return math.exp(self.log_inverse_moment(r))
+
+    def to_record(self) -> dict:
+        """Flat record ``{"family": ..., <field>: <value>, ...}`` in field order."""
+        return {"family": self.family, **asdict(self)}
+
+
 @dataclass(frozen=True)
-class Lognormal:
+class Lognormal(ShockSpec):
     """Shock ``exp(N)`` with ``N`` normal with mean ``mu``, variance ``sigma2``."""
 
+    family = "lognormal"
     mu: float
     sigma2: float
 
@@ -70,9 +93,6 @@ class Lognormal:
         _check_order(r)
         return -r * self.mu + r * r * self.sigma2 / 2.0
 
-    def inverse_moment(self, r: int) -> float:
-        return math.exp(self.log_inverse_moment(r))
-
     def expected_log(self) -> float:
         return self.mu
 
@@ -82,18 +102,16 @@ class Lognormal:
     def sample_inverse(self, rng: np.random.Generator, size: int | None = None):
         return np.exp(-rng.normal(self.mu, math.sqrt(self.sigma2), size))
 
-    def to_record(self) -> dict:
-        return {"family": "lognormal", "mu": self.mu, "sigma2": self.sigma2}
-
 
 @dataclass(frozen=True)
-class Pareto:
+class Pareto(ShockSpec):
     """Pareto shock with tail index ``beta`` and scale ``k``.
 
     Density ``beta * k**beta / x**(beta+1)`` on ``x >= k``.  The reciprocal
     shock lives on ``(0, 1/k]`` with r-th moment ``beta / (k**r * (beta+r))``.
     """
 
+    family = "pareto"
     beta: float
     k: float
 
@@ -104,9 +122,6 @@ class Pareto:
     def log_inverse_moment(self, r: int) -> float:
         _check_order(r)
         return math.log(self.beta) - r * math.log(self.k) - math.log(self.beta + r)
-
-    def inverse_moment(self, r: int) -> float:
-        return math.exp(self.log_inverse_moment(r))
 
     def expected_log(self) -> float:
         return math.log(self.k) + 1.0 / self.beta
@@ -119,18 +134,16 @@ class Pareto:
         u = 1.0 - rng.random(size)
         return u ** (1.0 / self.beta) / self.k
 
-    def to_record(self) -> dict:
-        return {"family": "pareto", "beta": self.beta, "k": self.k}
-
 
 @dataclass(frozen=True)
-class Gamma:
+class Gamma(ShockSpec):
     """Gamma shock with shape ``alpha`` and rate ``theta``.
 
     Density proportional to ``x**(alpha-1) * exp(-theta*x)``.  The reciprocal
     shock is inverse-gamma; its r-th moment is finite only for r < alpha.
     """
 
+    family = "gamma"
     alpha: float
     theta: float
 
@@ -148,10 +161,6 @@ class Gamma:
             - math.lgamma(self.alpha)
         )
 
-    def inverse_moment(self, r: int) -> float:
-        lg = self.log_inverse_moment(r)
-        return math.inf if lg == math.inf else math.exp(lg)
-
     def expected_log(self) -> float:
         return digamma(self.alpha) - math.log(self.theta)
 
@@ -161,12 +170,9 @@ class Gamma:
     def sample_inverse(self, rng: np.random.Generator, size: int | None = None):
         return 1.0 / rng.gamma(self.alpha, 1.0 / self.theta, size)
 
-    def to_record(self) -> dict:
-        return {"family": "gamma", "alpha": self.alpha, "theta": self.theta}
-
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(ShockSpec):
     """Degenerate shock equal to ``a`` with probability one.
 
     Every derived quantity has a closed form (the discounted series is
@@ -174,6 +180,7 @@ class Constant:
     the recursive and simulated paths.
     """
 
+    family = "constant"
     a: float
 
     def __post_init__(self) -> None:
@@ -183,9 +190,6 @@ class Constant:
     def log_inverse_moment(self, r: int) -> float:
         _check_order(r)
         return -r * math.log(self.a)
-
-    def inverse_moment(self, r: int) -> float:
-        return math.exp(self.log_inverse_moment(r))
 
     def expected_log(self) -> float:
         return math.log(self.a)
@@ -198,18 +202,8 @@ class Constant:
             return 1.0 / self.a
         return np.full(size, 1.0 / self.a)
 
-    def to_record(self) -> dict:
-        return {"family": "constant", "a": self.a}
 
-
-ShockSpec = Union[Lognormal, Pareto, Gamma, Constant]
-
-_FAMILIES = {
-    "lognormal": (Lognormal, ("mu", "sigma2")),
-    "pareto": (Pareto, ("beta", "k")),
-    "gamma": (Gamma, ("alpha", "theta")),
-    "constant": (Constant, ("a",)),
-}
+_FAMILIES = {cls.family: cls for cls in (Lognormal, Pareto, Gamma, Constant)}
 
 
 def _check_order(r: int) -> None:
@@ -225,7 +219,8 @@ def spec_from_record(record: dict) -> ShockSpec:
         raise ConfigError(
             f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}"
         )
-    cls, names = _FAMILIES[family]
+    cls = _FAMILIES[family]
+    names = [f.name for f in fields(cls)]
     missing = [name for name in names if name not in rec]
     if missing:
         raise ConfigError(f"family {family!r} missing parameters {missing}")

@@ -33,7 +33,7 @@ from ruinbounds import (
     schedule,
     survival_lower_bound,
 )
-from ruinbounds.montecarlo import ADAPTIVE_FLOOR, replicate_stream
+from ruinbounds.montecarlo import ADAPTIVE_FLOOR
 from ruinbounds.reference import (
     DEFAULT_SEED,
     MATCHED_TRIO,
@@ -250,10 +250,8 @@ def test_criterion_10_moment_cross_validation():
     for name, spec in MATCHED_TRIO.items():
         grid = finite_moments(spec, 6, horizon)
         seed = derive_seed(DEFAULT_SEED, 10, horizon)
-        samples = np.empty(n)
-        for i in range(n):
-            draws = spec.sample_inverse(replicate_stream(seed, i), horizon)
-            samples[i] = np.cumprod(draws).sum()
+        config = SimConfig(replicates=n, truncation=horizon, seed=seed)
+        samples = sample_Z(spec, config).samples
         for r in (1, 2, 3):
             mean_r = float((samples ** r).mean())
             want = grid.beta(r, horizon)

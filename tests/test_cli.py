@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ruinbounds import classify, ecdf_survival, sample_Z, SimConfig
+from ruinbounds import classify, cli, ecdf_survival, sample_Z, SimConfig
 from ruinbounds.cli import main
 from ruinbounds.montecarlo import GENERATOR_NAME
 from ruinbounds.reference import derive_seed, PARETO_HEAVY
@@ -128,6 +128,21 @@ class TestBoundsCommand:
         assert cell["survival_lower"] == pytest.approx(0.8190, abs=1e-3)
         assert cell["order"] == 4
 
+    def test_horizon_label_re_parses_to_value_written(self, config_path, tmp_path,
+                                                      monkeypatch):
+        written, emit = [], cli._emit
+
+        def capture(cfg, columns, records, metadata, default_name):
+            written.extend(tuple(record[col] for col in columns) for record in records)
+            return emit(cfg, columns, records, metadata, default_name)
+
+        monkeypatch.setattr(cli, "_emit", capture)
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--config", config_path, "--out", str(out)]) == 0
+        _, columns, rows = read_csv_table(out)
+        assert {row[columns.index("horizon")] for row in rows} == {10, math.inf}
+        assert rows == written
+
     def test_requires_x_grid(self, tmp_path):
         cfg = tmp_path / "nox.ini"
         cfg.write_text("[spec:c]\nfamily = constant\na = 2\n[run]\nhorizons = inf\n")
@@ -230,6 +245,10 @@ class TestReproduceCommand:
 
 
 class TestErrorPaths:
+    def test_config_required(self, capsys):
+        assert main(["classify"]) == 2
+        assert "--config is required" in capsys.readouterr().err
+
     def test_missing_config(self):
         assert main(["classify", "--config", "/nonexistent/exp.ini"]) == 2
 

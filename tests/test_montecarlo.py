@@ -204,6 +204,16 @@ class TestSampleZ:
         est = sample_Z(Constant(2.0), SimConfig(replicates=4, seed=0))
         assert est.samples == pytest.approx(1.0, rel=1e-12)
 
+    def test_adaptive_slow_constant_series(self):
+        # about 2 500 terms, so the series runs through many 128-term blocks
+        est = sample_Z(Constant(1.01), SimConfig(replicates=2, seed=0))
+        assert est.samples == pytest.approx(100.0, abs=1e-4)
+
+    def test_adaptive_term_cap(self):
+        # the tail still exceeds tol times the sum after the last allowed term
+        with pytest.raises(RuntimeError, match="did not converge"):
+            sample_Z(Constant(1 + 1e-7), SimConfig(replicates=1, seed=0))
+
     def test_metadata_records_generator(self):
         est = sample_Z(Constant(2.0), SimConfig(replicates=4, truncation=7, seed=5))
         meta = est.metadata()
@@ -248,6 +258,12 @@ class TestBitIdentity:
     def test_adaptive(self, spec):
         est = sample_Z(spec, SimConfig(replicates=70, seed=23))
         assert est.samples.tobytes() == _loop_adaptive(spec, 23, 70).tobytes()
+
+    def test_adaptive_past_first_block(self):
+        # mean log 0.01: every replicate needs thousands of terms
+        spec = Lognormal(0.01, 0.01)
+        est = sample_Z(spec, SimConfig(replicates=20, seed=23))
+        assert est.samples.tobytes() == _loop_adaptive(spec, 23, 20).tobytes()
 
     def test_crosscheck_draws_equal_replicate_streams(self):
         spec = _RecordingSpec(Lognormal(0.2146, 0.0645))
@@ -348,6 +364,8 @@ class TestSimulatePath:
             simulate_path(Constant(2.0), 0.0, 1.0, 5, replicate_stream(0, 0))
         with pytest.raises(ValueError):
             simulate_path(Constant(2.0), 2.0, 1.0, 0, replicate_stream(0, 0))
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            simulate_path(Constant(2.0), 3.0, 1.0, 2.5, replicate_stream(0, 0))
 
 
 class TestCrosscheck:
@@ -367,3 +385,14 @@ class TestCrosscheck:
     def test_requires_surplus(self):
         with pytest.raises(ValueError):
             crosscheck_equivalence(Constant(2.0), 1.0, 1.0, 5, 10, seed=0)
+
+    @pytest.mark.parametrize("horizon, paths, message", [
+        (0, 10, "horizon must be >= 1"),
+        (2.5, 10, "horizon must be an integer"),
+        (5, 0, "paths must be >= 1"),
+        (5, -1, "paths must be >= 1"),
+        (5, 10.0, "paths must be an integer"),
+    ])
+    def test_rejects_bad_horizon_and_paths(self, horizon, paths, message):
+        with pytest.raises(ValueError, match=message):
+            crosscheck_equivalence(Constant(2.0), 3.0, 1.0, horizon, paths, seed=0)
