@@ -25,22 +25,28 @@ Conventions, fixed here and used by every caller:
 * bounds that come out negative near ``x = c`` are clamped to zero and
   flagged as vacuous, with the raw ruin estimate kept alongside;
 * with fewer than two finite moments the schedule degenerates to the
-  single order 1 and is flagged.
+  single order 1 and is flagged;
+* a NaN stock ``x`` raises ``ValueError`` (it has no order), as does a
+  non-positive or NaN ``c``.
 
 Evaluation runs in log space so order-60 schedules (binomials ~1e17,
-moments spanning decades) remain accurate.
+moments spanning decades) remain accurate.  A schedule keeps its edges and
+log moments as tuples of floats as well, so one scalar evaluation is a
+``bisect`` and a few ``math`` calls.  Its ``BoundResult`` is an immutable
+``NamedTuple``, so it also equals the plain tuple of its eight values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .moments import _LOG_FLOAT_MAX, FiniteMomentGrid, MomentTable
-from .moments import finite_moments, infinite_moments
-from .shocks import ShockSpec
+from .moments import FiniteMomentGrid, MomentTable, finite_moments, infinite_moments
+from .shocks import _LOG_FLOAT_MAX, ShockSpec
 
 __all__ = [
     "BoundResult",
@@ -72,19 +78,30 @@ class BoundSchedule:
     boundaries: np.ndarray       # length max_order, nondecreasing
     max_order: int
     degenerate: bool
+    # The same values as Python floats, for the scalar lookups below.
+    _edges: tuple = field(init=False, repr=False, compare=False)
+    _log_betas: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_edges", tuple(self.boundaries.tolist()))
+        object.__setattr__(self, "_log_betas", tuple(self.log_beta_values.tolist()))
 
     def order_for(self, x: float) -> int:
         """Optimal order for initial stock ``x > c`` (ties go to the lower order)."""
-        i = int(np.searchsorted(self.boundaries, x, side="left"))
+        i = bisect_left(self._edges, x)
         return i + 1 if i < self.max_order else self.max_order
 
     def log_beta(self, r: int) -> float:
-        return float(self.log_beta_values[r])
+        return self._log_betas[r]
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """One bound evaluation: clamped values plus the raw ruin estimate."""
+class BoundResult(NamedTuple):
+    """One bound evaluation: clamped values plus the raw ruin estimate.
+
+    An immutable ``NamedTuple``, so it also equals the plain tuple of its
+    eight values in field order.  There is none for a NaN ``x``:
+    ``evaluate_bound`` raises ``ValueError`` instead.
+    """
 
     x: float
     c: float
@@ -117,7 +134,7 @@ def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
     Pass a ``MomentTable`` for the full series, or a ``FiniteMomentGrid``
     together with ``horizon=n`` for the n-term partial sum.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"consumption must be positive, got c={c}")
     if isinstance(moments, FiniteMomentGrid):
         if horizon is None:
@@ -153,29 +170,23 @@ def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
 
 
 def evaluate_bound(sched: BoundSchedule, x: float) -> BoundResult:
-    """Evaluate the survival lower bound / ruin upper bound at stock ``x``."""
+    """Evaluate the survival lower bound / ruin upper bound at stock ``x``.
+
+    Raises ``ValueError`` for a NaN ``x``.
+    """
     c = sched.c
-    if x <= c:
-        return BoundResult(
-            x=x, c=c, order=0,
-            survival_lower=0.0, ruin_upper=1.0, ruin_raw=math.inf,
-            vacuous=True, below_consumption=True,
-        )
+    if not x > c:
+        if x != x:
+            raise ValueError(f"x must not be NaN, got x={x}")
+        # x, c, order, survival_lower, ruin_upper, ruin_raw, vacuous, below_consumption
+        return BoundResult(x, c, 0, 0.0, 1.0, math.inf, True, True)
     r = sched.order_for(x)
     log_raw = sched.log_beta(r) - r * math.log(x / c - 1.0)
     if log_raw >= 0.0:
         raw = math.exp(log_raw) if log_raw < 700.0 else math.inf
-        return BoundResult(
-            x=x, c=c, order=r,
-            survival_lower=0.0, ruin_upper=1.0, ruin_raw=raw,
-            vacuous=True, below_consumption=False,
-        )
+        return BoundResult(x, c, r, 0.0, 1.0, raw, True, False)
     raw = math.exp(log_raw)
-    return BoundResult(
-        x=x, c=c, order=r,
-        survival_lower=-math.expm1(log_raw), ruin_upper=raw, ruin_raw=raw,
-        vacuous=False, below_consumption=False,
-    )
+    return BoundResult(x, c, r, -math.expm1(log_raw), raw, raw, False, False)
 
 
 def survival_lower_bound(sched: BoundSchedule, x: float) -> float:

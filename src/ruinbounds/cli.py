@@ -75,7 +75,7 @@ class ExperimentConfig:
             raise ConfigError("no shock specs configured; add a [spec:NAME] section")
         if not self.c > 0:
             raise ConfigError(f"c must be positive, got {self.c}")
-        if any(x <= 0 for x in self.x_grid):
+        if not all(x > 0 for x in self.x_grid):
             raise ConfigError(f"x grid values must be positive, got {self.x_grid}")
         if self.rmax < 1:
             raise ConfigError(f"rmax must be >= 1, got {self.rmax}")

@@ -34,14 +34,13 @@ place would change published output.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._special import lgamma_int, logsumexp
 from .errors import DomainError
-from .shocks import ShockSpec
+from .shocks import _LOG_FLOAT_MAX, ShockSpec
 
 __all__ = ["MomentTable", "FiniteMomentGrid", "infinite_moments", "finite_moments"]
 
@@ -113,9 +112,6 @@ class FiniteMomentGrid:
 
     def beta(self, r: int, n: int) -> float:
         return _exp(self.log_beta_grid[r, n])
-
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # np.exp stays finite up to here
 
 
 def _exp(log_value: float) -> float:

@@ -283,7 +283,7 @@ def sample_Z(spec: ShockSpec, config: SimConfig) -> EcdfEstimate:
 
 def ecdf_survival(est: EcdfEstimate, x: float, c: float = 1.0) -> float:
     """Fraction of sampled series values strictly below ``x/c - 1``."""
-    if x <= 0 or c <= 0:
+    if not (x > 0 and c > 0):
         raise ValueError(f"x and c must be positive, got x={x}, c={c}")
     threshold = x / c - 1.0
     count = int(np.searchsorted(est.samples, threshold, side="left"))
@@ -299,7 +299,7 @@ def simulate_path(spec: ShockSpec, x: float, c: float, horizon: int,
     (0 when already x <= c); None means wealth stayed above c through
     ``horizon`` periods.
     """
-    if x <= 0 or c <= 0:
+    if not (x > 0 and c > 0):
         raise ValueError(f"x and c must be positive, got x={x}, c={c}")
     _require_integer("horizon", horizon, 1)
     if x <= c:
@@ -349,7 +349,7 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
     unless the algebraic identity itself were broken; any discrepancy is
     reported with the path's draws.
     """
-    if x <= c:
+    if not x > c:
         raise ValueError(f"requires x > c, got x={x}, c={c}")
     _require_integer("horizon", horizon, 1)
     _require_integer("paths", paths, 1)

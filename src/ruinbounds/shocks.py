@@ -25,6 +25,7 @@ orders around 60 never overflow.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
@@ -32,6 +33,8 @@ import numpy as np
 
 from ._special import digamma
 from .errors import ConfigError, FeasibilityError
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp stays finite up to here
 
 __all__ = [
     "Lognormal",
@@ -68,8 +71,9 @@ class ShockSpec:
     family: ClassVar[str]
 
     def inverse_moment(self, r: int) -> float:
-        """E[shock^-r], ``+inf`` where it diverges."""
-        return math.exp(self.log_inverse_moment(r))
+        """E[shock^-r], ``+inf`` where it diverges or overflows a double."""
+        log_value = self.log_inverse_moment(r)
+        return math.inf if log_value > _LOG_FLOAT_MAX else math.exp(log_value)
 
     def to_record(self) -> dict:
         """Flat record ``{"family": ..., <field>: <value>, ...}`` in field order."""

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from ruinbounds import (
     schedule,
     survival_lower_bound,
 )
-from ruinbounds.reference import LOGNORMAL_HEAVY, PARETO_HEAVY
+from ruinbounds.reference import LOGNORMAL_HEAVY, MATCHED_TRIO, PARETO_HEAVY
 
 
 class TestSchedule:
@@ -70,6 +71,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             schedule(grid, 1.0, horizon=6)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_or_nan_consumption(self, c):
+        with pytest.raises(ValueError, match="consumption must be positive"):
+            schedule(infinite_moments(LOGNORMAL_HEAVY, 4), c)
+
     def test_tie_goes_to_lower_order(self):
         sched = schedule(infinite_moments(LOGNORMAL_HEAVY, 4), 1.0)
         b1 = float(sched.boundaries[0])
@@ -105,6 +111,15 @@ class TestBoundValues:
         assert res.below_consumption
         assert res.survival_lower == 0.0
 
+    @pytest.mark.parametrize("evaluate", [evaluate_bound, survival_lower_bound,
+                                          ruin_upper_bound])
+    def test_nan_stock_raises(self, evaluate):
+        sched = schedule(infinite_moments(LOGNORMAL_HEAVY, 4), 1.0)
+        with pytest.raises(ValueError, match="x must not be NaN"):
+            evaluate(sched, math.nan)
+        with pytest.raises(ValueError, match="x must not be NaN"):
+            evaluate(sched, np.float64("nan"))
+
     def test_ruin_raw_published_value(self):
         sched = schedule(infinite_moments(LOGNORMAL_HEAVY, 4), 1.0)
         res = evaluate_bound(sched, 1.4)
@@ -132,6 +147,88 @@ class TestBoundValues:
         res = evaluate_bound(sched, beyond)
         assert res.order == 59
         assert 0.0 < res.ruin_upper < 1e-100
+
+
+def _reference_evaluate(sched, x):
+    """Reference evaluation: ``np.searchsorted`` on the edge array and the
+    same ``math`` arithmetic, returning the eight fields in order."""
+    c = sched.c
+    if x <= c:
+        return (x, c, 0, 0.0, 1.0, math.inf, True, True)
+    i = int(np.searchsorted(sched.boundaries, x, side="left"))
+    r = i + 1 if i < sched.max_order else sched.max_order
+    log_raw = float(sched.log_beta_values[r]) - r * math.log(x / c - 1.0)
+    if log_raw >= 0.0:
+        raw = math.exp(log_raw) if log_raw < 700.0 else math.inf
+        return (x, c, r, 0.0, 1.0, raw, True, False)
+    raw = math.exp(log_raw)
+    return (x, c, r, -math.expm1(log_raw), raw, raw, False, False)
+
+
+def _float_bits(rows):
+    """Bytes of the float fields (x, c, survival, ruin, raw) of every row."""
+    values = [v for row in rows for v in (row[0], row[1], row[3], row[4], row[5])]
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class TestFastPath:
+    """``evaluate_bound`` bisects cached tuples; it must match the array lookup bit for bit."""
+
+    SPECS = {**{f"trio_{k}": v for k, v in MATCHED_TRIO.items()},
+             "heavy_pareto": PARETO_HEAVY, "heavy_lognormal": LOGNORMAL_HEAVY,
+             "constant": Constant(1.25)}
+
+    @staticmethod
+    def _stocks(sched):
+        """Each finite edge, one ulp either side and as np.float64, plus the extremes."""
+        xs = [sched.c, 0.5 * sched.c, math.inf, 1e300]
+        for edge in sched.boundaries.tolist():
+            if edge != math.inf:
+                xs += [edge, math.nextafter(edge, -math.inf),
+                       math.nextafter(edge, math.inf), np.float64(edge)]
+        return xs
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_bit_identical_to_array_lookup(self, name):
+        spec = self.SPECS[name]
+        grid = finite_moments(spec, 60, 200)
+        table = infinite_moments(spec, 61)
+        infinite_edges = 0
+        for c in (1.0, 2.5):
+            schedules = [schedule(grid, c, horizon=n) for n in range(1, 201)]
+            schedules.append(schedule(table, c))
+            for sched in schedules:
+                xs = self._stocks(sched)
+                got = [evaluate_bound(sched, x) for x in xs]
+                want = [_reference_evaluate(sched, x) for x in xs]
+                assert _float_bits(got) == _float_bits(want), (name, c, sched.horizon)
+                assert ([(r.order, r.vacuous, r.below_consumption) for r in got]
+                        == [(r[2], r[6], r[7]) for r in want])
+                assert all(type(r.order) is int and type(r.vacuous) is bool
+                           and type(r.below_consumption) is bool for r in got)
+                infinite_edges += int(np.isinf(sched.boundaries).sum())
+        if name in ("trio_lognormal", "trio_gamma"):
+            assert infinite_edges > 0  # the grid reaches overflowing edges
+
+    def test_no_searchsorted_per_call(self, monkeypatch):
+        sched = schedule(infinite_moments(PARETO_HEAVY, 61), 1.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.searchsorted called")
+
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        for x in (0.5, 1.1, 2.0, float(sched.boundaries[3]), 1e6, math.inf):
+            evaluate_bound(sched, x)
+        assert sched.order_for(1e6) == 59
+
+    def test_result_is_an_immutable_tuple(self):
+        sched = schedule(infinite_moments(LOGNORMAL_HEAVY, 4), 1.0)
+        res = evaluate_bound(sched, 1.4)
+        assert res == tuple(res)
+        assert res._fields == ("x", "c", "order", "survival_lower", "ruin_upper",
+                               "ruin_raw", "vacuous", "below_consumption")
+        with pytest.raises(AttributeError):
+            res.order = 3
 
 
 class TestOptimalOrder:

@@ -283,6 +283,14 @@ class TestErrorPaths:
         assert captured.out == ""
         assert "horizons must not repeat" in captured.err
 
+    def test_nan_in_x_grid(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.ini"
+        cfg.write_text("[spec:c]\nfamily = constant\na = 2\n[run]\nx = 1.5 nan 3.0\n")
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "x grid values must be positive" in captured.err
+
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")

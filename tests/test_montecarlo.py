@@ -336,6 +336,11 @@ class TestEcdf:
         with pytest.raises(ValueError):
             ecdf_survival(est, 1.0, 0.0)
 
+    def test_rejects_nan_stock(self):
+        est = sample_Z(Constant(2.0), SimConfig(replicates=8, truncation=5, seed=0))
+        with pytest.raises(ValueError, match="must be positive"):
+            ecdf_survival(est, float("nan"), 1.0)
+
 
 class TestSimulatePath:
     def test_constant_growth_survives(self):
@@ -367,6 +372,11 @@ class TestSimulatePath:
         with pytest.raises(ValueError, match="horizon must be an integer"):
             simulate_path(Constant(2.0), 3.0, 1.0, 2.5, replicate_stream(0, 0))
 
+    def test_rejects_nan_stock(self):
+        # a shrinking shock would otherwise report the NaN stock as surviving
+        with pytest.raises(ValueError, match="must be positive"):
+            simulate_path(Constant(0.5), float("nan"), 1.0, 10, replicate_stream(0, 0))
+
 
 class TestCrosscheck:
     def test_constant_trivial_agreement(self):
@@ -385,6 +395,10 @@ class TestCrosscheck:
     def test_requires_surplus(self):
         with pytest.raises(ValueError):
             crosscheck_equivalence(Constant(2.0), 1.0, 1.0, 5, 10, seed=0)
+
+    def test_rejects_nan_stock(self):
+        with pytest.raises(ValueError, match="requires x > c"):
+            crosscheck_equivalence(Constant(0.5), float("nan"), 1.0, 5, 3, seed=0)
 
     @pytest.mark.parametrize("horizon, paths, message", [
         (0, 10, "horizon must be >= 1"),

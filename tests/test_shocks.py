@@ -48,6 +48,14 @@ class TestInverseMoment:
                 math.log(spec.inverse_moment(r)), rel=1e-13
             )
 
+    def test_overflow_is_infinite(self):
+        # log moment 1247 at order 200, past log(DBL_MAX); 693 at order 150 is not
+        spec = Lognormal(0.2146, 0.0645)
+        assert spec.log_inverse_moment(200) > math.log(np.finfo(float).max)
+        assert spec.inverse_moment(200) == math.inf
+        assert spec.inverse_moment(150) == math.exp(spec.log_inverse_moment(150))
+        assert math.isfinite(spec.inverse_moment(150))
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             Lognormal(1.0, 1.0).inverse_moment(0)
