@@ -9,85 +9,21 @@ everything against seeded Monte Carlo simulation.  A command-line front
 end reproduces the reference numerical tables end to end.
 """
 
-from .bounds import (
-    BoundResult,
-    BoundSchedule,
-    BoundaryTable,
-    boundary_table,
-    evaluate_bound,
-    ruin_upper_bound,
-    schedule,
-    survival_lower_bound,
-)
-from .errors import ConfigError, DomainError, FeasibilityError
-from .moments import FiniteMomentGrid, MomentTable, finite_moments, infinite_moments
-from .montecarlo import (
-    CrosscheckReport,
-    EcdfEstimate,
-    SimConfig,
-    crosscheck_equivalence,
-    ecdf_survival,
-    replicate_stream,
-    sample_Z,
-    simulate_path,
-)
-from .regimes import (
-    Regime,
-    Trichotomy,
-    classify,
-    deterministic_horizon,
-    deterministic_min_stock,
-    trichotomy,
-)
-from .shocks import (
-    Constant,
-    Gamma,
-    Lognormal,
-    Pareto,
-    ShockSpec,
-    SupportBounds,
-    match_inverse_moments,
-    spec_from_record,
-)
+from . import bounds, errors, moments, montecarlo, regimes, shocks
+from .bounds import *
+from .errors import *
+from .moments import *
+from .montecarlo import *
+from .regimes import *
+from .shocks import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundResult",
-    "BoundSchedule",
-    "BoundaryTable",
-    "ConfigError",
-    "Constant",
-    "CrosscheckReport",
-    "DomainError",
-    "EcdfEstimate",
-    "FeasibilityError",
-    "FiniteMomentGrid",
-    "Gamma",
-    "Lognormal",
-    "MomentTable",
-    "Pareto",
-    "Regime",
-    "ShockSpec",
-    "SimConfig",
-    "SupportBounds",
-    "Trichotomy",
-    "boundary_table",
-    "classify",
-    "crosscheck_equivalence",
-    "deterministic_horizon",
-    "deterministic_min_stock",
-    "ecdf_survival",
-    "evaluate_bound",
-    "finite_moments",
-    "infinite_moments",
-    "match_inverse_moments",
-    "replicate_stream",
-    "ruin_upper_bound",
-    "sample_Z",
-    "schedule",
-    "simulate_path",
-    "spec_from_record",
-    "survival_lower_bound",
-    "trichotomy",
-]
+# Each module's __all__ is the one list of its public names.
+__all__ = []
+__all__ += bounds.__all__
+__all__ += errors.__all__
+__all__ += moments.__all__
+__all__ += montecarlo.__all__
+__all__ += regimes.__all__
+__all__ += shocks.__all__

@@ -10,7 +10,9 @@ consecutive intervals
 
 on which order r is optimal.  A schedule materializes those switch points
 from a moment table (full series or a fixed-horizon column of partial-sum
-moments).
+moments); ``schedules`` builds one per horizon.  A horizon is an integer
+n >= 1 (the n-term partial sum) or ``math.inf`` (the series); ``schedule``
+rejects anything else with ``ValueError``.
 
 Conventions, fixed here and used by every caller:
 
@@ -39,6 +41,7 @@ log moments as tuples of floats as well, so one scalar evaluation is a
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -56,6 +59,7 @@ __all__ = [
     "evaluate_bound",
     "ruin_upper_bound",
     "schedule",
+    "schedules",
     "survival_lower_bound",
 ]
 
@@ -87,8 +91,10 @@ class BoundSchedule:
         object.__setattr__(self, "_log_betas", tuple(self.log_beta_values.tolist()))
 
     def order_for(self, x: float) -> int:
-        """Optimal order for initial stock ``x > c`` (ties go to the lower order)."""
+        """Optimal order for stock ``x > c`` (ties go to the lower order); NaN raises."""
         i = bisect_left(self._edges, x)
+        if i == 0 and x != x:  # bisect_left sends NaN to 0; only that branch pays
+            raise ValueError(f"x must not be NaN, got x={x}")
         return i + 1 if i < self.max_order else self.max_order
 
     def log_beta(self, r: int) -> float:
@@ -139,14 +145,13 @@ def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
     if isinstance(moments, FiniteMomentGrid):
         if horizon is None:
             raise ValueError("a horizon is required with a FiniteMomentGrid")
-        if not 1 <= horizon <= moments.nmax:
-            raise ValueError(f"horizon must be in 1..{moments.nmax}, got {horizon}")
+        if not (isinstance(horizon, numbers.Integral) and 1 <= horizon <= moments.nmax):
+            raise ValueError(f"horizon must be an integer in 1..{moments.nmax}, got {horizon!r}")
         log_col = moments.log_beta_grid[:, horizon].copy()
     else:
         if horizon is not None:
             raise ValueError("horizon applies only to FiniteMomentGrid input")
         log_col = moments.log_beta_values.copy()
-    spec = moments.spec
     rmax = len(log_col) - 1
     finite_orders = [r for r in range(1, rmax + 1) if log_col[r] < np.inf]
     last_finite = max(finite_orders, default=0)
@@ -159,7 +164,7 @@ def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
     log_beta_values.setflags(write=False)
     edges.setflags(write=False)
     return BoundSchedule(
-        spec=spec,
+        spec=moments.spec,
         c=c,
         horizon=horizon,
         log_beta_values=log_beta_values,
@@ -167,6 +172,21 @@ def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
         max_order=max_order,
         degenerate=degenerate,
     )
+
+
+def schedules(spec: ShockSpec, c: float, horizons, rmax: int) -> list[BoundSchedule]:
+    """One schedule per horizon, in order, from moments up to ``rmax``.
+
+    Partial-sum moments are computed once, up to the largest integer horizon
+    (``schedule`` rejects the others), and series moments only for ``math.inf``.
+    """
+    horizons = list(horizons)
+    finite = [h for h in horizons if h != math.inf]
+    nmax = max([1, *(h for h in finite if isinstance(h, numbers.Integral))])
+    grid = finite_moments(spec, rmax, nmax) if finite else None
+    table = infinite_moments(spec, rmax) if math.inf in horizons else None
+    return [schedule(table, c) if h == math.inf else schedule(grid, c, horizon=h)
+            for h in horizons]
 
 
 def evaluate_bound(sched: BoundSchedule, x: float) -> BoundResult:
@@ -213,25 +233,14 @@ class BoundaryTable:
 def boundary_table(spec: ShockSpec, c: float, horizons, rmax: int) -> BoundaryTable:
     """Boundary matrix across horizons, rows r = 1..rmax-1.
 
-    Finite horizons come from the partial-sum recursion; ``math.inf`` (or
-    the string "inf") selects the full-series column.  Rows whose next
-    moment is infinite, or whose moment ratio overflows, are +inf.
+    Column j holds the edges of ``schedules`` at ``horizons[j]`` (the string
+    "inf" means ``math.inf``), +inf past the last one (infinite next moment).
     """
-    horizons = list(horizons)
-    norm = []
-    for h in horizons:
-        if h == math.inf or (isinstance(h, str) and h.lower() == "inf"):
-            norm.append(math.inf)
-        else:
-            norm.append(int(h))
-    finite_hs = [h for h in norm if h != math.inf]
-    grid = finite_moments(spec, rmax, max(finite_hs)) if finite_hs else None
-    table = infinite_moments(spec, rmax) if math.inf in norm else None
+    norm = tuple(math.inf if isinstance(h, str) and h.lower() == "inf" else h
+                 for h in horizons)
     orders = tuple(range(1, rmax))
-    values = np.empty((len(orders), len(norm)))
-    for col, h in enumerate(norm):
-        log_col = table.log_beta_values if h == math.inf else grid.log_beta_grid[:, h]
-        for row, r in enumerate(orders):
-            values[row, col] = switch_boundary(log_col, r, c)
+    values = np.full((len(orders), len(norm)), np.inf)
+    for col, sched in enumerate(schedules(spec, c, norm, rmax)):
+        values[:len(sched.boundaries), col] = sched.boundaries
     values.setflags(write=False)
-    return BoundaryTable(spec=spec, c=c, horizons=tuple(norm), orders=orders, values=values)
+    return BoundaryTable(spec=spec, c=c, horizons=norm, orders=orders, values=values)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .bounds import boundary_table, evaluate_bound, schedule
+from .bounds import boundary_table, evaluate_bound, schedules
 from .errors import ConfigError, DomainError
 from .moments import finite_moments, first_infinite_order, infinite_moments
 from .montecarlo import SimConfig, ecdf_survival, sample_Z
@@ -263,22 +263,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         raise ConfigError("an x grid is required; set x in [run] or the config file")
     columns = ("spec", "horizon", "x", "order", "survival_lower",
                "ruin_upper", "ruin_raw", "vacuous")
+    horizons = sorted(h if h == math.inf else int(h) for h in cfg.horizons)  # series last
     records = []
     for name, spec in cfg.specs:
-        grid = None
-        finite_hs = [int(h) for h in cfg.horizons if h != math.inf]
-        if finite_hs:
-            grid = finite_moments(spec, cfg.rmax, max(finite_hs))
-        for h in sorted(cfg.horizons, key=lambda v: (v == math.inf, v)):
-            if h == math.inf:
-                sched = schedule(infinite_moments(spec, cfg.rmax), cfg.c)
-                label = math.inf
-            else:
-                sched = schedule(grid, cfg.c, horizon=int(h))
-                label = int(h)
+        for h, sched in zip(horizons, schedules(spec, cfg.c, horizons, cfg.rmax)):
             for x in sorted(cfg.x_grid):
                 res = evaluate_bound(sched, x)
-                records.append({"spec": name, "horizon": label, "x": x,
+                records.append({"spec": name, "horizon": h, "x": x,
                                 "order": res.order,
                                 "survival_lower": res.survival_lower,
                                 "ruin_upper": res.ruin_upper,

@@ -5,6 +5,8 @@ with 2, domain errors (a computation requested outside its region of
 validity) with 3, and I/O failures with 4.
 """
 
+__all__ = ["ConfigError", "DomainError", "FeasibilityError"]
+
 
 class ConfigError(ValueError):
     """A configuration file or CLI argument is malformed."""

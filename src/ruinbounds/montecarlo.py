@@ -40,10 +40,8 @@ from .errors import DomainError
 from .shocks import ShockSpec
 
 __all__ = [
-    "ADAPTIVE_FLOOR",
     "CrosscheckReport",
     "EcdfEstimate",
-    "GENERATOR_NAME",
     "SimConfig",
     "crosscheck_equivalence",
     "ecdf_survival",

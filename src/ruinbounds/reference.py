@@ -33,8 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import boundary_table, evaluate_bound, schedule, switch_boundary
-from .moments import finite_moments, first_infinite_order, infinite_moments
+from .bounds import boundary_table, evaluate_bound, schedule, schedules, switch_boundary
+from .moments import first_infinite_order, infinite_moments
 from .montecarlo import GENERATOR_NAME, SimConfig, ecdf_survival, sample_Z
 from .shocks import Pareto, ShockSpec, match_inverse_moments
 
@@ -370,8 +370,7 @@ def _build_finite_table(table_id: int, family: str, seed: int,
     ref = reference_table(table_id)
     spec = MATCHED_TRIO[family]
     rmax = _restricted_rmax(spec)
-    grid = finite_moments(spec, rmax, max(_TRIO_HORIZONS))
-    schedules = {n: schedule(grid, 1.0, horizon=n) for n in _TRIO_HORIZONS}
+    by_horizon = dict(zip(_TRIO_HORIZONS, schedules(spec, 1.0, _TRIO_HORIZONS, rmax)))
     ests = {}
     for j, n in enumerate(_TRIO_HORIZONS):
         config = SimConfig(replicates=replicates, truncation=n,
@@ -383,7 +382,7 @@ def _build_finite_table(table_id: int, family: str, seed: int,
         for j, n in enumerate(_TRIO_HORIZONS):
             want_bound, want_mc = ref_row[1 + 2 * j], ref_row[2 + 2 * j]
             row.append(None if want_bound is None
-                       else evaluate_bound(schedules[n], x).survival_lower)
+                       else evaluate_bound(by_horizon[n], x).survival_lower)
             row.append(None if want_mc is None else ecdf_survival(ests[n], x))
         rows.append(tuple(row))
     meta = {

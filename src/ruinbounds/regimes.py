@@ -17,6 +17,7 @@ where the threshold ``c*r/(r-1)`` and the exact ruin period have closed
 forms; they double as oracles for the degenerate constant-shock family.
 
 Infinities are ordinary ``math.inf`` values throughout, never sentinels.
+A NaN stock ``x`` or a non-positive or NaN ``c`` raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def deterministic_min_stock(r: float, c: float) -> float:
     Returns ``c*r/(r-1)`` for r > 1.  For r <= 1 no initial stock works,
     reported as ``+inf`` rather than an error.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"consumption must be positive, got c={c}")
     if r <= 1.0:
         return math.inf
@@ -119,10 +120,12 @@ def deterministic_horizon(r: float, x: float, c: float) -> float:
     index of the iterated map), ``0`` when ``x <= c``, and ``+inf`` when the
     stock is at or above the sustainability threshold.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"consumption must be positive, got c={c}")
     if r <= 0:
         raise ValueError(f"productivity must be positive, got r={r}")
+    if x != x:
+        raise ValueError(f"x must not be NaN, got x={x}")
     if x <= c:
         return 0.0
     w = x / c
@@ -177,8 +180,10 @@ def trichotomy(regime: Regime, x: float, c: float) -> Trichotomy:
     belongs to the survival side (when the shock is bounded away from 1 the
     threshold stock sustains consumption exactly), so it returns ONE.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"consumption must be positive, got c={c}")
+    if x != x:
+        raise ValueError(f"x must not be NaN, got x={x}")
     if x <= c or regime.elog <= 0.0:
         return Trichotomy.ZERO
     w = x / c - 1.0

@@ -4,8 +4,10 @@ import struct
 import numpy as np
 import pytest
 
+import ruinbounds.bounds
 from oracles import brute_force_best_order
 from ruinbounds import (
+    BoundSchedule,
     Constant,
     Lognormal,
     Pareto,
@@ -18,6 +20,7 @@ from ruinbounds import (
     ruin_upper_bound,
     sample_Z,
     schedule,
+    schedules,
     survival_lower_bound,
 )
 from ruinbounds.reference import LOGNORMAL_HEAVY, MATCHED_TRIO, PARETO_HEAVY
@@ -60,6 +63,8 @@ class TestSchedule:
         assert sched.degenerate
         assert sched.max_order == 1
         assert len(sched.boundaries) == 0
+        with pytest.raises(ValueError, match="x must not be NaN"):
+            sched.order_for(math.nan)
         res = evaluate_bound(sched, 10.0)
         assert res.order == 1
         assert 0.0 <= res.survival_lower < 1.0
@@ -70,11 +75,33 @@ class TestSchedule:
             schedule(grid, 1.0)
         with pytest.raises(ValueError):
             schedule(grid, 1.0, horizon=6)
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            schedule(grid, 1.0, horizon=2.5)
 
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_or_nan_consumption(self, c):
         with pytest.raises(ValueError, match="consumption must be positive"):
             schedule(infinite_moments(LOGNORMAL_HEAVY, 4), c)
+        with pytest.raises(ValueError, match="consumption must be positive"):
+            boundary_table(Constant(2.0), c, [3, math.inf], 4)
+
+    def test_schedules_build_each_moment_kind_once(self, monkeypatch):
+        calls = []
+        for name in ("finite_moments", "infinite_moments"):
+            def counted(*args, _name=name, _inner=getattr(ruinbounds.bounds, name)):
+                calls.append((_name, args[1:]))
+                return _inner(*args)
+            monkeypatch.setattr(ruinbounds.bounds, name, counted)
+        spec = MATCHED_TRIO["pareto"]
+        got = schedules(spec, 1.0, [10, math.inf, 3], 6)
+        assert calls == [("finite_moments", (6, 10)), ("infinite_moments", (6,))]
+        assert [s.horizon for s in got] == [10, None, 3]
+        calls.clear()
+        schedules(spec, 1.0, [5, 2], 6)
+        assert calls == [("finite_moments", (6, 5))]
+        calls.clear()
+        schedules(spec, 1.0, [math.inf], 6)
+        assert calls == [("infinite_moments", (6,))]
 
     def test_tie_goes_to_lower_order(self):
         sched = schedule(infinite_moments(LOGNORMAL_HEAVY, 4), 1.0)
@@ -112,7 +139,7 @@ class TestBoundValues:
         assert res.survival_lower == 0.0
 
     @pytest.mark.parametrize("evaluate", [evaluate_bound, survival_lower_bound,
-                                          ruin_upper_bound])
+                                          ruin_upper_bound, BoundSchedule.order_for])
     def test_nan_stock_raises(self, evaluate):
         sched = schedule(infinite_moments(LOGNORMAL_HEAVY, 4), 1.0)
         with pytest.raises(ValueError, match="x must not be NaN"):
@@ -307,6 +334,13 @@ class TestBoundaryTable:
         bt = boundary_table(Constant(2.0), 1.0, ["inf", 3], 3)
         assert bt.horizons == (math.inf, 3)
 
+    @pytest.mark.parametrize("horizons", [[0], [-1], [2.5], [3, 0], [3, -1], [3, 2.5],
+                                          [3, math.nan], ["3"]],
+                             ids=lambda hs: ",".join(map(str, hs)))
+    def test_rejects_non_integer_or_nonpositive_horizon(self, horizons):
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            boundary_table(Constant(2.0), 1.0, horizons, 4)
+
 
 class TestLongHorizonOverflow:
     """Order-60 columns at long horizons, where beta_{r+1}/beta_r overflows a double."""
@@ -342,6 +376,11 @@ class TestLongHorizonOverflow:
                 sched = schedule(grid, 1.0, horizon=n)
                 assert np.array_equal(bt.values[:sched.max_order, col], sched.boundaries)
                 assert np.all(np.isinf(bt.values[sched.max_order:, col]))
+            for n, got in zip(self.HORIZONS, schedules(matched_trio[name], 1.0,
+                                                       list(self.HORIZONS), 60)):
+                want = schedule(grid, 1.0, horizon=n)
+                assert np.array_equal(got.boundaries, want.boundaries)
+                assert got.max_order == want.max_order
 
 
 class TestValidityAgainstSimulation:

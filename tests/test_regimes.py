@@ -43,6 +43,11 @@ class TestDeterministicMinStock:
         with pytest.raises(ValueError):
             deterministic_min_stock(2.0, 0.0)
 
+    @pytest.mark.parametrize("c", [math.nan, -1.0])
+    def test_rejects_nan_or_negative_consumption(self, c):
+        with pytest.raises(ValueError, match="consumption must be positive"):
+            deterministic_min_stock(1.5, c)
+
 
 class TestDeterministicHorizon:
     def test_boundary_partial_sum(self):
@@ -73,6 +78,15 @@ class TestDeterministicHorizon:
                 assert got == math.inf
             else:
                 assert got == want, (r, x, c)
+
+    @pytest.mark.parametrize("x, c, match", [
+        (math.nan, 1.0, "x must not be NaN"),
+        (3.0, math.nan, "consumption must be positive"),
+        (3.0, 0.0, "consumption must be positive"),
+    ])
+    def test_rejects_nan_stock_and_nonpositive_consumption(self, x, c, match):
+        with pytest.raises(ValueError, match=match):
+            deterministic_horizon(1.5, x, c)
 
     def test_monotone_in_stock_and_consumption(self):
         xs = np.linspace(0.5, 7.0, 80)
@@ -156,6 +170,14 @@ class TestTrichotomy:
     def test_rejects_nonpositive_consumption(self):
         with pytest.raises(ValueError):
             trichotomy(classify(Constant(2.0)), 1.0, 0.0)
+
+    @pytest.mark.parametrize("x, c, match", [
+        (3.0, math.nan, "consumption must be positive"),
+        (math.nan, 1.0, "x must not be NaN"),
+    ])
+    def test_rejects_nan_stock_and_nan_consumption(self, x, c, match):
+        with pytest.raises(ValueError, match=match):
+            trichotomy(classify(Constant(2.0)), x, c)
 
 
 class TestRandomSpecProperties:
