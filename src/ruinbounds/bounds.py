@@ -48,6 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import _require_integer
 from .moments import FiniteMomentGrid, MomentTable, finite_moments, infinite_moments
 from .shocks import _LOG_FLOAT_MAX, ShockSpec
 
@@ -180,6 +181,7 @@ def schedules(spec: ShockSpec, c: float, horizons, rmax: int) -> list[BoundSched
     Partial-sum moments are computed once, up to the largest integer horizon
     (``schedule`` rejects the others), and series moments only for ``math.inf``.
     """
+    _require_integer("rmax", rmax, 1)  # also when no horizon needs moments
     horizons = list(horizons)
     finite = [h for h in horizons if h != math.inf]
     nmax = max([1, *(h for h in finite if isinstance(h, numbers.Integral))])
@@ -233,14 +235,14 @@ class BoundaryTable:
 def boundary_table(spec: ShockSpec, c: float, horizons, rmax: int) -> BoundaryTable:
     """Boundary matrix across horizons, rows r = 1..rmax-1.
 
-    Column j holds the edges of ``schedules`` at ``horizons[j]`` (the string
-    "inf" means ``math.inf``), +inf past the last one (infinite next moment).
+    Column j holds the edges of ``schedules`` at ``horizons[j]``, +inf past
+    the last one (infinite next moment).
     """
-    norm = tuple(math.inf if isinstance(h, str) and h.lower() == "inf" else h
-                 for h in horizons)
+    horizons = tuple(horizons)
+    scheds = schedules(spec, c, horizons, rmax)  # checks rmax before range() does
     orders = tuple(range(1, rmax))
-    values = np.full((len(orders), len(norm)), np.inf)
-    for col, sched in enumerate(schedules(spec, c, norm, rmax)):
+    values = np.full((len(orders), len(horizons)), np.inf)
+    for col, sched in enumerate(scheds):
         values[:len(sched.boundaries), col] = sched.boundaries
     values.setflags(write=False)
-    return BoundaryTable(spec=spec, c=c, horizons=norm, orders=orders, values=values)
+    return BoundaryTable(spec=spec, c=c, horizons=horizons, orders=orders, values=values)

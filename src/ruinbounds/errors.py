@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer check.
 
 The CLI maps these onto distinct exit codes: configuration problems exit
 with 2, domain errors (a computation requested outside its region of
 validity) with 3, and I/O failures with 4.
 """
+
+import numbers
 
 __all__ = ["ConfigError", "DomainError", "FeasibilityError"]
 
@@ -18,3 +20,11 @@ class DomainError(ValueError):
 
 class FeasibilityError(DomainError):
     """No distribution in the requested family has the requested moments."""
+
+
+def _require_integer(name: str, value, minimum: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (numpy's included) >= ``minimum``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")

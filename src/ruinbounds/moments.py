@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._special import lgamma_int, logsumexp
-from .errors import DomainError
+from .errors import DomainError, _require_integer
 from .shocks import _LOG_FLOAT_MAX, ShockSpec
 
 __all__ = ["MomentTable", "FiniteMomentGrid", "infinite_moments", "finite_moments"]
@@ -134,8 +134,7 @@ def infinite_moments(spec: ShockSpec, rmax: int) -> MomentTable:
     Requires a positive mean log shock; otherwise the series diverges
     almost surely and no finite moment exists.
     """
-    if rmax < 1:
-        raise ValueError(f"rmax must be >= 1, got {rmax}")
+    _require_integer("rmax", rmax, 1)
     if not spec.expected_log() > 0.0:
         raise DomainError(
             "series moments need E[log shock] > 0; the series diverges almost "
@@ -171,8 +170,8 @@ def finite_moments(spec: ShockSpec, rmax: int, nmax: int) -> FiniteMomentGrid:
     (gamma shocks with shape <= rmax) is marked +inf, and the infinity
     propagates upward through the recursion.
     """
-    if rmax < 1 or nmax < 1:
-        raise ValueError(f"rmax and nmax must be >= 1, got rmax={rmax}, nmax={nmax}")
+    _require_integer("rmax", rmax, 1)
+    _require_integer("nmax", nmax, 1)
     log_gamma = _log_gammas(spec, rmax)
     log_binom = _log_binomial_rows(rmax)
     grid = np.full((rmax + 1, nmax + 1), -np.inf)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_integer
 from .shocks import ShockSpec
 
 __all__ = [
@@ -140,13 +140,6 @@ def _replicate_generators(seed: int, count: int):
         inner["key"] = key
         bit_generator.state = state
         yield rng
-
-
-def _require_integer(name: str, value, minimum: int | None = None) -> None:
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)

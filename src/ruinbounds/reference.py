@@ -18,11 +18,17 @@ Two fixture conventions worth knowing:
   Pareto(0.1, 0.9); the published caption rounds its parameters to
   mu = 3.17, sigma2 = 1.75.  The exact parameterization reproduces every
   printed cell; the rounded one shifts the order-3 cells by a few 1e-3.
-* Bound columns use moments up to the last order whose reciprocal-shock
-  moment stays below 1, mirroring the published computation.  Two gamma
-  cells (horizon 5, x = 9.5 and 12.5) were published with extra orders
-  beyond that restriction and cannot be reproduced by any uniform order
-  rule; their deltas (~6e-3 and ~3e-3) are visible in the delta report.
+* Every bound column, table 3's included, uses moments up to the last
+  order whose reciprocal-shock moment stays below 1, mirroring the
+  published computation.  Two gamma cells (horizon 5, x = 9.5 and 12.5)
+  were published with extra orders beyond that restriction and cannot be
+  reproduced by any uniform order rule; their deltas (~6e-3 and ~3e-3) are
+  visible in the delta report.
+
+The survival tables (3 and 7-9) share one builder, which takes its layout
+from the reference rows: the x values from the row keys, the order of each
+(bound, simulation) column pair from ``kinds``, and the blank cells from
+the reference's ``None`` cells.
 """
 
 from __future__ import annotations
@@ -30,10 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .bounds import boundary_table, evaluate_bound, schedule, schedules, switch_boundary
+from .bounds import boundary_table, schedules, survival_lower_bound
 from .moments import first_infinite_order, infinite_moments
 from .montecarlo import GENERATOR_NAME, SimConfig, ecdf_survival, sample_Z
 from .shocks import Pareto, ShockSpec, match_inverse_moments
@@ -71,8 +78,6 @@ MATCHED_TRIO: dict[str, ShockSpec] = {
 }
 
 _TRIO_HORIZONS = (3, 5, 10, 20)
-_TRIO_X = (3.5, 7.5, 9.5, 12.5)
-_T3_X = (1.1, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2)
 
 
 def derive_seed(master: int, *path: int) -> int:
@@ -313,44 +318,37 @@ def _build_moment_table(table_id: int, spec: ShockSpec, meta: dict) -> TableResu
     ref = reference_table(table_id)
     n_rows = len(ref.rows)
     table = infinite_moments(spec, n_rows + 1)
-    rows = tuple((r, table.gamma(r), table.beta(r),
-                  switch_boundary(table.log_beta_values, r, 1.0))
+    edges = boundary_table(spec, 1.0, [math.inf], n_rows + 1).values[:, 0]
+    rows = tuple((r, table.gamma(r), table.beta(r), float(edges[r - 1]))
                  for r in range(1, n_rows + 1))
     return TableResult(table_id, ref.title, ref.columns, ref.kinds, rows, ref.rows,
                        {**meta, "c": 1.0})
 
 
-def _build_table_3(seed: int, replicates: int) -> TableResult:
-    ref = reference_table(3)
-    sched_ln = schedule(infinite_moments(LOGNORMAL_HEAVY, 4), 1.0)
-    sched_pa = schedule(infinite_moments(PARETO_HEAVY, 61), 1.0)
-    ests = {}
-    for i, (name, spec) in enumerate((("lognormal", LOGNORMAL_HEAVY),
-                                      ("pareto", PARETO_HEAVY))):
-        config = SimConfig(replicates=replicates, truncation="adaptive",
-                           seed=derive_seed(seed, 3, i))
-        ests[name] = sample_Z(spec, config)
-    rows = []
-    for x in _T3_X:
-        rows.append((
-            x,
-            ecdf_survival(ests["lognormal"], x),
-            evaluate_bound(sched_ln, x).survival_lower,
-            ecdf_survival(ests["pareto"], x),
-            evaluate_bound(sched_pa, x).survival_lower,
-        ))
-    meta = {
-        "lognormal_mu": LOGNORMAL_HEAVY.mu,
-        "lognormal_sigma2": LOGNORMAL_HEAVY.sigma2,
-        "pareto_beta": 0.1,
-        "pareto_k": 0.9,
-        "c": 1.0,
-        "seed": seed,
-        "replicates": replicates,
-        "truncation": "adaptive",
-        "generator": GENERATOR_NAME,
-    }
-    return TableResult(3, ref.title, ref.columns, ref.kinds, tuple(rows), ref.rows, meta)
+def _build_survival_table(table_id: int, specs, horizons, seed: int, replicates: int,
+                          meta: dict) -> TableResult:
+    """Rows of x against (bound, simulation) column pairs, laid out from the reference.
+
+    Column pair j belongs to the j-th ``(spec, horizon)`` of ``specs x horizons``
+    at c = 1: the bound uses the restricted-order schedule, the simulation the
+    series truncated at the horizon (adaptively for ``math.inf``).
+    """
+    ref = reference_table(table_id)
+    pairs = [(spec, horizon, sched) for spec in specs
+             for horizon, sched in zip(horizons, schedules(spec, 1.0, horizons,
+                                                           _restricted_rmax(spec)))]
+    cells = []  # one function of x per non-key column
+    for j, (spec, horizon, sched) in enumerate(pairs):
+        config = SimConfig(replicates=replicates,
+                           truncation="adaptive" if horizon == math.inf else horizon,
+                           seed=derive_seed(seed, table_id, j))
+        by_kind = {"analytic": partial(survival_lower_bound, sched),
+                   "mc": partial(ecdf_survival, sample_Z(spec, config))}
+        cells += [by_kind[kind] for kind in ref.kinds[1 + 2 * j:3 + 2 * j]]
+    rows = tuple((x,) + tuple(None if want is None else cell(x)
+                              for cell, want in zip(cells, wants))
+                 for x, *wants in ref.rows)
+    return TableResult(table_id, ref.title, ref.columns, ref.kinds, rows, ref.rows, meta)
 
 
 def _build_boundary_table(table_id: int, family: str) -> TableResult:
@@ -361,35 +359,6 @@ def _build_boundary_table(table_id: int, family: str) -> TableResult:
     for i, r in enumerate(bt.orders):
         rows.append((r,) + tuple(float(v) for v in bt.values[i]))
     meta = {"family": family, **spec.to_record(), "c": 1.0, "rmax": 6}
-    return TableResult(table_id, ref.title, ref.columns, ref.kinds,
-                       tuple(rows), ref.rows, meta)
-
-
-def _build_finite_table(table_id: int, family: str, seed: int,
-                        replicates: int) -> TableResult:
-    ref = reference_table(table_id)
-    spec = MATCHED_TRIO[family]
-    rmax = _restricted_rmax(spec)
-    by_horizon = dict(zip(_TRIO_HORIZONS, schedules(spec, 1.0, _TRIO_HORIZONS, rmax)))
-    ests = {}
-    for j, n in enumerate(_TRIO_HORIZONS):
-        config = SimConfig(replicates=replicates, truncation=n,
-                           seed=derive_seed(seed, table_id, j))
-        ests[n] = sample_Z(spec, config)
-    rows = []
-    for x, ref_row in zip(_TRIO_X, ref.rows):
-        row = [x]
-        for j, n in enumerate(_TRIO_HORIZONS):
-            want_bound, want_mc = ref_row[1 + 2 * j], ref_row[2 + 2 * j]
-            row.append(None if want_bound is None
-                       else evaluate_bound(by_horizon[n], x).survival_lower)
-            row.append(None if want_mc is None else ecdf_survival(ests[n], x))
-        rows.append(tuple(row))
-    meta = {
-        "family": family, **spec.to_record(),
-        "c": 1.0, "rmax": rmax, "seed": seed, "replicates": replicates,
-        "generator": GENERATOR_NAME,
-    }
     return TableResult(table_id, ref.title, ref.columns, ref.kinds,
                        tuple(rows), ref.rows, meta)
 
@@ -408,9 +377,20 @@ def build_table(table_id: int, seed: int = DEFAULT_SEED,
     if table_id == 2:
         return _build_moment_table(2, PARETO_HEAVY, {"spec": "pareto", "beta": 0.1, "k": 0.9})
     if table_id == 3:
-        return _build_table_3(seed, replicates)
+        return _build_survival_table(3, (LOGNORMAL_HEAVY, PARETO_HEAVY), (math.inf,),
+                                     seed, replicates, {
+            "lognormal_mu": LOGNORMAL_HEAVY.mu, "lognormal_sigma2": LOGNORMAL_HEAVY.sigma2,
+            "pareto_beta": 0.1, "pareto_k": 0.9,
+            "c": 1.0, "seed": seed, "replicates": replicates, "truncation": "adaptive",
+            "generator": GENERATOR_NAME,
+        })
     if table_id in (4, 5, 6):
         family = {4: "lognormal", 5: "pareto", 6: "gamma"}[table_id]
         return _build_boundary_table(table_id, family)
     family = {7: "lognormal", 8: "pareto", 9: "gamma"}[table_id]
-    return _build_finite_table(table_id, family, seed, replicates)
+    spec = MATCHED_TRIO[family]
+    return _build_survival_table(table_id, (spec,), _TRIO_HORIZONS, seed, replicates, {
+        "family": family, **spec.to_record(),
+        "c": 1.0, "rmax": _restricted_rmax(spec), "seed": seed, "replicates": replicates,
+        "generator": GENERATOR_NAME,
+    })

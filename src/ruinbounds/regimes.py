@@ -17,7 +17,8 @@ where the threshold ``c*r/(r-1)`` and the exact ruin period have closed
 forms; they double as oracles for the degenerate constant-shock family.
 
 Infinities are ordinary ``math.inf`` values throughout, never sentinels.
-A NaN stock ``x`` or a non-positive or NaN ``c`` raises ``ValueError``.
+A NaN stock ``x``, a non-positive or NaN ``c``, or a NaN or infinite
+productivity ``r`` raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -95,10 +96,12 @@ def deterministic_min_stock(r: float, c: float) -> float:
     """Smallest initial stock sustaining ``c`` forever at constant productivity ``r``.
 
     Returns ``c*r/(r-1)`` for r > 1.  For r <= 1 no initial stock works,
-    reported as ``+inf`` rather than an error.
+    reported as ``+inf`` rather than an error.  A NaN or infinite ``r`` raises.
     """
     if not c > 0:
         raise ValueError(f"consumption must be positive, got c={c}")
+    if not r < math.inf:
+        raise ValueError(f"productivity must be finite, got r={r}")
     if r <= 1.0:
         return math.inf
     return c * r / (r - 1.0)
@@ -118,18 +121,18 @@ def deterministic_horizon(r: float, x: float, c: float) -> float:
 
     Returns the largest N with ``sum(1/r**j, j < N) < x/c`` (the exact ruin
     index of the iterated map), ``0`` when ``x <= c``, and ``+inf`` when the
-    stock is at or above the sustainability threshold.
+    stock is infinite or at or above the sustainability threshold.
     """
     if not c > 0:
         raise ValueError(f"consumption must be positive, got c={c}")
-    if r <= 0:
-        raise ValueError(f"productivity must be positive, got r={r}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"productivity must be positive and finite, got r={r}")
     if x != x:
         raise ValueError(f"x must not be NaN, got x={x}")
     if x <= c:
         return 0.0
     w = x / c
-    if r > 1.0 and x >= deterministic_min_stock(r, c):
+    if x == math.inf or (r > 1.0 and x >= deterministic_min_stock(r, c)):
         return math.inf
     # Closed-form candidate, then fix up float rounding at the boundary.
     if r == 1.0:

@@ -2,7 +2,8 @@
 
 Each digest is the SHA-256 of one output (a file written by the CLI, or the
 CSV it prints to stdout).  A refactor that keeps behaviour fixed must leave
-every digest as it is.  The digests were recorded on x86-64 Linux with
+every digest as it is.  The ``simulate`` digests pin the sample sets that
+are promised bit-identical for a given (seed, config, spec).  The digests were recorded on x86-64 Linux with
 numpy 2.4.6; a platform whose ``math.exp`` rounds differently in the last
 place changes them.  A deliberate output change re-records them with::
 
@@ -47,6 +48,7 @@ seed = 7
 """
 
 COMMANDS = ("classify", "moments", "bounds", "boundaries")
+SIMULATE_TRUNCATIONS = ("10", "adaptive")
 
 
 def _stdout_of(argv) -> str:
@@ -76,6 +78,12 @@ def collect_outputs(root: Path) -> dict:
                         "--out", f"{out}/"])
             for path in sorted(out.iterdir()):
                 outputs[f"{command}/{path.name}"] = path.read_bytes()
+    for truncation in SIMULATE_TRUNCATIONS:
+        out = root / "simulate" / truncation
+        _stdout_of(["simulate", "--config", str(config), "--replicates", "200",
+                    "--truncation", truncation, "--out", str(out)])
+        for path in sorted(out.iterdir()):
+            outputs[f"simulate/{truncation}/{path.name}"] = path.read_bytes()
     return outputs
 
 
@@ -125,6 +133,22 @@ GOLDEN = {
     "boundaries/stdout": "fcd7ceeb87edbed3584352fe9ce1f0d0dda8a8ca5438f33c72652e7358b4351a",
     "boundaries/boundaries.csv": "fcd7ceeb87edbed3584352fe9ce1f0d0dda8a8ca5438f33c72652e7358b4351a",
     "boundaries/boundaries.json": "0d9d605ca4bb2d622ed67007ce5b25192bd7edf4ba25beca68a3a9ddbb55c634",
+    "simulate/10/estimate_heavy.json": "0b72c32d8b64698fbbb6340d4962f08f763c89d59bd0685a1f9ffa5f14c0eb9a",
+    "simulate/10/estimate_matched.json": "c0ff8b810b60fda060b76d1906bcb808b97a8f44c3e121649d50a9dd02371874",
+    "simulate/10/estimate_shape.json": "08a9207ee67147d45fabf9c7ba64e0d7553ca7ec34b85949df6c04f21375fa99",
+    "simulate/10/estimate_sure.json": "770e1053a723b5f5df34557fc2b17aba9f77d692472387a1edfbd9f3525a47e0",
+    "simulate/10/samples_heavy.csv": "2151d1c9ab430b2d59c1402cdda1c833093d50017da7fb235b94eaa75e81e17f",
+    "simulate/10/samples_matched.csv": "8ac1e3d809b8446da4a432b8ec01a236250675a22a41818f5fa88d39f9175420",
+    "simulate/10/samples_shape.csv": "85e7734f7b432e7adbaaceb6ce4a2dfc6b1c3f5da78002f17ef005e9ef405406",
+    "simulate/10/samples_sure.csv": "9687816193db1919b11b3fd8aef84147f2f36193b842d8100b1c6032c67b7d80",
+    "simulate/adaptive/estimate_heavy.json": "0577108fbe3d73d3228ca7249b9e9d955cc664a807cb3d9000ca1a9bb2212c73",
+    "simulate/adaptive/estimate_matched.json": "0f6e175afe3c778b4274930d2c821750b3b8d6dd01d33e24ded3b19bfa2e6d95",
+    "simulate/adaptive/estimate_shape.json": "a8459065e9b20cdf0cd045c4ca619d0c4bdb1319663a3fb5301294bf00412ee6",
+    "simulate/adaptive/estimate_sure.json": "669d2d4db0945e157cc02bb71a19f4486927578685f42e3fdcdbbd984d7f7343",
+    "simulate/adaptive/samples_heavy.csv": "671418fbb25dc5925057190122438bb5feb6ec3062a9394ca8b7deacd3b9f7f2",
+    "simulate/adaptive/samples_matched.csv": "54ed00285722bc4622ff0748a62ada9cb807f1ed7362c6806898d343d43c747e",
+    "simulate/adaptive/samples_shape.csv": "e57f93b1d9d959ea89b32a806724b6f18275266e5b364b371b954ece743db0ef",
+    "simulate/adaptive/samples_sure.csv": "6a0c598e380113c6609de05d19ae75d3620e22267add8d954705e475bfddd5a4",
 }
 
 

@@ -11,8 +11,10 @@ from ruinbounds import (
     Gamma,
     Lognormal,
     Pareto,
+    boundary_table,
     finite_moments,
     infinite_moments,
+    schedules,
 )
 from ruinbounds.reference import LOGNORMAL_HEAVY, PARETO_HEAVY
 
@@ -169,3 +171,18 @@ class TestStructuralProperties:
             infinite_moments(Constant(2.0), 0)
         with pytest.raises(ValueError):
             finite_moments(Constant(2.0), 2, 0)
+        spec = Constant(2.0)
+        for bad in (2.5, 3.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rmax must be an integer"):
+                infinite_moments(spec, bad)
+            with pytest.raises(ValueError, match="rmax must be an integer"):
+                finite_moments(spec, bad, 4)
+            with pytest.raises(ValueError, match="nmax must be an integer"):
+                finite_moments(spec, 3, bad)
+            for horizons in ([], [3], [math.inf], [3, math.inf]):
+                with pytest.raises(ValueError, match="rmax must be an integer"):
+                    schedules(spec, 1.0, horizons, bad)
+                with pytest.raises(ValueError, match="rmax must be an integer"):
+                    boundary_table(spec, 1.0, horizons, bad)
+        assert infinite_moments(spec, np.int64(3)).rmax == 3
+        assert finite_moments(spec, np.int32(3), np.int64(4)).nmax == 4

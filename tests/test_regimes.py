@@ -43,10 +43,15 @@ class TestDeterministicMinStock:
         with pytest.raises(ValueError):
             deterministic_min_stock(2.0, 0.0)
 
-    @pytest.mark.parametrize("c", [math.nan, -1.0])
-    def test_rejects_nan_or_negative_consumption(self, c):
-        with pytest.raises(ValueError, match="consumption must be positive"):
-            deterministic_min_stock(1.5, c)
+    @pytest.mark.parametrize("r, c, match", [
+        pytest.param(1.5, math.nan, "consumption must be positive", id="nan"),
+        pytest.param(1.5, -1.0, "consumption must be positive", id="-1.0"),
+        pytest.param(math.nan, 1.0, "r=nan", id="r=nan"),
+        pytest.param(math.inf, 1.0, "r=inf", id="r=inf"),
+    ])
+    def test_rejects_nan_or_negative_consumption(self, r, c, match):
+        with pytest.raises(ValueError, match=match):
+            deterministic_min_stock(r, c)
 
 
 class TestDeterministicHorizon:
@@ -79,14 +84,20 @@ class TestDeterministicHorizon:
             else:
                 assert got == want, (r, x, c)
 
-    @pytest.mark.parametrize("x, c, match", [
-        (math.nan, 1.0, "x must not be NaN"),
-        (3.0, math.nan, "consumption must be positive"),
-        (3.0, 0.0, "consumption must be positive"),
+    @pytest.mark.parametrize("x, c, match, r", [
+        (math.nan, 1.0, "x must not be NaN", 1.5),
+        (3.0, math.nan, "consumption must be positive", 1.5),
+        (3.0, 0.0, "consumption must be positive", 1.5),
+        (3.0, 1.0, "r=nan", math.nan),
+        (3.0, 1.0, "r=inf", math.inf),
     ])
-    def test_rejects_nan_stock_and_nonpositive_consumption(self, x, c, match):
+    def test_rejects_nan_stock_and_nonpositive_consumption(self, x, c, match, r):
         with pytest.raises(ValueError, match=match):
-            deterministic_horizon(1.5, x, c)
+            deterministic_horizon(r, x, c)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.5])
+    def test_infinite_stock_is_forever(self, r):
+        assert deterministic_horizon(r, math.inf, 1.0) == math.inf
 
     def test_monotone_in_stock_and_consumption(self):
         xs = np.linspace(0.5, 7.0, 80)
