@@ -146,7 +146,8 @@ def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
     if isinstance(moments, FiniteMomentGrid):
         if horizon is None:
             raise ValueError("a horizon is required with a FiniteMomentGrid")
-        if not (isinstance(horizon, numbers.Integral) and 1 <= horizon <= moments.nmax):
+        if (isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral)
+                or not 1 <= horizon <= moments.nmax):
             raise ValueError(f"horizon must be an integer in 1..{moments.nmax}, got {horizon!r}")
         log_col = moments.log_beta_grid[:, horizon].copy()
     else:

@@ -23,8 +23,11 @@ class FeasibilityError(DomainError):
 
 
 def _require_integer(name: str, value, minimum: int | None = None) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer (numpy's included) >= ``minimum``."""
-    if not isinstance(value, numbers.Integral):
+    """Raise ``ValueError`` unless ``value`` is an integer (numpy's included) >= ``minimum``.
+
+    ``bool`` is an ``Integral`` but never a size, so it is rejected too.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")

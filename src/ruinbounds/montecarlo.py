@@ -14,6 +14,12 @@ the SeedSequence hash (``_philox_keys``) and re-key one reused generator
 per replicate; the draws equal those of ``replicate_stream``, the
 documented reference derivation, bit for bit.
 
+Replicates are drawn a bounded block of rows at a time (``_draw_rows``):
+each row takes one raw uniform, normal or gamma draw from its replicate's
+stream, and the family transform then runs once over the block, so every
+row equals ``spec.sample_inverse`` on that stream.  Fixed truncation and
+``crosscheck_equivalence`` share this row draw.
+
 Two sampling modes produce survival-probability estimates:
 
 * a fixed number of terms ``n`` samples the n-term partial sum, whose
@@ -21,7 +27,9 @@ Two sampling modes produce survival-probability estimates:
 * adaptive truncation approximates the full series: a replicate stops at
   the first term (never before ``ADAPTIVE_FLOOR`` terms) smaller than
   ``adaptive_tol`` times the running sum.  This needs a positive mean log
-  shock, otherwise the series diverges.
+  shock, otherwise the series diverges.  The first ``_BLOCK`` terms of all
+  replicates are drawn in row blocks and their stops found at once; a
+  replicate that runs past them is recomputed alone on its own stream.
 
 The empirical CDF counts strictly, matching the survival event
 ``{series < x/c - 1}``; ``simulate_path`` iterates the wealth map itself,
@@ -55,7 +63,7 @@ STREAM_DERIVATION = "SeedSequence(entropy=seed, spawn_key=(replicate,))"
 ADAPTIVE_FLOOR = 100
 _BLOCK = 128
 _MAX_TERMS = 1_000_000
-# Doubles drawn per block of fixed-truncation replicates (at least one row).
+# Doubles drawn per block of replicate rows (at least one row).
 _ROW_BLOCK_DOUBLES = 8192
 
 # numpy's SeedSequence hash: pool size and 32-bit constants.
@@ -206,21 +214,63 @@ class EcdfEstimate:
         return meta
 
 
+def _draw_rows(spec: ShockSpec, streams, rows: np.ndarray) -> None:
+    """Fill each row of ``rows`` with reciprocal shocks from the next stream.
+
+    Every row takes one raw draw from its own generator, then the family
+    transform runs once over the whole block; row i equals
+    ``spec.sample_inverse(stream_i, rows.shape[1])`` bit for bit.
+    """
+    for row, rng in zip(rows, streams):
+        spec._draw(rng, row)
+    spec._transform(rows)
+
+
+def _row_blocks(spec: ShockSpec, seed: int, count: int, width: int):
+    """Yield ``(start, rows)``: replicates ``start, start+1, ...`` drawn ``width`` terms each.
+
+    Blocks hold about ``_ROW_BLOCK_DOUBLES`` doubles (at least one row) and
+    reuse one buffer, so finish with a block before taking the next.
+    """
+    per_block = max(1, _ROW_BLOCK_DOUBLES // width)
+    buffer = np.empty((min(per_block, count), width))
+    streams = _replicate_generators(seed, count)
+    for start in range(0, count, per_block):
+        rows = buffer[: min(per_block, count - start)]
+        _draw_rows(spec, streams, rows)
+        yield start, rows
+
+
 def _partial_sums(spec: ShockSpec, seed: int, n: int, out: np.ndarray) -> None:
     """Fill ``out`` with the n-term partial sum of each replicate.
 
-    Replicates are drawn a bounded block of rows at a time; each row's
-    cumulative product and sum equal those of its replicate alone.
+    Each row's cumulative product and sum equal those of its replicate alone.
     """
-    rows = max(1, _ROW_BLOCK_DOUBLES // n)
-    block = np.empty((min(rows, len(out)), n))
-    streams = _replicate_generators(seed, len(out))
-    for start in range(0, len(out), rows):
-        part = block[: min(rows, len(out) - start)]
-        for row, rng in zip(part, streams):
-            row[:] = spec.sample_inverse(rng, n)
-        np.cumprod(part, axis=1, out=part)
-        part.sum(axis=1, out=out[start:start + len(part)])
+    for start, rows in _row_blocks(spec, seed, len(out), n):
+        np.cumprod(rows, axis=1, out=rows)
+        rows.sum(axis=1, out=out[start:start + len(rows)])
+
+
+def _adaptive_sums(spec: ShockSpec, seed: int, tol: float, out: np.ndarray) -> None:
+    """Fill ``out`` with the adaptively truncated series of each replicate.
+
+    The first ``_BLOCK`` terms of every replicate are drawn in row blocks and
+    each row's stop is found at once; with ``lead = 1.0`` and ``total = 0.0``
+    these are the exact products and sums of ``_series_adaptive``'s first
+    block.  A row that does not stop there is recomputed alone on its own
+    stream by ``_series_adaptive``, which gives the same value.
+    """
+    for start, terms in _row_blocks(spec, seed, len(out), _BLOCK):
+        np.cumprod(terms, axis=1, out=terms)
+        sums = np.cumsum(terms, axis=1)
+        small = terms < tol * sums
+        # term index i+1 must reach the floor before stopping
+        small[:, : ADAPTIVE_FLOOR - 1] = False
+        stop = small.argmax(axis=1)
+        index = np.arange(len(terms))
+        out[start:start + len(terms)] = sums[index, stop]
+        for i in np.flatnonzero(~small[index, stop]):
+            out[start + i] = _series_adaptive(spec, replicate_stream(seed, start + i), tol)
 
 
 def _series_adaptive(spec: ShockSpec, rng: np.random.Generator, tol: float) -> float:
@@ -257,8 +307,7 @@ def sample_Z(spec: ShockSpec, config: SimConfig) -> EcdfEstimate:
         )
     out = np.empty(config.replicates)
     if config.adaptive:
-        for i, rng in enumerate(_replicate_generators(config.seed, config.replicates)):
-            out[i] = _series_adaptive(spec, rng, config.adaptive_tol)
+        _adaptive_sums(spec, config.seed, config.adaptive_tol, out)
     else:
         _partial_sums(spec, config.seed, int(config.truncation), out)
     out.sort()
@@ -345,8 +394,7 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
     _require_integer("horizon", horizon, 1)
     _require_integer("paths", paths, 1)
     inverse = np.empty((paths, horizon))
-    for row, rng in zip(inverse, _replicate_generators(seed, paths)):
-        row[:] = spec.sample_inverse(rng, horizon)
+    _draw_rows(spec, _replicate_generators(seed, paths), inverse)
     # Wealth-map side, absorbing at zero.
     wealth = np.full(paths, float(x))
     alive = np.ones(paths, dtype=bool)

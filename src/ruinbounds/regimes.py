@@ -29,6 +29,9 @@ from dataclasses import asdict, dataclass
 
 from .shocks import ShockSpec
 
+# Horizons checked against the exact partial sums; r**N has about 53*N bits.
+_EXACT_TERMS = 20_000
+
 __all__ = [
     "Regime",
     "Trichotomy",
@@ -107,21 +110,16 @@ def deterministic_min_stock(r: float, c: float) -> float:
     return c * r / (r - 1.0)
 
 
-def _partial_growth_sum(r: float, n: int) -> float:
-    """Sum of 1/r**j for j = 0..n-1, in closed form."""
-    if n <= 0:
-        return 0.0
-    if r == 1.0:
-        return float(n)
-    return (1.0 - r ** (-float(n))) / (1.0 - 1.0 / r)
-
-
 def deterministic_horizon(r: float, x: float, c: float) -> float:
     """Number of periods consumption ``c`` survives from stock ``x`` at productivity ``r``.
 
     Returns the largest N with ``sum(1/r**j, j < N) < x/c`` (the exact ruin
     index of the iterated map), ``0`` when ``x <= c``, and ``+inf`` when the
-    stock is infinite or at or above the sustainability threshold.
+    stock is infinite or at or above the sustainability threshold.  The
+    ratio x/c and the sums are exact rationals, so x/c may exceed the float
+    range; the closed-form candidate is checked exactly while N is at most
+    ``_EXACT_TERMS``, and used as it is beyond.  An N past 2**53, which a
+    float cannot hold exactly, raises ``ValueError``.
     """
     if not c > 0:
         raise ValueError(f"consumption must be positive, got c={c}")
@@ -131,23 +129,35 @@ def deterministic_horizon(r: float, x: float, c: float) -> float:
         raise ValueError(f"x must not be NaN, got x={x}")
     if x <= c:
         return 0.0
-    w = x / c
     if x == math.inf or (r > 1.0 and x >= deterministic_min_stock(r, c)):
         return math.inf
-    # Closed-form candidate, then fix up float rounding at the boundary.
+    from fractions import Fraction  # here: it imports decimal, ~3 ms of CLI start-up
+
+    w = Fraction(x) / Fraction(c)
     if r == 1.0:
         n = math.ceil(w) - 1
-    elif r > 1.0:
-        q = 1.0 - w * (r - 1.0) / r
-        n = math.floor(-math.log(q) / math.log(r))
     else:
-        q = 1.0 + w * (1.0 / r - 1.0)
-        n = math.floor(math.log(q) / math.log(1.0 / r))
-    n = max(n, 0)
-    while _partial_growth_sum(r, n + 1) < w:
-        n += 1
-    while n > 0 and not _partial_growth_sum(r, n) < w:
-        n -= 1
+        # sum(1/r**j, j < N) < w  <=>  N < -log(q)/log(r), both sides of r = 1
+        ratio = Fraction(r)
+        q = 1 - w * (1 - 1 / ratio)
+        if q <= 0:  # x/c >= r/(r-1): the float threshold rounded up or overflowed
+            return math.inf
+        log_q = math.log(q.numerator) - math.log(q.denominator)  # q's float may overflow
+        n = max(math.ceil(-log_q / math.log(r)) - 1, 0)
+
+        def below(terms: int) -> bool:
+            return (1 - ratio ** -terms) / (1 - 1 / ratio) < w
+
+        if n <= _EXACT_TERMS:
+            while below(n + 1):
+                n += 1
+            while n > 0 and not below(n):
+                n -= 1
+    if n > 2 ** 53:
+        raise ValueError(
+            f"deterministic horizon overflows: more than 2**53 periods, past the "
+            f"integers a float holds exactly, for r={r}, x={x}, c={c}"
+        )
     return float(n)
 
 

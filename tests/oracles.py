@@ -2,11 +2,13 @@
 
 Everything here deliberately avoids the package's log-domain code paths:
 moments are recomputed with plain floats and math.comb, order selection by
-brute-force minimization, deterministic ruin by iterating the wealth map,
-and log-moments of densities by quadrature.
+brute-force minimization, deterministic ruin by iterating the wealth map
+or by summing its series in exact rationals, and log-moments of densities
+by quadrature.
 """
 
 import math
+from fractions import Fraction
 
 from scipy.integrate import quad
 
@@ -62,6 +64,18 @@ def iterate_deterministic_ruin(r, x, c, cap=100_000):
         if wealth <= c:
             return n
         wealth = r * (wealth - c)
+    return None
+
+
+def exact_ruin_horizon(r, x, c, cap=20_000):
+    """Largest N with sum(1/r**j, j < N) < x/c, summed in exact rationals; None past cap."""
+    w = Fraction(x) / Fraction(c)
+    total, term, inverse = Fraction(0), Fraction(1), 1 / Fraction(r)
+    for n in range(cap + 1):
+        if not total + term < w:
+            return n
+        total += term
+        term *= inverse
     return None
 
 

@@ -77,6 +77,8 @@ class TestSchedule:
             schedule(grid, 1.0, horizon=6)
         with pytest.raises(ValueError, match="horizon must be an integer"):
             schedule(grid, 1.0, horizon=2.5)
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            schedule(grid, 1.0, horizon=True)
 
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_or_nan_consumption(self, c):
@@ -331,7 +333,7 @@ class TestBoundaryTable:
         assert math.isinf(bt.values[4, 0])
 
     @pytest.mark.parametrize("horizons", [[0], [-1], [2.5], [3, 0], [3, -1], [3, 2.5],
-                                          [3, math.nan], ["3"], ["inf"]],
+                                          [3, math.nan], ["3"], ["inf"], [True], [3, True]],
                              ids=lambda hs: ",".join(map(str, hs)))
     def test_rejects_non_integer_or_nonpositive_horizon(self, horizons):
         with pytest.raises(ValueError, match="horizon must be an integer"):

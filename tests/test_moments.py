@@ -172,7 +172,7 @@ class TestStructuralProperties:
         with pytest.raises(ValueError):
             finite_moments(Constant(2.0), 2, 0)
         spec = Constant(2.0)
-        for bad in (2.5, 3.0, math.nan, math.inf):
+        for bad in (2.5, 3.0, math.nan, math.inf, True):
             with pytest.raises(ValueError, match="rmax must be an integer"):
                 infinite_moments(spec, bad)
             with pytest.raises(ValueError, match="rmax must be an integer"):

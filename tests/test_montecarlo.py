@@ -44,19 +44,6 @@ def _loop_adaptive(spec, seed, replicates, tol=1e-9):
     return out
 
 
-class _RecordingSpec:
-    """Shock spec proxy that keeps a copy of every draw it hands out."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.draws = []
-
-    def sample_inverse(self, rng, size=None):
-        values = self.spec.sample_inverse(rng, size)
-        self.draws.append(np.array(values, copy=True))
-        return values
-
-
 class TestStreams:
     def test_replicate_streams_are_order_insensitive(self):
         direct = replicate_stream(9, 5).random(8)
@@ -155,6 +142,9 @@ class TestSimConfig:
         {"replicates": 2.5},
         {"truncation": 2.5},
         {"truncation": 3.0},
+        {"replicates": True},
+        {"truncation": True},
+        {"seed": False},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -265,14 +255,43 @@ class TestBitIdentity:
         est = sample_Z(spec, SimConfig(replicates=20, seed=23))
         assert est.samples.tobytes() == _loop_adaptive(spec, 23, 20).tobytes()
 
-    def test_crosscheck_draws_equal_replicate_streams(self):
-        spec = _RecordingSpec(Lognormal(0.2146, 0.0645))
+    def test_adaptive_rows_past_first_block_in_ragged_blocks(self, monkeypatch):
+        # three rows per block and 29 replicates: the last block is ragged, and
+        # with mean log 0.15 some rows stop inside their first 128 terms while
+        # others go on alone on their own stream
+        monkeypatch.setattr(mc, "_ROW_BLOCK_DOUBLES", 3 * mc._BLOCK + 5)
+        spec = Lognormal(0.15, 0.09)
+        want = _loop_adaptive(spec, 5, 29)
+        series = mc._series_adaptive
+        continued = []
+
+        def counting(spec, rng, tol):
+            continued.append(rng)
+            return series(spec, rng, tol)
+
+        monkeypatch.setattr(mc, "_series_adaptive", counting)
+        est = sample_Z(spec, SimConfig(replicates=29, seed=5))
+        assert 0 < len(continued) < 29
+        assert est.samples.tobytes() == want.tobytes()
+
+    def test_crosscheck_draws_equal_replicate_streams(self, monkeypatch):
+        # crosscheck_equivalence draws through the shared row helper; keep
+        # what it drew and compare it row by row with the reference streams
+        draw_rows = mc._draw_rows
+        drawn = []
+
+        def recording(spec, streams, rows):
+            draw_rows(spec, streams, rows)
+            drawn.append(rows.copy())
+
+        monkeypatch.setattr(mc, "_draw_rows", recording)
+        spec = Lognormal(0.2146, 0.0645)
         paths, horizon = 37, 11
         report = crosscheck_equivalence(spec, 7.5, 1.0, horizon, paths, seed=19)
         assert report.paths == paths and report.passed
-        assert len(spec.draws) == paths
-        for i, got in enumerate(spec.draws):
-            want = spec.spec.sample_inverse(replicate_stream(19, i), horizon)
+        assert len(drawn) == 1 and drawn[0].shape == (paths, horizon)
+        for i, got in enumerate(drawn[0]):
+            want = spec.sample_inverse(replicate_stream(19, i), horizon)
             assert got.tobytes() == want.tobytes(), i
 
 
@@ -371,6 +390,8 @@ class TestSimulatePath:
             simulate_path(Constant(2.0), 2.0, 1.0, 0, replicate_stream(0, 0))
         with pytest.raises(ValueError, match="horizon must be an integer"):
             simulate_path(Constant(2.0), 3.0, 1.0, 2.5, replicate_stream(0, 0))
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            simulate_path(Constant(2.0), 3.0, 1.0, True, replicate_stream(0, 0))
 
     def test_rejects_nan_stock(self):
         # a shrinking shock would otherwise report the NaN stock as surviving
@@ -406,6 +427,8 @@ class TestCrosscheck:
         (5, 0, "paths must be >= 1"),
         (5, -1, "paths must be >= 1"),
         (5, 10.0, "paths must be an integer"),
+        (True, 3, "horizon must be an integer"),
+        (5, True, "paths must be an integer"),
     ])
     def test_rejects_bad_horizon_and_paths(self, horizon, paths, message):
         with pytest.raises(ValueError, match=message):

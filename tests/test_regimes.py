@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import iterate_deterministic_ruin
+from oracles import exact_ruin_horizon, iterate_deterministic_ruin
 from ruinbounds import (
     Constant,
     Gamma,
@@ -94,6 +94,49 @@ class TestDeterministicHorizon:
     def test_rejects_nan_stock_and_nonpositive_consumption(self, x, c, match, r):
         with pytest.raises(ValueError, match=match):
             deterministic_horizon(r, x, c)
+
+    @pytest.mark.parametrize("r, x, c, want", [
+        (1e-300, 1e10, 1.0, 1),        # 1 < 1e10 <= 1 + 1e300
+        (0.5, 1e308, 1e-10, 1056),     # x/c overflows a float; 2**1056 - 1 < 1e318
+        (2.0, 1.5, 1.0, 1),            # ties: the sum must stay strictly below x/c
+        (0.5, 3.0, 1.0, 1),
+        (1.0, 3.0, 1.0, 2),
+        (1.5, 2.9, 1.0, 8),
+    ])
+    def test_extreme_and_tied_inputs_match_exact_sums(self, r, x, c, want):
+        assert exact_ruin_horizon(r, x, c) == want
+        assert deterministic_horizon(r, x, c) == want
+
+    def test_threshold_past_overflowing_min_stock_is_forever(self):
+        # c*r overflows in the float threshold; the sums stay below 1 + 1e-299 < 2
+        assert exact_ruin_horizon(1e300, 2e10, 1e10, cap=50) is None
+        assert deterministic_horizon(1e300, 2e10, 1e10) == math.inf
+
+    @pytest.mark.parametrize("r", [0.3, 0.7, 0.99, 1.0, 1.01, 1.3, 2.5])
+    def test_matches_exact_partial_sums(self, r):
+        rng = np.random.default_rng(99)
+        top = r / (r - 1.0) if r > 1.0 else 60.0
+        for _ in range(40):
+            c = float(10.0 ** rng.uniform(-5, 5))
+            x = c * float(rng.uniform(1.0, top))
+            want = exact_ruin_horizon(r, x, c)
+            got = deterministic_horizon(r, x, c)
+            assert got == (math.inf if want is None else want), (r, x, c)
+
+    def test_overflow_raises_value_error_not_overflow_error(self):
+        values = (1e-300, 1e-10, 0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0, 1e300)
+        stocks = (1e-300, 1.5, 1e10, 1e300, 1.7e308)
+        for r in values:
+            for x in stocks:
+                for c in (1e-300, 1e-10, 1.0, 1e300):
+                    try:
+                        n = deterministic_horizon(r, x, c)
+                    except ValueError as exc:
+                        assert "overflows" in str(exc)
+                    else:
+                        assert n == math.inf or n == int(n) <= 2 ** 53
+        with pytest.raises(ValueError, match="overflows"):
+            deterministic_horizon(1.0, 1e308, 1e-10)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 1.5])
     def test_infinite_stock_is_forever(self, r):
