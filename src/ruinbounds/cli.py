@@ -29,6 +29,10 @@ line flags override the ``[run]`` section.  Example::
 Exit codes: 0 success, 2 configuration/usage error, 3 domain error
 (for example adaptive simulation of a shock whose mean log is not
 positive), 4 I/O error.
+
+At import the module loads only the standard library and the numpy-free
+``errors`` and ``_defaults``; each command imports the computing modules
+it uses, so ``--version``, ``--help`` and usage errors run without numpy.
 """
 
 from __future__ import annotations
@@ -36,25 +40,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .bounds import boundary_table, evaluate_bound, schedules
+from ._defaults import DEFAULT_REPLICATES, DEFAULT_SEED
 from .errors import ConfigError, DomainError
-from .moments import finite_moments, first_infinite_order, infinite_moments
-from .montecarlo import SimConfig, ecdf_survival, sample_Z
-from .reference import (
-    DEFAULT_REPLICATES,
-    DEFAULT_SEED,
-    TABLE_IDS,
-    build_table,
-    derive_seed,
-)
-from .regimes import classify
-from .shocks import spec_from_record
-from .tableio import render_csv, write_csv_table, write_json
 
 @dataclass
 class ExperimentConfig:
@@ -136,6 +127,10 @@ _RUN_FIELDS = {
 
 
 def load_config_file(path: str) -> ExperimentConfig:
+    from configparser import ConfigParser, Error as ConfigParserError
+
+    from .shocks import spec_from_record
+
     cfg = ExperimentConfig()
     parser = ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -191,6 +186,8 @@ def _emit(cfg: ExperimentConfig, columns, records, metadata, default_name: str) 
 
     CSV rows hold the ``columns`` of each record; JSON keeps every key.
     """
+    from .tableio import render_csv, write_csv_table, write_json
+
     rows = [tuple(record[col] for col in columns) for record in records]
     if cfg.out is None:
         print(render_csv(columns, rows, metadata), end="")
@@ -212,6 +209,8 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
 # ----------------------------------------------------------------- commands
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .regimes import classify
+
     cfg = _load_experiment(args)
     columns = ("spec", "elog", "m", "M", "d1", "d2",
                "certain_ruin_threshold", "certain_survival_threshold", "regime")
@@ -225,6 +224,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
+    from .moments import finite_moments, first_infinite_order, infinite_moments
+
     cfg = _load_experiment(args)
     finite_hs = sorted(int(h) for h in cfg.horizons if h != math.inf)
     want_series = math.inf in cfg.horizons
@@ -258,6 +259,8 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .bounds import evaluate_bound, schedules
+
     cfg = _load_experiment(args)
     if not cfg.x_grid:
         raise ConfigError("an x grid is required; set x in [run] or the config file")
@@ -280,6 +283,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_boundaries(args: argparse.Namespace) -> int:
+    from .bounds import boundary_table
+
     cfg = _load_experiment(args)
     labels = tuple("Z" if h == math.inf else f"Z_{int(h)}" for h in cfg.horizons)
     columns = ("spec", "r") + labels
@@ -294,6 +299,10 @@ def cmd_boundaries(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .montecarlo import SimConfig, ecdf_survival, sample_Z
+    from .reference import derive_seed
+    from .tableio import write_csv_table, write_json
+
     cfg = _load_experiment(args)
     if cfg.out is None:
         raise ConfigError("simulate writes sample files; --out DIR is required")
@@ -322,6 +331,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
+    from .reference import TABLE_IDS, build_table
+    from .tableio import write_csv_table, write_json
+
     if args.table not in TABLE_IDS:
         raise ConfigError(f"--table must be one of {TABLE_IDS}, got {args.table}")
     seed = args.seed if args.seed is not None else DEFAULT_SEED
@@ -351,7 +363,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="output format (default csv)")
     sub.add_argument("--out", metavar="PATH", help="output file or directory")
     sub.add_argument("--replicates", type=int, metavar="N",
-                     help="Monte Carlo replicates (default 3000)")
+                     help=f"Monte Carlo replicates (default {DEFAULT_REPLICATES})")
     sub.add_argument("--truncation", metavar="N|adaptive",
                      help="series truncation: term count or 'adaptive'")
     sub.add_argument("--rmax", type=int, metavar="R", help="largest moment order")

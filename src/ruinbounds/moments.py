@@ -19,8 +19,12 @@ Both recursions have strictly positive summands, so they are evaluated
 entirely in log space with log-sum-exp and log-binomial coefficients.
 Orders around 60 (where binomials reach ~1e17 and the moments span many
 decades) stay exact to float precision; the linear values are recovered
-only on demand.  ``first_infinite`` is decided by the exact sign test
-``log gamma_r >= 0`` so there is no rounding at the boundary.
+only on demand.  ``first_infinite`` is not read off the sign of the rounded
+``log gamma_r``: each family decides ``gamma_r >= 1`` in integer arithmetic
+on its stored float parameters (``ShockSpec._exact_gaps``), so a
+moment exactly at the boundary is infinite.  Where that exact test finds
+``gamma_r < 1`` but the rounded log is not negative, ``1 - gamma_r`` comes
+from the same exact integers.
 
 The log-binomial coefficients and the log-sum-exp come from the package's
 own kernels in ``_special`` (``lgamma_int``, ``logsumexp``), so importing
@@ -121,9 +125,12 @@ def _exp(log_value: float) -> float:
 
 
 def first_infinite_order(spec: ShockSpec, cap: int) -> int | None:
-    """Smallest order ``r <= cap`` whose inverse moment reaches 1, else None."""
-    for r in range(1, cap + 1):
-        if spec.log_inverse_moment(r) >= 0.0:
+    """Smallest order ``r <= cap`` whose inverse moment reaches 1, else None.
+
+    Decided exactly on the spec's stored parameters.
+    """
+    for r, (num, _) in zip(range(1, cap + 1), spec._exact_gaps()):
+        if num <= 0:
             return r
     return None
 
@@ -142,16 +149,18 @@ def infinite_moments(spec: ShockSpec, rmax: int) -> MomentTable:
         )
     log_gamma = _log_gammas(spec, rmax)
     log_binom = _log_binomial_rows(rmax)
-    first_infinite = first_infinite_order(spec, rmax)
-    log_beta = np.empty(rmax + 1)
+    first_infinite = None
+    log_beta = np.full(rmax + 1, np.inf)
     log_beta[0] = 0.0
-    for r in range(1, rmax + 1):
-        if first_infinite is not None and r >= first_infinite:
-            log_beta[r] = np.inf
-            continue
+    for r, (num, den) in zip(range(1, rmax + 1), spec._exact_gaps()):
+        if num <= 0:
+            first_infinite = r
+            break
         lg = log_gamma[r]
-        # log(gamma_r / (1 - gamma_r)); expm1 keeps 1 - gamma_r exact near 1
-        prefactor = lg - math.log(-math.expm1(lg))
+        # log(1 - gamma_r); expm1 keeps 1 - gamma_r exact near 1.  Where the
+        # rounded log is not negative, the exact gap stands in.
+        log_gap = math.log(-math.expm1(lg)) if lg < 0.0 else spec._log_gap(num, den)
+        prefactor = lg - log_gap  # log(gamma_r / (1 - gamma_r))
         log_beta[r] = prefactor + logsumexp(log_binom[r, :r] + log_beta[:r])
     log_gamma.setflags(write=False)
     log_beta.setflags(write=False)

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
+from ._defaults import DEFAULT_REPLICATES, DEFAULT_SEED
 from .bounds import boundary_table, schedules, survival_lower_bound
 from .moments import first_infinite_order, infinite_moments
 from .montecarlo import GENERATOR_NAME, SimConfig, ecdf_survival, sample_Z
@@ -57,9 +57,6 @@ __all__ = [
     "reference_table",
 ]
 
-DEFAULT_SEED = 20250801
-DEFAULT_REPLICATES = 3000
-
 # Heavy-tailed pair of tables 1-3: Pareto(0.1, 0.9) and its lognormal match.
 PARETO_HEAVY = Pareto(0.1, 0.9)
 LOGNORMAL_HEAVY = match_inverse_moments(
@@ -69,8 +66,8 @@ LOGNORMAL_HEAVY = match_inverse_moments(
 # Matched trio of tables 4-9, sharing gamma1 = 5/6 and gamma2 = 20/27
 # (the moments of Pareto(3, 0.9); captions round the other two families'
 # parameters to N(0.2146, 0.0645) and shape 17, rate 13.3333).
-_G1 = float(Fraction(5, 6))
-_G2 = float(Fraction(20, 27))
+_G1 = 5 / 6  # the correctly rounded 5/6 and 20/27, as float(Fraction(...)) gives
+_G2 = 20 / 27
 MATCHED_TRIO: dict[str, ShockSpec] = {
     "lognormal": match_inverse_moments("lognormal", _G1, _G2),
     "pareto": Pareto(3.0, 0.9),

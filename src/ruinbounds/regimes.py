@@ -98,7 +98,8 @@ class Regime:
 def deterministic_min_stock(r: float, c: float) -> float:
     """Smallest initial stock sustaining ``c`` forever at constant productivity ``r``.
 
-    Returns ``c*r/(r-1)`` for r > 1.  For r <= 1 no initial stock works,
+    Returns ``c*(r/(r-1))`` for r > 1, which overflows only when the
+    threshold itself does.  For r <= 1 no initial stock works,
     reported as ``+inf`` rather than an error.  A NaN or infinite ``r`` raises.
     """
     if not c > 0:
@@ -107,7 +108,7 @@ def deterministic_min_stock(r: float, c: float) -> float:
         raise ValueError(f"productivity must be finite, got r={r}")
     if r <= 1.0:
         return math.inf
-    return c * r / (r - 1.0)
+    return c * (r / (r - 1.0))
 
 
 def deterministic_horizon(r: float, x: float, c: float) -> float:
@@ -115,9 +116,11 @@ def deterministic_horizon(r: float, x: float, c: float) -> float:
 
     Returns the largest N with ``sum(1/r**j, j < N) < x/c`` (the exact ruin
     index of the iterated map), ``0`` when ``x <= c``, and ``+inf`` when the
-    stock is infinite or at or above the sustainability threshold.  The
-    ratio x/c and the sums are exact rationals, so x/c may exceed the float
-    range; the closed-form candidate is checked exactly while N is at most
+    stock is infinite or at or above the sustainability threshold
+    ``c*r/(r-1)``.  That threshold is decided on exact rationals, never on
+    its rounded float ``deterministic_min_stock``.  The ratio x/c and the
+    sums are exact rationals, so x/c may exceed the float range; the
+    closed-form candidate is checked exactly while N is at most
     ``_EXACT_TERMS``, and used as it is beyond.  An N past 2**53, which a
     float cannot hold exactly, raises ``ValueError``.
     """
@@ -129,7 +132,7 @@ def deterministic_horizon(r: float, x: float, c: float) -> float:
         raise ValueError(f"x must not be NaN, got x={x}")
     if x <= c:
         return 0.0
-    if x == math.inf or (r > 1.0 and x >= deterministic_min_stock(r, c)):
+    if x == math.inf:
         return math.inf
     from fractions import Fraction  # here: it imports decimal, ~3 ms of CLI start-up
 
@@ -140,7 +143,7 @@ def deterministic_horizon(r: float, x: float, c: float) -> float:
         # sum(1/r**j, j < N) < w  <=>  N < -log(q)/log(r), both sides of r = 1
         ratio = Fraction(r)
         q = 1 - w * (1 - 1 / ratio)
-        if q <= 0:  # x/c >= r/(r-1): the float threshold rounded up or overflowed
+        if q <= 0:  # x/c >= r/(r-1): at or above the sustainability threshold
             return math.inf
         log_q = math.log(q.numerator) - math.log(q.denominator)  # q's float may overflow
         n = max(math.ceil(-log_q / math.log(r)) - 1, 0)

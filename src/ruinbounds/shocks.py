@@ -29,10 +29,17 @@ and ``gamma(shape, scale)`` as ``scale * standard_gamma(shape)``.
 Inverse moments are exposed both linearly and in log form.  The log form
 is exact (no exponentiation) and is what the moment recursion consumes, so
 orders around 60 never overflow.
+
+Whether an inverse moment reaches 1 is decided apart from that rounded
+log, in integers: ``_exact_gaps`` writes each stored float as
+``float.as_integer_ratio()`` and builds the powers of order r one order
+at a time, so the sign of ``1 - E[shock^-r]`` is exact for the parameters
+as stored.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -44,6 +51,7 @@ from ._special import digamma
 from .errors import ConfigError, FeasibilityError
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp stays finite up to here
+_FLOAT_MIN = sys.float_info.min  # smallest normal double
 
 __all__ = [
     "Lognormal",
@@ -74,7 +82,11 @@ class ShockSpec:
 
     A family is a frozen dataclass whose fields are its parameters, with a
     ``family`` name and the per-family formulas ``log_inverse_moment``,
-    ``expected_log``, ``support_bounds``, ``_draw`` and ``_transform``.
+    ``expected_log``, ``support_bounds``, ``_draw``, ``_transform`` and
+    ``_exact_gaps``.  The last yields, for r = 1, 2, ..., an integer pair
+    ``(num, den)`` with ``den > 0`` whose ``num`` is positive exactly when
+    ``E[shock^-r] < 1`` for the stored parameters; ``_log_gap`` turns a
+    pair into ``log(1 - E[shock^-r])``.
     """
 
     family: ClassVar[str]
@@ -88,6 +100,10 @@ class ShockSpec:
     def sample_inverse(self, rng: np.random.Generator, size: int | None = None):
         """Draws of the reciprocal shock: one float for ``size=None``, else an array."""
         return self._transform(self._draw(rng, None if size is None else np.empty(size)))
+
+    def _log_gap(self, num: int, den: int) -> float:
+        # the pair is 1 - gamma_r itself, except for the lognormal
+        return _log_ratio(num, den)
 
     def inverse_moment(self, r: int) -> float:
         """E[shock^-r], ``+inf`` where it diverges or overflows a double."""
@@ -118,6 +134,19 @@ class Lognormal(ShockSpec):
 
     def expected_log(self) -> float:
         return self.mu
+
+    def _exact_gaps(self):
+        # the pair is x = -log gamma_r, positive exactly when r*sigma2 < 2*mu;
+        # with sigma2 = a/b and mu = c/d, x = r*(2*c*b - r*a*d) / (2*b*d)
+        a, b = self.sigma2.as_integer_ratio()
+        c, d = self.mu.as_integer_ratio()
+        for r in itertools.count(1):
+            yield r * (2 * c * b - r * a * d), 2 * b * d
+
+    def _log_gap(self, num: int, den: int) -> float:
+        # log(1 - exp(-x)) for x = num/den; below the normal range 1 - exp(-x) is x
+        x = num / den
+        return math.log(-math.expm1(-x)) if x >= _FLOAT_MIN else _log_ratio(num, den)
 
     def support_bounds(self) -> SupportBounds:
         return SupportBounds(0.0, math.inf)
@@ -154,6 +183,17 @@ class Pareto(ShockSpec):
 
     def expected_log(self) -> float:
         return math.log(self.k) + 1.0 / self.beta
+
+    def _exact_gaps(self):
+        # with beta = p/q and k = s/t, gamma_r = p*t**r / (s**r * (p + r*q))
+        p, q = self.beta.as_integer_ratio()
+        s, t = self.k.as_integer_ratio()
+        s_r = t_r = 1
+        for r in itertools.count(1):
+            s_r *= s
+            t_r *= t
+            den = s_r * (p + r * q)
+            yield den - p * t_r, den
 
     def support_bounds(self) -> SupportBounds:
         return SupportBounds(self.k, math.inf)
@@ -198,6 +238,20 @@ class Gamma(ShockSpec):
     def expected_log(self) -> float:
         return digamma(self.alpha) - math.log(self.theta)
 
+    def _exact_gaps(self):
+        # for r < alpha, gamma_r = theta**r / prod_{j<=r} (alpha - j); with
+        # alpha = c/d and theta = a/b, that is (a*d)**r / (b**r * prod (c - j*d))
+        c, d = self.alpha.as_integer_ratio()
+        a, b = self.theta.as_integer_ratio()
+        top = bottom = 1
+        for r in itertools.count(1):
+            if r * d >= c:  # r >= alpha: the moment diverges
+                yield 0, 1
+                continue
+            top *= a * d
+            bottom *= b * (c - r * d)
+            yield bottom - top, bottom
+
     def support_bounds(self) -> SupportBounds:
         return SupportBounds(0.0, math.inf)
 
@@ -232,6 +286,15 @@ class Constant(ShockSpec):
     def expected_log(self) -> float:
         return math.log(self.a)
 
+    def _exact_gaps(self):
+        # with a = u/v, gamma_r = v**r / u**r, below 1 exactly when a > 1
+        u, v = self.a.as_integer_ratio()
+        u_r = v_r = 1
+        while True:
+            u_r *= u
+            v_r *= v
+            yield u_r - v_r, u_r
+
     def support_bounds(self) -> SupportBounds:
         return SupportBounds(self.a, self.a)
 
@@ -243,6 +306,16 @@ class Constant(ShockSpec):
             return 1.0 / self.a
         values.fill(1.0 / self.a)
         return values
+
+
+def _log_ratio(num: int, den: int) -> float:
+    """log(num/den) for positive integers with num <= den.
+
+    The integer division rounds correctly; a ratio below the normal float
+    range takes the two logs apart, so no bits are lost to underflow.
+    """
+    ratio = num / den
+    return math.log(ratio) if ratio >= _FLOAT_MIN else math.log(num) - math.log(den)
 
 
 def _in_place(values):

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's log-domain code paths:
 moments are recomputed with plain floats and math.comb, order selection by
 brute-force minimization, deterministic ruin by iterating the wealth map
-or by summing its series in exact rationals, and log-moments of densities
-by quadrature.
+or by summing its series in exact rationals, series moments of Pareto and
+gamma shocks in exact rationals of their stored parameters, and log-moments
+of densities by quadrature.
 """
 
 import math
@@ -68,15 +69,51 @@ def iterate_deterministic_ruin(r, x, c, cap=100_000):
 
 
 def exact_ruin_horizon(r, x, c, cap=20_000):
-    """Largest N with sum(1/r**j, j < N) < x/c, summed in exact rationals; None past cap."""
+    """Largest N with sum(1/r**j, j < N) < x/c, summed in exact rationals; None past cap.
+
+    With r = p/q, the partial sums are kept over the common denominator p**n
+    as integers, so no step reduces a fraction.
+    """
     w = Fraction(x) / Fraction(c)
-    total, term, inverse = Fraction(0), Fraction(1), 1 / Fraction(r)
+    p, q = Fraction(r).numerator, Fraction(r).denominator
+    total, p_pow, q_pow = 0, 1, 1  # total = p**n * sum(1/r**j, j < n)
     for n in range(cap + 1):
-        if not total + term < w:
+        total = p * total + p * q_pow
+        p_pow *= p
+        q_pow *= q
+        if total * w.denominator >= w.numerator * p_pow:  # n + 1 terms reach x/c
             return n
-        total += term
-        term *= inverse
     return None
+
+
+def exact_inverse_moment(spec, r):
+    """E[shock^-r] of a Pareto or gamma spec as a Fraction of its stored floats; None if infinite."""
+    if spec.family == "pareto":
+        beta, k = Fraction(spec.beta), Fraction(spec.k)
+        return beta / (k ** r * (beta + r))
+    alpha, theta = Fraction(spec.alpha), Fraction(spec.theta)
+    if r >= alpha:
+        return None
+    product = Fraction(1)
+    for j in range(1, r + 1):
+        product *= alpha - j
+    return theta ** r / product
+
+
+def exact_series_betas(spec, rmax):
+    """beta_r = E[Z^r] by the series recursion in Fractions; None from the first gamma_r >= 1."""
+    betas = [Fraction(1)]
+    for r in range(1, rmax + 1):
+        g = exact_inverse_moment(spec, r)
+        if g is None or g >= 1 or betas[-1] is None:
+            betas.append(None)
+            continue
+        betas.append(g / (1 - g) * sum(math.comb(r, j) * betas[j] for j in range(r)))
+    return betas
+
+
+def log_fraction(value):
+    return math.log(value.numerator) - math.log(value.denominator)
 
 
 def quad_expected_log_pareto(beta, k):

@@ -1,13 +1,12 @@
 """The package's public surface: which names ``ruinbounds`` exports, where each
-one lives, and which modules ``import ruinbounds`` loads."""
+one lives, and which modules ``import ruinbounds`` and its first use load."""
 
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
+
+import pytest
 
 import ruinbounds
+from fresh import is_numpy, loaded_modules
 
 PUBLIC = {
     "bounds": ["BoundResult", "BoundSchedule", "BoundaryTable", "boundary_table",
@@ -23,9 +22,14 @@ PUBLIC = {
                "match_inverse_moments", "spec_from_record"],
 }
 
-LOADED_BY_IMPORT = {"ruinbounds", "ruinbounds._special", "ruinbounds.bounds",
-                    "ruinbounds.errors", "ruinbounds.moments", "ruinbounds.montecarlo",
-                    "ruinbounds.regimes", "ruinbounds.shocks"}
+# The modules the first access to an exported name loads.
+LOADED_ON_FIRST_USE = {"ruinbounds", "ruinbounds._special", "ruinbounds.bounds",
+                       "ruinbounds.errors", "ruinbounds.moments", "ruinbounds.montecarlo",
+                       "ruinbounds.regimes", "ruinbounds.shocks"}
+
+
+def _package_modules(names):
+    return {n for n in names if n == "ruinbounds" or n.startswith("ruinbounds.")}
 
 
 def test_public_surface():
@@ -34,19 +38,39 @@ def test_public_surface():
     assert set(names) == {n for module_names in PUBLIC.values() for n in module_names}
     for module_name, module_names in PUBLIC.items():
         module = importlib.import_module(f"ruinbounds.{module_name}")
+        assert getattr(ruinbounds, module_name) is module
         assert sorted(module.__all__) == sorted(module_names)
         for name in module_names:
             assert getattr(ruinbounds, name) is getattr(module, name), name
+    assert set(names) <= set(dir(ruinbounds))
 
-    src = str(Path(ruinbounds.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ruinbounds; print(*sorted(m for m in sys.modules"
-         " if m == 'ruinbounds' or m.startswith('ruinbounds.')))"],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert loaded == LOADED_BY_IMPORT
-    assert not loaded & {"ruinbounds.cli", "ruinbounds.reference", "ruinbounds.tableio"}
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from ruinbounds import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(ruinbounds.__all__)
+    for name, value in namespace.items():
+        assert value is getattr(ruinbounds, name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    for name in ("no_such_name", "_no_such_name", "__no_such_dunder__"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(ruinbounds, name)
+
+
+def test_import_loads_no_computing_module():
+    names = loaded_modules("-c", "import ruinbounds")
+    assert _package_modules(names) == {"ruinbounds"}
+    assert [n for n in names if is_numpy(n)] == []
+
+
+@pytest.mark.parametrize("access", ["ruinbounds.sample_Z", "ruinbounds.__all__",
+                                    "ruinbounds.bounds", "dir(ruinbounds)",
+                                    "exec('from ruinbounds import *', {})"])
+def test_first_use_loads_the_computing_modules(access):
+    names = loaded_modules("-c", f"import ruinbounds; {access}")
+    assert _package_modules(names) == LOADED_ON_FIRST_USE
+    assert "numpy" in names
+    assert not set(names) & {"ruinbounds.cli", "ruinbounds.reference", "ruinbounds.tableio"}

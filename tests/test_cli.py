@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ruinbounds import classify, cli, ecdf_survival, sample_Z, SimConfig
+from ruinbounds import classify, cli, ecdf_survival, reference, sample_Z, SimConfig
 from ruinbounds.cli import main
 from ruinbounds.montecarlo import GENERATOR_NAME
 from ruinbounds.reference import derive_seed, PARETO_HEAVY
@@ -92,6 +92,17 @@ class TestMomentsCommand:
         assert "# first_infinite_heavy = 61" in out
         rows = [l for l in out.splitlines() if l.startswith("heavy,60,")]
         assert len(rows) == 1 and "inf" not in rows[0]
+
+    def test_moment_exactly_at_one_is_infinite(self, tmp_path, capsys):
+        # gamma_1 = theta/(alpha - 1) = 1 exactly, though the rounded log is not 0
+        cfg = tmp_path / "g.ini"
+        cfg.write_text("[spec:edge]\nfamily = gamma\nalpha = 4\ntheta = 3\n"
+                       "[run]\nhorizons = inf\nrmax = 2\n")
+        assert main(["moments", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "# first_infinite_edge = 1" in out
+        assert [l.split(",")[3] for l in out.splitlines() if l.startswith("edge,")] == [
+            "inf", "inf"]
 
     def test_domain_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -242,6 +253,9 @@ class TestReproduceCommand:
 
     def test_invalid_table_id(self):
         assert main(["reproduce", "--table", "12"]) == 2
+
+    def test_defaults_are_the_reference_defaults(self):
+        assert cli.ExperimentConfig().replicates == reference.DEFAULT_REPLICATES
 
 
 class TestErrorPaths:

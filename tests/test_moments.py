@@ -1,10 +1,11 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import naive_finite_betas, naive_infinite_betas
+from oracles import exact_series_betas, log_fraction, naive_finite_betas, naive_infinite_betas
 from ruinbounds import (
     Constant,
     DomainError,
@@ -16,6 +17,7 @@ from ruinbounds import (
     infinite_moments,
     schedules,
 )
+from ruinbounds.moments import first_infinite_order
 from ruinbounds.reference import LOGNORMAL_HEAVY, PARETO_HEAVY
 
 
@@ -73,6 +75,77 @@ class TestInfiniteMoments:
         assert np.isfinite(table.log_beta_values[1:]).all()
         # moments blow up monotonically past the minimum; log stays usable
         assert table.log_beta(60) > table.log_beta(30)
+
+
+# gamma_1 = theta/(alpha - 1) = 1 exactly for the gammas; the Paretos put
+# gamma_1 = 1 in exact arithmetic, which the stored k = b/(b+1) rounds away
+BOUNDARY_SPECS = ([Gamma(float(a), float(a - 1)) for a in range(3, 200)]
+                  + [Pareto(float(b), b / (b + 1)) for b in range(1, 200)])
+
+
+class TestExactFirstInfinite:
+    def test_boundary_families_match_exact_oracle(self):
+        exact_gap_used = 0
+        for spec in BOUNDARY_SPECS:
+            exact = exact_series_betas(spec, 3)
+            want = next((r for r in range(1, 4) if exact[r] is None), None)
+            assert first_infinite_order(spec, 3) == want, spec
+            table = infinite_moments(spec, 3)
+            assert table.first_infinite == want, spec
+            for r in range(1, 4):
+                if exact[r] is None:
+                    assert table.beta(r) == math.inf, (spec, r)
+                    continue
+                assert math.isfinite(table.log_beta(r)), (spec, r)
+                if spec.log_inverse_moment(r) >= 0.0:  # the rounded log says infinite
+                    exact_gap_used += 1
+                    assert table.log_beta(r) == pytest.approx(log_fraction(exact[r]),
+                                                              rel=1e-12), (spec, r)
+        assert exact_gap_used > 0
+
+    def test_gamma_moment_exactly_at_one_is_infinite(self):
+        spec = Gamma(4.0, 3.0)
+        assert spec.log_inverse_moment(1) != 0.0  # the rounded log misses the boundary
+        table = infinite_moments(spec, 2)
+        assert table.first_infinite == 1
+        assert table.beta(1) == table.beta(2) == math.inf
+
+    def test_pareto_below_one_in_stored_floats(self):
+        spec = Pareto(4.0, 0.8)
+        assert spec.log_inverse_moment(1) == 0.0
+        assert first_infinite_order(spec, 5) == 2
+        assert math.isfinite(infinite_moments(spec, 2).beta(1))
+
+    def test_lognormal_decided_on_stored_floats(self):
+        # 5 * 0.3 < 2 * 0.75 for the stored floats, though the rounded log is 0.0
+        spec = Lognormal(0.75, 0.3)
+        assert spec.log_inverse_moment(5) == 0.0
+        assert first_infinite_order(spec, 10) == 6
+        table = infinite_moments(spec, 6)
+        x = 5 * (2 * Fraction(0.75) - 5 * Fraction(0.3)) / 2  # -log gamma_5, exactly
+        lower = sum(math.comb(5, j) * table.beta(j) for j in range(5))
+        assert table.log_beta(5) == pytest.approx(-math.log(x) + math.log(lower), rel=1e-12)
+        assert table.beta(6) == math.inf
+
+    @pytest.mark.parametrize("spec, want", [
+        (Constant(1.0), 1),
+        (Constant(0.5), 1),
+        (Constant(1.0000000000000002), None),
+        (Pareto(3.0, 1.0000001), None),  # k >= 1: every gamma_r < 1
+        (Gamma(1000.5, 13.3), 1001),
+        (Lognormal(-0.1, 0.2), 1),
+    ])
+    def test_first_infinite_at_cap_1024(self, spec, want):
+        assert first_infinite_order(spec, 1024) == want
+
+    def test_exact_gap_below_the_float_range(self):
+        # sigma2/2 rounds up to mu, so the rounded log is 0.0; exactly,
+        # -log gamma_1 = mu - sigma2/2 = 2**-1075, which no double holds
+        spec = Lognormal(2 * 5e-324, 3 * 5e-324)
+        assert spec.log_inverse_moment(1) == 0.0
+        table = infinite_moments(spec, 2)
+        assert table.first_infinite == 2
+        assert table.log_beta(1) == pytest.approx(1075 * math.log(2), rel=1e-15)
 
 
 class TestFiniteMoments:

@@ -36,6 +36,9 @@ class TestDeterministicMinStock:
         assert deterministic_min_stock(1.0, 1.0) == math.inf
         assert deterministic_min_stock(0.5, 3.0) == math.inf
 
+    def test_finite_threshold_does_not_overflow(self):
+        assert deterministic_min_stock(1e300, 1e10) == 1e10
+
     def test_scales_with_consumption(self):
         assert deterministic_min_stock(2.0, 2.5) == 5.0
 
@@ -111,6 +114,13 @@ class TestDeterministicHorizon:
         # c*r overflows in the float threshold; the sums stay below 1 + 1e-299 < 2
         assert exact_ruin_horizon(1e300, 2e10, 1e10, cap=50) is None
         assert deterministic_horizon(1e300, 2e10, 1e10) == math.inf
+
+    def test_threshold_decided_exactly_not_by_rounded_min_stock(self):
+        # the float threshold rounds below the exact r/(r - 1), so x clears it
+        r, x = 1.0206185567010309, 49.50000000000017
+        assert x >= deterministic_min_stock(r, 1.0)
+        assert exact_ruin_horizon(r, x, 1.0) == 1855
+        assert deterministic_horizon(r, x, 1.0) == 1855
 
     @pytest.mark.parametrize("r", [0.3, 0.7, 0.99, 1.0, 1.01, 1.3, 2.5])
     def test_matches_exact_partial_sums(self, r):

@@ -4,16 +4,11 @@ scipy is only a test dependency: these tests use it as the oracle, and the
 import guard checks that the package itself never loads it.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy import special
 
-import ruinbounds
+from fresh import is_numpy, loaded_modules
 from ruinbounds._special import digamma, lgamma_int, logsumexp
 from ruinbounds.moments import _log_binomial_rows
 
@@ -86,24 +81,35 @@ class TestDigamma:
             digamma(x)
 
 
-def _modules_loaded(*args):
-    """Names of every module a fresh interpreter imports while running ``args``."""
-    src = str(Path(ruinbounds.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return [line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines() if line.startswith("import time:")]
-
-
 class TestImportGuard:
     @pytest.mark.parametrize("args", [
         ("-c", "import ruinbounds"),
         ("-m", "ruinbounds.cli", "--version"),
+        ("-c", "import ruinbounds; ruinbounds.sample_Z"),
     ])
     def test_no_scipy_module_loaded(self, args):
-        names = _modules_loaded(*args)
+        names = loaded_modules(*args)
         assert "ruinbounds" in names
         assert [n for n in names if n == "scipy" or n.startswith("scipy.")] == []
+
+    @pytest.mark.parametrize("args, returncode", [
+        (("--version",), 0),
+        (("--help",), 0),
+        (("reproduce", "--help"), 0),
+        (("--no-such-flag",), 2),
+        (("reproduce",), 2),  # --table is required
+    ])
+    def test_cli_without_a_command_loads_no_numpy(self, args, returncode):
+        names = loaded_modules("-m", "ruinbounds.cli", *args, returncode=returncode)
+        assert "ruinbounds.cli" not in names  # runpy runs it as __main__
+        assert [n for n in names if is_numpy(n)] == []
+        assert [n for n in names if n.startswith("ruinbounds.")] == [
+            "ruinbounds._defaults", "ruinbounds.errors"]
+
+    def test_reproduce_loads_only_what_it_uses(self, tmp_path):
+        names = loaded_modules("-m", "ruinbounds.cli", "reproduce", "--table", "1",
+                               "--out", str(tmp_path))
+        assert "numpy" in names and "ruinbounds.reference" in names
+        for unused in ("ruinbounds.regimes", "configparser", "fractions", "decimal"):
+            assert unused not in names
+        assert (tmp_path / "table_1.csv").is_file()
