@@ -40,26 +40,37 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
 from ._defaults import DEFAULT_REPLICATES, DEFAULT_SEED
 from .errors import ConfigError, DomainError
 
-@dataclass
+
 class ExperimentConfig:
-    specs: list = field(default_factory=list)  # [(name, ShockSpec)]
-    c: float = 1.0
-    x_grid: tuple = ()
-    horizons: tuple = (math.inf,)
-    rmax: int = 6
-    replicates: int = DEFAULT_REPLICATES
-    truncation: int | str = "adaptive"
-    adaptive_tol: float = 1e-9
-    seed: int = 0
-    fmt: str = "csv"
-    out: str | None = None
+    """Shock specs and run settings of one command.
+
+    A plain class, not a dataclass, so that loading the CLI for
+    ``--version`` or ``--help`` imports neither ``dataclasses`` nor
+    ``inspect``.
+    """
+
+    def __init__(self, specs=None, c: float = 1.0, x_grid: tuple = (),
+                 horizons: tuple = (math.inf,), rmax: int = 6,
+                 replicates: int = DEFAULT_REPLICATES,
+                 truncation: int | str = "adaptive", adaptive_tol: float = 1e-9,
+                 seed: int = 0, fmt: str = "csv", out: str | None = None):
+        self.specs = [] if specs is None else specs  # [(name, ShockSpec)]
+        self.c = c
+        self.x_grid = x_grid
+        self.horizons = horizons
+        self.rmax = rmax
+        self.replicates = replicates
+        self.truncation = truncation
+        self.adaptive_tol = adaptive_tol
+        self.seed = seed
+        self.fmt = fmt
+        self.out = out
 
     def validate(self) -> None:
         if not self.specs:
@@ -134,7 +145,7 @@ def load_config_file(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     parser = ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except ConfigParserError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:

@@ -1,10 +1,26 @@
 """CSV and JSON emission with lossless round-tripping.
 
-Conventions shared by every output file: '.' decimal separator, no
-thousands separators, infinities spelled literally as ``inf``/``-inf``,
-blank cells empty.  CSV files carry ``# key = value`` metadata lines above
-the header row; floats are written with full repr precision so a parsed
-file compares equal to the in-memory values that produced it.
+Conventions shared by every output file: UTF-8 text, '.' decimal
+separator, no thousands separators, infinities spelled literally as
+``inf``/``-inf``, blank cells empty.  CSV files carry ``# key = value``
+metadata lines above the header row; floats are written with full repr
+precision so a parsed file compares equal to the in-memory values that
+produced it.
+
+A CSV read without ``types`` guesses each cell's type with
+:func:`parse_cell`: integer-looking text becomes an ``int``, ``inf``,
+``-inf``, ``nan``, ``true`` and ``false`` (any case) become their values,
+a blank cell becomes ``None``, other numbers become ``float`` and anything
+else stays a string.  So a string such as ``007`` or ``true`` does not
+come back as written, and a float such as 3.0, written ``3``, comes back
+as the integer 3.  ``read_csv_table(path, types=...)`` maps a column name
+or metadata key to ``str``, ``float`` or ``int`` instead: a ``str`` cell
+comes back exactly as written, and a ``float`` or ``int`` cell through
+that constructor, blank cells as ``None``.
+
+Tables whose cells are all floats are formatted and parsed a column at a
+time; the bytes written and the values read are those of the per-cell
+rules above.
 """
 
 from __future__ import annotations
@@ -13,6 +29,8 @@ import csv
 import io
 import json
 import math
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -72,37 +90,127 @@ def parse_cell(text: str):
         return text
 
 
+def _float_texts(column) -> list:
+    """:func:`format_cell` of every float in ``column``, from its repr.
+
+    ``repr`` already spells ``inf``, ``-inf``, ``nan`` and ``-0.0``; it ends
+    in ``.0`` exactly when the value is integral and below 1e16.
+    """
+    texts = list(map(float.__repr__, column))
+    if ".0\n" in "\n".join(texts) + "\n":  # one search skips the pass when none is integral
+        texts = [t[:-2] if t[-2:] == ".0" and -1e15 < v < 1e15 and t != "-0.0" else t
+                 for t, v in zip(texts, column)]
+    return texts
+
+
+def _float_columns(rows, width: int):
+    """The columns of ``rows`` as lists, or None unless every cell is a float.
+
+    ``np.float64`` subclasses ``float``; ``bool``, ``int``, ``np.float32``,
+    ``str`` and ``None`` do not.  Tables with no cells, ragged rows and
+    rows other than tuples and lists return None as well.
+    """
+    if (width == 0 or not rows or not set(map(type, rows)) <= {tuple, list}
+            or set(map(len, rows)) != {width}):
+        return None
+    # one itemgetter pass per column: zip(*rows) would make an iterator per row
+    columns = [list(map(itemgetter(j), rows)) for j in range(width)]
+    for column in columns:
+        if not all(issubclass(t, float) for t in set(map(type, column))):
+            return None
+    return columns
+
+
 def render_csv(columns, rows, metadata: dict | None = None) -> str:
     buf = io.StringIO()
     for key, value in (metadata or {}).items():
         buf.write(f"# {key} = {format_cell(value)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([format_cell(v) for v in row])
+    if not isinstance(rows, (list, tuple)):
+        rows = list(rows)
+    float_columns = _float_columns(rows, len(columns))
+    if float_columns is None:
+        for row in rows:
+            writer.writerow([format_cell(v) for v in row])
+    else:
+        # float texts hold no comma, quote or line break, so need no csv quoting
+        texts = [_float_texts(column) for column in float_columns]
+        buf.write("\n".join(map(",".join, zip(*texts))))
+        buf.write("\n")
     return buf.getvalue()
 
 
 def write_csv_table(path, columns, rows, metadata: dict | None = None) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_csv(columns, rows, metadata))
+    path.write_text(render_csv(columns, rows, metadata), encoding="utf-8")
     return path
 
 
-def read_csv_table(path):
+def _read_column(cells) -> list:
+    """:func:`parse_cell` of every cell, with one ``float`` per cell where that is the same.
+
+    For a cell holding '.', 'e' or 'E', ``parse_cell`` returns ``float(cell)``
+    or, when that raises, something else (``true``, ``false``, text); so a
+    column of such cells parses with ``float`` until a cell raises.
+    """
+    if all("." in c or "e" in c or "E" in c for c in cells):
+        try:
+            return list(map(float, cells))
+        except ValueError:
+            pass
+    return list(map(parse_cell, cells))
+
+
+def _read_cells(cells, kind, label: str) -> list:
+    """The cells of one column through ``kind``, or :func:`parse_cell` when it is None.
+
+    ``str`` keeps each cell as written; ``float`` and ``int`` read a blank
+    cell as None and raise ``ValueError`` naming ``label`` on any other
+    text they reject.
+    """
+    if kind is None:
+        return _read_column(cells)
+    if kind is str:
+        return list(cells)
+    try:
+        return list(map(kind, cells))
+    except ValueError:
+        pass
+    out = []
+    for cell in cells:
+        if cell.strip() == "":
+            out.append(None)
+            continue
+        try:
+            out.append(kind(cell))
+        except ValueError as exc:
+            raise ValueError(f"{label}: {cell!r} is not {kind.__name__}") from exc
+    return out
+
+
+def read_csv_table(path, types: dict | None = None):
     """Parse a CSV written by :func:`write_csv_table`.
 
-    Returns ``(metadata, columns, rows)`` with cells through
-    :func:`parse_cell`.
+    Returns ``(metadata, columns, rows)``, each row a tuple.  Every cell and
+    metadata value goes through :func:`parse_cell`, or through
+    ``types[name]`` where ``types`` maps its column name or metadata key to
+    ``str``, ``float`` or ``int`` (see the module docstring).
     """
+    types = types or {}
+    for name, kind in types.items():
+        if kind not in (str, float, int):
+            raise ValueError(f"types[{name!r}] must be str, float or int, got {kind!r}")
     metadata: dict = {}
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     body_start = 0
     for i, line in enumerate(lines):
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
-            metadata[key.strip()] = parse_cell(value)
+            key = key.strip()
+            text = value[1:] if value.startswith(" ") else value  # the writer's space after '='
+            metadata[key] = _read_cells([text], types.get(key), f"{path}: {key}")[0]
             body_start = i + 1
         else:
             break
@@ -111,8 +219,22 @@ def read_csv_table(path):
         columns = tuple(next(reader))
     except StopIteration:
         return metadata, (), []
-    rows = [tuple(parse_cell(cell) for cell in row) for row in reader if row]
-    return metadata, columns, rows
+    # tuples of str, unlike csv's row lists, leave the garbage collector's view at its first pass
+    rows = list(filter(None, map(tuple, reader)))
+    kinds = [(types.get(name), f"{path}: column {name!r}") for name in columns]
+    if set(map(len, rows)) <= {len(columns)}:  # no row, or every row as wide as the header
+        cells = [list(map(itemgetter(j), rows)) for j in range(len(columns))]
+        del rows
+        parsed = [_read_cells(column, kind, label)
+                  for column, (kind, label) in zip(cells, kinds)]
+        return metadata, columns, list(zip(*parsed))
+    # ragged rows a cell at a time; cells past the header are untyped
+    beyond = repeat((None, str(path)))
+    return metadata, columns, [
+        tuple(_read_cells([cell], kind, label)[0]
+              for cell, (kind, label) in zip(row, chain(kinds, beyond)))
+        for row in rows
+    ]
 
 
 def _to_jsonable(obj):
@@ -139,9 +261,10 @@ def _to_jsonable(obj):
 def write_json(path, obj) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_to_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_to_jsonable(obj), indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
     return path
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text())
+    return json.loads(Path(path).read_text(encoding="utf-8"))

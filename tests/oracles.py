@@ -5,9 +5,12 @@ moments are recomputed with plain floats and math.comb, order selection by
 brute-force minimization, deterministic ruin by iterating the wealth map
 or by summing its series in exact rationals, series moments of Pareto and
 gamma shocks in exact rationals of their stored parameters, and log-moments
-of densities by quadrature.
+of densities by quadrature.  CSV tables are rendered and read back one
+cell at a time, through ``format_cell``/``parse_cell`` and the csv module.
 """
 
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -129,3 +132,55 @@ def quad_expected_log_gamma(alpha, theta):
         0.0, math.inf,
     )
     return val
+
+
+def per_cell_render_csv(columns, rows, metadata=None):
+    """``tableio.render_csv`` one cell at a time through ``format_cell`` and ``csv.writer``."""
+    from ruinbounds.tableio import format_cell
+
+    buf = io.StringIO()
+    for key, value in (metadata or {}).items():
+        buf.write(f"# {key} = {format_cell(value)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([format_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def per_cell_read_csv(text):
+    """``tableio.read_csv_table`` without types, one ``parse_cell`` per cell, from the text."""
+    from ruinbounds.tableio import parse_cell
+
+    metadata = {}
+    lines = text.splitlines()
+    body_start = 0
+    for i, line in enumerate(lines):
+        if line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            metadata[key.strip()] = parse_cell(value)
+            body_start = i + 1
+        else:
+            break
+    reader = csv.reader(lines[body_start:])
+    try:
+        columns = tuple(next(reader))
+    except StopIteration:
+        return metadata, (), []
+    rows = [tuple(parse_cell(cell) for cell in row) for row in reader if row]
+    return metadata, columns, rows
+
+
+def identical(a, b):
+    """``a == b`` with equal types all the way down; NaN matches NaN, -0.0 only -0.0."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(identical, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(identical(a[k], b[k]) for k in a)
+    if isinstance(a, float):
+        if math.isnan(a):
+            return math.isnan(b)
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from fresh import SRC
 from ruinbounds import classify, cli, ecdf_survival, reference, sample_Z, SimConfig
 from ruinbounds.cli import main
 from ruinbounds.montecarlo import GENERATOR_NAME
@@ -204,6 +208,8 @@ class TestSimulateCommand:
         assert len(rows) == 120
         assert meta["generator"] == GENERATOR_NAME
         assert meta["truncation"] == 10
+        typed, _, _ = read_csv_table(out1 / "samples_heavy.csv", types={"truncation": str})
+        assert typed["truncation"] == "10"
         # samples re-parse equal to a direct library call
         sim = SimConfig(replicates=120, truncation=10, seed=derive_seed(99, 0))
         est = sample_Z(PARETO_HEAVY, sim)
@@ -256,6 +262,44 @@ class TestReproduceCommand:
 
     def test_defaults_are_the_reference_defaults(self):
         assert cli.ExperimentConfig().replicates == reference.DEFAULT_REPLICATES
+
+
+class TestNonAsciiUnderAsciiLocale:
+    """Files are UTF-8 whatever the locale: run under the C locale with UTF-8 mode off."""
+
+    @staticmethod
+    def run(*args):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p))
+        return subprocess.run([sys.executable, "-X", "utf8=0", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_table_round_trip(self, tmp_path):
+        script = (  # ASCII source: the C locale decodes the command line as ASCII
+            "import locale, sys\n"
+            "from ruinbounds.tableio import read_csv_table, write_csv_table\n"
+            "print(locale.getpreferredencoding(False))\n"
+            "path = write_csv_table(sys.argv[1], ('name',), [('\\u03c3-shock',)],"
+            " {'spec': '\\u03c3'})\n"
+            "assert read_csv_table(path) == ({'spec': '\\u03c3'}, ('name',),"
+            " [('\\u03c3-shock',)])\n")
+        out = tmp_path / "t.csv"
+        proc = self.run("-c", script, str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().lower() not in ("utf-8", "utf8")  # the locale is not UTF-8
+        assert out.read_bytes() == "# spec = σ\nname\nσ-shock\n".encode("utf-8")
+
+    def test_config_spec_name(self, tmp_path):
+        cfg = tmp_path / "sigma.ini"
+        cfg.write_bytes("[spec:σ]\nfamily = constant\na = 2\n".encode("utf-8"))
+        out = tmp_path / "classify.csv"
+        proc = self.run("-m", "ruinbounds.cli", "classify", "--config", str(cfg),
+                        "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        _, _, rows = read_csv_table(out, types={"spec": str})
+        assert [row[0] for row in rows] == ["σ"]
 
 
 class TestErrorPaths:

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from ruinbounds.cli import main
+from ruinbounds.tableio import read_csv_table
 
 CONFIG = """\
 [spec:heavy]
@@ -87,17 +88,12 @@ def collect_outputs(root: Path) -> dict:
     return outputs
 
 
-def digests(root: Path) -> dict:
-    return {name: hashlib.sha256(data).hexdigest()
-            for name, data in collect_outputs(root).items()}
-
-
 def print_digests() -> None:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in digests(Path(tmp)).items():
-            print(f'    "{name}": "{digest}",')
+        for name, data in collect_outputs(Path(tmp)).items():
+            print(f'    "{name}": "{hashlib.sha256(data).hexdigest()}",')
 
 
 GOLDEN = {
@@ -153,8 +149,13 @@ GOLDEN = {
 
 
 @pytest.fixture(scope="module")
-def computed(tmp_path_factory):
-    return digests(tmp_path_factory.mktemp("golden"))
+def outputs(tmp_path_factory):
+    return collect_outputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def computed(outputs):
+    return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
 
 
 def test_same_outputs_are_covered(computed):
@@ -164,3 +165,13 @@ def test_same_outputs_are_covered(computed):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_unchanged(computed, name):
     assert computed[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN if n.endswith((".csv", "/stdout"))))
+def test_untyped_read_matches_per_cell_parse(outputs, tmp_path, name):
+    # imported here, so that print_digests also runs without tests/ on the path
+    from oracles import identical, per_cell_read_csv
+
+    path = tmp_path / "out.csv"
+    path.write_bytes(outputs[name])
+    assert identical(read_csv_table(path), per_cell_read_csv(outputs[name].decode()))

@@ -105,6 +105,7 @@ class TestImportGuard:
         assert [n for n in names if is_numpy(n)] == []
         assert [n for n in names if n.startswith("ruinbounds.")] == [
             "ruinbounds._defaults", "ruinbounds.errors"]
+        assert "dataclasses" not in names and "inspect" not in names
 
     def test_reproduce_loads_only_what_it_uses(self, tmp_path):
         names = loaded_modules("-m", "ruinbounds.cli", "reproduce", "--table", "1",

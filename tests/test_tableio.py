@@ -1,13 +1,19 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import identical, per_cell_read_csv, per_cell_render_csv
+from ruinbounds import Pareto, SimConfig, sample_Z
 from ruinbounds.tableio import (
     format_cell,
     parse_cell,
     read_csv_table,
     read_json,
+    render_csv,
     write_csv_table,
     write_json,
 )
@@ -47,3 +53,176 @@ class TestRoundTrip:
     def test_json_file(self, tmp_path):
         path = write_json(tmp_path / "t.json", {"zero": -0.0})
         assert _same(read_json(path)["zero"], -0.0)
+
+
+# ------------------------------------------------- column paths against per-cell
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e15 - 1, -(1e15 - 1), 1e15, -1e15,
+               1e16, -1e16, 5e-324, -5e-324, 1.0, -3.0, 0.5, 2.0 ** 53, 123456789.0]
+_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(),
+                    st.integers(-10 ** 17, 10 ** 17).map(float))
+FLOAT_CELLS = st.one_of(_floats, _floats.map(np.float64))
+TEXTS = st.one_of(st.text(), st.sampled_from(["", "a,b", 'say "hi"', "two\nlines", "x\r\ny",
+                                              ",", '"', "007", "true", "inf", "1e5"]))
+OTHER_CELLS = st.one_of(st.floats(width=32).map(np.float32), st.booleans(), st.integers(),
+                        st.none(), TEXTS, st.integers(-5, 5).map(np.int64))
+
+
+@st.composite
+def tables(draw):
+    """``(columns, rows, metadata)``: all-float tables half of the time, some ragged."""
+    width = draw(st.integers(1, 4))
+    columns = tuple(draw(st.lists(TEXTS, min_size=width, max_size=width)))
+    cells = draw(st.sampled_from([FLOAT_CELLS, st.one_of(FLOAT_CELLS, OTHER_CELLS)]))
+    lengths = st.just(width) if draw(st.booleans()) else st.integers(0, width + 2)
+    row = lengths.flatmap(lambda n: st.lists(cells, min_size=n, max_size=n)).map(tuple)
+    rows = draw(st.lists(row, max_size=8))
+    metadata = draw(st.dictionaries(st.from_regex(r"[a-z_]{1,8}", fullmatch=True),
+                                    st.one_of(FLOAT_CELLS, OTHER_CELLS), max_size=3))
+    return columns, rows, metadata
+
+
+class TestRenderColumns:
+    @given(tables(), st.sampled_from([list, tuple, iter]))
+    @settings(max_examples=300)
+    def test_same_bytes_as_per_cell(self, table, container):
+        columns, rows, metadata = table
+        assert (render_csv(columns, container(rows), metadata)
+                == per_cell_render_csv(columns, rows, metadata))
+
+    @pytest.mark.parametrize("rows", [
+        [(1.5,), (np.float64(2.0),), ("",)],       # a lone empty string is written ""
+        [(1.5, 2.5), (3.5,)],                      # ragged: no cell may be dropped
+        [(1.5, 2.5), (3.5, 4.5, 5.5)],
+        [(0.5, np.float32(0.5)), (True, 1)],
+        [(0.5, np.float32(0.5)), (1.5, np.float32(2.0))],
+        [],
+    ], ids=["empty-string", "short-row", "long-row", "non-float", "float32", "no-rows"])
+    def test_tables_off_the_float_path(self, rows):
+        columns = ("a", "b")
+        assert render_csv(columns, rows) == per_cell_render_csv(columns, rows)
+        if rows and rows[-1] == ("",):
+            assert render_csv(("a",), rows).endswith('\n""\n')
+
+    @pytest.mark.parametrize("make_rows", [
+        lambda: [np.array([1.5, 2.5]), np.array([3.5, 4.5])],
+        lambda: [iter((1.5, 2.5)), iter((3.5, 4.5))],
+        lambda: np.array([[1.5, 2.5], [3.5, 4.5]]),
+    ], ids=["array-rows", "iterator-rows", "2d-array"])
+    def test_rows_that_are_not_tuples_or_lists(self, make_rows):
+        assert render_csv(("a", "b"), make_rows()) == per_cell_render_csv(("a", "b"), make_rows())
+
+    def test_float_table(self):
+        rows = [(v, np.float64(-v)) for v in EDGE_FLOATS]
+        text = render_csv(("v", "w"), rows)
+        assert text == per_cell_render_csv(("v", "w"), rows)
+        assert "999999999999999,-999999999999999\n-999999999999999,999999999999999\n" in text
+        assert "\n1000000000000000.0,-1000000000000000.0\n" in text
+        assert "\n1e+16,-1e+16\n" in text
+        assert "0,-0.0\n-0.0,0\n" in text and "nan,nan\n" in text
+
+
+READ_TEXTS = ["infinity", "+inf", "Inf", "-INF", "NaN", "TRUE", "False", "1_000.5", " 7 ",
+              "007", "", " ", "1e5", "1E5", "-0.0", " 2.5 ", "1.", ".5", "e", "x.y", "true.",
+              "inf.0", "1e400", "0x10", "1,5", "a \"quoted\" cell"]
+READ_CELLS = st.one_of(st.sampled_from(READ_TEXTS), _floats.map(format_cell), st.text())
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text as the writer lays it out, cells drawn as text, quoted minimally or always."""
+    width = draw(st.integers(1, 4))
+    cells = draw(st.sampled_from([_floats.map(format_cell), READ_CELLS]))
+    lengths = st.just(width) if draw(st.booleans()) else st.integers(1, width + 2)
+    rows = draw(st.lists(lengths.flatmap(lambda n: st.lists(cells, min_size=n, max_size=n)),
+                         max_size=8))
+    metadata = draw(st.lists(st.sampled_from(READ_TEXTS[:-1]) | _floats.map(format_cell),
+                             max_size=3))
+    buf = io.StringIO()
+    for i, value in enumerate(metadata):
+        buf.write(f"# m{i} = {value}\n")
+    writer = csv.writer(buf, lineterminator="\n",
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow([f"c{i}" for i in range(width)])
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class TestReadColumns:
+    @given(csv_texts())
+    @settings(max_examples=300)
+    def test_same_values_and_types_as_per_cell(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("read") / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            want = per_cell_read_csv(text)
+        except csv.Error:
+            with pytest.raises(csv.Error):
+                read_csv_table(path)
+            return
+        assert identical(read_csv_table(path), want)
+
+    @pytest.mark.parametrize("column", [
+        READ_TEXTS,
+        ["1.5", "2e3", "1_000.5", " 7.0 ", "-inf.", "3E-2"],     # one cell makes float raise
+        ["1.5", "2e3", "1_000.5", " 7.0 ", "1e400", "3E-2"],
+        ["1.5", "true", "2.5"],
+        ["007", " 7 ", "+inf", "infinity", ""],
+    ], ids=["specials", "float-raises", "all-float", "true", "no-dot"])
+    def test_columns(self, tmp_path, column):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+        writer.writerows([("a", "b"), *((cell, i) for i, cell in enumerate(column))])
+        text = buf.getvalue()
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        got = read_csv_table(path)
+        assert identical(got, per_cell_read_csv(text))
+        assert identical([row[0] for row in got[2]], [parse_cell(c) for c in column])
+
+
+# ------------------------------------------------------------------ typed reads
+
+class TestTypedRead:
+    def test_spec_names_and_metadata_come_back_as_written(self, tmp_path):
+        names = ["007", "inf", "true", "1e5", " 7 ", "plain"]
+        path = write_csv_table(tmp_path / "t.csv", ("spec", "sample"),
+                               [(name, 3.0) for name in names],
+                               {"truncation": "10", "beta": 3.0, "seed": 5, "note": " x "})
+        meta, _, rows = read_csv_table(path)
+        assert identical(meta, {"truncation": 10, "beta": 3, "seed": 5, "note": "x"})
+        assert identical([r[0] for r in rows], [7, math.inf, True, 100000.0, 7, "plain"])
+        meta, _, rows = read_csv_table(path, types={"spec": str, "sample": float,
+                                                    "truncation": str, "beta": float,
+                                                    "note": str})
+        assert identical(meta, {"truncation": "10", "beta": 3.0, "seed": 5, "note": " x "})
+        assert identical(rows, [(name, 3.0) for name in names])
+
+    def test_samples_file(self, tmp_path):
+        est = sample_Z(Pareto(3.0, 0.9), SimConfig(replicates=20, truncation=10, seed=3))
+        path = write_csv_table(tmp_path / "s.csv", ("sample",), [(v,) for v in est.samples],
+                               est.metadata())
+        meta, _, rows = read_csv_table(path, types={"sample": float, "truncation": str,
+                                                    "beta": float, "k": float})
+        assert meta["truncation"] == "10" and identical(meta["beta"], 3.0)
+        assert identical(rows, [(v,) for v in est.samples.tolist()])
+
+    def test_numbers_and_blanks(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# n = 3\nx,n,s\n2,1,\n,7, a \ninf,-2,\"\"\n", encoding="utf-8")
+        meta, _, rows = read_csv_table(path, types={"x": float, "n": int, "s": str})
+        assert identical(meta, {"n": 3})
+        assert identical(rows, [(2.0, 1, ""), (None, 7, " a "), (math.inf, -2, "")])
+
+    def test_ragged_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("s,x\n007\n007,2,3\n", encoding="utf-8")
+        _, _, rows = read_csv_table(path, types={"s": str, "x": float})
+        assert identical(rows, [("007",), ("007", 2.0, 3)])
+
+    def test_rejects(self, tmp_path):
+        path = write_csv_table(tmp_path / "t.csv", ("x",), [("abc",)])
+        with pytest.raises(ValueError, match="column 'x': 'abc' is not float"):
+            read_csv_table(path, types={"x": float})
+        with pytest.raises(ValueError, match="must be str, float or int"):
+            read_csv_table(path, types={"x": bool})
