@@ -55,22 +55,19 @@ class ExperimentConfig:
     ``inspect``.
     """
 
-    def __init__(self, specs=None, c: float = 1.0, x_grid: tuple = (),
-                 horizons: tuple = (math.inf,), rmax: int = 6,
-                 replicates: int = DEFAULT_REPLICATES,
-                 truncation: int | str = "adaptive", adaptive_tol: float = 1e-9,
-                 seed: int = 0, fmt: str = "csv", out: str | None = None):
-        self.specs = [] if specs is None else specs  # [(name, ShockSpec)]
-        self.c = c
-        self.x_grid = x_grid
-        self.horizons = horizons
-        self.rmax = rmax
-        self.replicates = replicates
-        self.truncation = truncation
-        self.adaptive_tol = adaptive_tol
-        self.seed = seed
-        self.fmt = fmt
-        self.out = out
+    c: float = 1.0
+    x_grid: tuple = ()
+    horizons: tuple = (math.inf,)
+    rmax: int = 6
+    replicates: int = DEFAULT_REPLICATES
+    truncation: int | str = "adaptive"
+    adaptive_tol: float = 1e-9
+    seed: int = 0
+    fmt: str = "csv"
+    out: str | None = None
+
+    def __init__(self):
+        self.specs = []  # [(name, ShockSpec)]
 
     def validate(self) -> None:
         if not self.specs:

@@ -7,16 +7,13 @@ metadata lines above the header row; floats are written with full repr
 precision so a parsed file compares equal to the in-memory values that
 produced it.
 
-A CSV read without ``types`` guesses each cell's type with
-:func:`parse_cell`: integer-looking text becomes an ``int``, ``inf``,
-``-inf``, ``nan``, ``true`` and ``false`` (any case) become their values,
-a blank cell becomes ``None``, other numbers become ``float`` and anything
-else stays a string.  So a string such as ``007`` or ``true`` does not
-come back as written, and a float such as 3.0, written ``3``, comes back
-as the integer 3.  ``read_csv_table(path, types=...)`` maps a column name
-or metadata key to ``str``, ``float`` or ``int`` instead: a ``str`` cell
-comes back exactly as written, and a ``float`` or ``int`` cell through
-that constructor, blank cells as ``None``.
+A CSV read guesses each cell's type with :func:`parse_cell`:
+integer-looking text becomes an ``int``, ``inf``, ``-inf``, ``nan``,
+``true`` and ``false`` (any case) become their values, a blank cell
+becomes ``None``, other numbers become ``float`` and anything else stays a
+string.  So a string such as ``007`` or ``true`` does not come back as
+written, and a float such as 3.0, written ``3``, comes back as the
+integer 3.
 
 Tables whose cells are all floats are formatted and parsed a column at a
 time; the bytes written and the values read are those of the per-cell
@@ -29,7 +26,6 @@ import csv
 import io
 import json
 import math
-from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -163,54 +159,19 @@ def _read_column(cells) -> list:
     return list(map(parse_cell, cells))
 
 
-def _read_cells(cells, kind, label: str) -> list:
-    """The cells of one column through ``kind``, or :func:`parse_cell` when it is None.
-
-    ``str`` keeps each cell as written; ``float`` and ``int`` read a blank
-    cell as None and raise ``ValueError`` naming ``label`` on any other
-    text they reject.
-    """
-    if kind is None:
-        return _read_column(cells)
-    if kind is str:
-        return list(cells)
-    try:
-        return list(map(kind, cells))
-    except ValueError:
-        pass
-    out = []
-    for cell in cells:
-        if cell.strip() == "":
-            out.append(None)
-            continue
-        try:
-            out.append(kind(cell))
-        except ValueError as exc:
-            raise ValueError(f"{label}: {cell!r} is not {kind.__name__}") from exc
-    return out
-
-
-def read_csv_table(path, types: dict | None = None):
+def read_csv_table(path):
     """Parse a CSV written by :func:`write_csv_table`.
 
-    Returns ``(metadata, columns, rows)``, each row a tuple.  Every cell and
-    metadata value goes through :func:`parse_cell`, or through
-    ``types[name]`` where ``types`` maps its column name or metadata key to
-    ``str``, ``float`` or ``int`` (see the module docstring).
+    Returns ``(metadata, columns, rows)`` with cells through
+    :func:`parse_cell`, each row a tuple.
     """
-    types = types or {}
-    for name, kind in types.items():
-        if kind not in (str, float, int):
-            raise ValueError(f"types[{name!r}] must be str, float or int, got {kind!r}")
     metadata: dict = {}
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     body_start = 0
     for i, line in enumerate(lines):
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
-            key = key.strip()
-            text = value[1:] if value.startswith(" ") else value  # the writer's space after '='
-            metadata[key] = _read_cells([text], types.get(key), f"{path}: {key}")[0]
+            metadata[key.strip()] = parse_cell(value)
             body_start = i + 1
         else:
             break
@@ -221,20 +182,11 @@ def read_csv_table(path, types: dict | None = None):
         return metadata, (), []
     # tuples of str, unlike csv's row lists, leave the garbage collector's view at its first pass
     rows = list(filter(None, map(tuple, reader)))
-    kinds = [(types.get(name), f"{path}: column {name!r}") for name in columns]
     if set(map(len, rows)) <= {len(columns)}:  # no row, or every row as wide as the header
         cells = [list(map(itemgetter(j), rows)) for j in range(len(columns))]
         del rows
-        parsed = [_read_cells(column, kind, label)
-                  for column, (kind, label) in zip(cells, kinds)]
-        return metadata, columns, list(zip(*parsed))
-    # ragged rows a cell at a time; cells past the header are untyped
-    beyond = repeat((None, str(path)))
-    return metadata, columns, [
-        tuple(_read_cells([cell], kind, label)[0]
-              for cell, (kind, label) in zip(row, chain(kinds, beyond)))
-        for row in rows
-    ]
+        return metadata, columns, list(zip(*map(_read_column, cells)))
+    return metadata, columns, [tuple(map(parse_cell, row)) for row in rows]
 
 
 def _to_jsonable(obj):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import identical, per_cell_read_csv, per_cell_render_csv
-from ruinbounds import Pareto, SimConfig, sample_Z
 from ruinbounds.tableio import (
     format_cell,
     parse_cell,
@@ -181,48 +180,13 @@ class TestReadColumns:
         assert identical([row[0] for row in got[2]], [parse_cell(c) for c in column])
 
 
-# ------------------------------------------------------------------ typed reads
+# ------------------------------------------------------------------ untyped reads
 
-class TestTypedRead:
-    def test_spec_names_and_metadata_come_back_as_written(self, tmp_path):
-        names = ["007", "inf", "true", "1e5", " 7 ", "plain"]
-        path = write_csv_table(tmp_path / "t.csv", ("spec", "sample"),
-                               [(name, 3.0) for name in names],
-                               {"truncation": "10", "beta": 3.0, "seed": 5, "note": " x "})
-        meta, _, rows = read_csv_table(path)
-        assert identical(meta, {"truncation": 10, "beta": 3, "seed": 5, "note": "x"})
-        assert identical([r[0] for r in rows], [7, math.inf, True, 100000.0, 7, "plain"])
-        meta, _, rows = read_csv_table(path, types={"spec": str, "sample": float,
-                                                    "truncation": str, "beta": float,
-                                                    "note": str})
-        assert identical(meta, {"truncation": "10", "beta": 3.0, "seed": 5, "note": " x "})
-        assert identical(rows, [(name, 3.0) for name in names])
-
-    def test_samples_file(self, tmp_path):
-        est = sample_Z(Pareto(3.0, 0.9), SimConfig(replicates=20, truncation=10, seed=3))
-        path = write_csv_table(tmp_path / "s.csv", ("sample",), [(v,) for v in est.samples],
-                               est.metadata())
-        meta, _, rows = read_csv_table(path, types={"sample": float, "truncation": str,
-                                                    "beta": float, "k": float})
-        assert meta["truncation"] == "10" and identical(meta["beta"], 3.0)
-        assert identical(rows, [(v,) for v in est.samples.tolist()])
-
-    def test_numbers_and_blanks(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("# n = 3\nx,n,s\n2,1,\n,7, a \ninf,-2,\"\"\n", encoding="utf-8")
-        meta, _, rows = read_csv_table(path, types={"x": float, "n": int, "s": str})
-        assert identical(meta, {"n": 3})
-        assert identical(rows, [(2.0, 1, ""), (None, 7, " a "), (math.inf, -2, "")])
-
-    def test_ragged_rows(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("s,x\n007\n007,2,3\n", encoding="utf-8")
-        _, _, rows = read_csv_table(path, types={"s": str, "x": float})
-        assert identical(rows, [("007",), ("007", 2.0, 3)])
-
-    def test_rejects(self, tmp_path):
-        path = write_csv_table(tmp_path / "t.csv", ("x",), [("abc",)])
-        with pytest.raises(ValueError, match="column 'x': 'abc' is not float"):
-            read_csv_table(path, types={"x": float})
-        with pytest.raises(ValueError, match="must be str, float or int"):
-            read_csv_table(path, types={"x": bool})
+def test_read_guesses_types_from_text(tmp_path):
+    names = ["007", "inf", "true", "1e5", " 7 ", "plain"]
+    path = write_csv_table(tmp_path / "t.csv", ("spec", "sample"),
+                           [(name, 3.0) for name in names],
+                           {"truncation": "10", "beta": 3.0, "seed": 5, "note": " x "})
+    meta, _, rows = read_csv_table(path)
+    assert identical(meta, {"truncation": 10, "beta": 3, "seed": 5, "note": "x"})
+    assert identical(rows, [(v, 3) for v in (7, math.inf, True, 100000.0, 7, "plain")])
