@@ -198,7 +198,13 @@ def _emit(cfg: ExperimentConfig, columns, records, metadata, default_name: str) 
 
     rows = [tuple(record[col] for col in columns) for record in records]
     if cfg.out is None:
-        print(render_csv(columns, rows, metadata), end="")
+        text = render_csv(columns, rows, metadata)
+        stdout = getattr(sys.stdout, "buffer", None)
+        if stdout is None:  # a text-only stream, such as a redirect to StringIO
+            print(text, end="")
+        else:  # UTF-8 like every output file, whatever the locale
+            sys.stdout.flush()
+            stdout.write(text.encode("utf-8"))
         return
     path = Path(cfg.out)
     if path.is_dir() or str(cfg.out).endswith(("/", "\\")):

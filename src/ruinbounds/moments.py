@@ -27,12 +27,18 @@ moment exactly at the boundary is infinite.  Where that exact test finds
 from the same exact integers.
 
 The log-binomial coefficients and the log-sum-exp come from the package's
-own kernels in ``_special`` (``lgamma_int``, ``logsumexp``), so importing
-the package does not load scipy.  They return the same bits as
-``scipy.special.gammaln`` and ``scipy.special.logsumexp``: reproduced
-tables, recorded benchmark outputs and every value derived from a moment
-are compared exactly, so a kernel that rounds differently in the last
-place would change published output.
+own kernels in ``_special`` (``lgamma_int``, ``logsumexp``,
+``logsumexp_rows``), so importing the package does not load scipy.  They
+return the same bits as ``scipy.special.gammaln`` and
+``scipy.special.logsumexp``: reproduced tables, recorded benchmark outputs
+and every value derived from a moment are compared exactly, so a kernel
+that rounds differently in the last place would change published output.
+
+The horizon recursion steps every finite order at once: each step is one
+``logsumexp_rows`` over the rows ``log C(r, j) + log beta_j(n-1)``, padded
+with -inf.  That kernel copies numpy's pairwise summation order, so each
+row has the bits of a scalar ``logsumexp``; a test pins this, cell by cell,
+against the per-cell recursion.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._special import lgamma_int, logsumexp
+from ._special import lgamma_int, logsumexp, logsumexp_rows
 from .errors import DomainError, _require_integer
 from .shocks import _LOG_FLOAT_MAX, ShockSpec
 
@@ -176,8 +182,9 @@ def finite_moments(spec: ShockSpec, rmax: int, nmax: int) -> FiniteMomentGrid:
     """Moments of the n-term partial sums for orders <= rmax, horizons <= nmax.
 
     Valid for any shock; a row whose inverse moment is itself infinite
-    (gamma shocks with shape <= rmax) is marked +inf, and the infinity
-    propagates upward through the recursion.
+    (gamma shocks with shape <= rmax) is marked +inf, and so is every row
+    above it.  Each horizon step computes all finite orders at once: row r
+    of the batch holds the r + 1 terms ``log C(r, j) + log beta_j(n-1)``.
     """
     _require_integer("rmax", rmax, 1)
     _require_integer("nmax", nmax, 1)
@@ -185,13 +192,16 @@ def finite_moments(spec: ShockSpec, rmax: int, nmax: int) -> FiniteMomentGrid:
     log_binom = _log_binomial_rows(rmax)
     grid = np.full((rmax + 1, nmax + 1), -np.inf)
     grid[0, :] = 0.0
-    for n in range(1, nmax + 1):
-        prev = grid[:, n - 1]
-        for r in range(1, rmax + 1):
-            if log_gamma[r] == np.inf:
-                grid[r, n] = np.inf
-                continue
-            grid[r, n] = log_gamma[r] + logsumexp(log_binom[r, : r + 1] + prev[: r + 1])
+    # A finite r-th inverse moment makes every lower one finite, so the
+    # infinite orders are those from the first infinite gamma_r on.
+    infinite = np.flatnonzero(log_gamma == np.inf)
+    k = int(infinite[0]) if infinite.size else rmax + 1
+    grid[k:, 1:] = np.inf
+    if k > 1:
+        terms = log_binom[1:k, :k]  # -inf above the diagonal pads the short rows
+        lengths = np.arange(2, k + 1)
+        for n in range(1, nmax + 1):
+            grid[1:k, n] = log_gamma[1:k] + logsumexp_rows(terms + grid[:k, n - 1], lengths)
     log_gamma.setflags(write=False)
     grid.setflags(write=False)
     return FiniteMomentGrid(spec=spec, log_gamma_values=log_gamma, log_beta_grid=grid)

@@ -120,7 +120,10 @@ def _float_columns(rows, width: int):
 def render_csv(columns, rows, metadata: dict | None = None) -> str:
     buf = io.StringIO()
     for key, value in (metadata or {}).items():
-        buf.write(f"# {key} = {format_cell(value)}\n")
+        line = f"# {key} = {format_cell(value)}"
+        if line.splitlines() != [line]:  # a read splits the file with str.splitlines
+            raise ValueError(f"metadata {key!r} holds a line break, which a '# key = value' line cannot carry")
+        buf.write(line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     if not isinstance(rows, (list, tuple)):

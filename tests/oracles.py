@@ -1,12 +1,15 @@
 """Independent oracles used by the tests.
 
-Everything here deliberately avoids the package's log-domain code paths:
-moments are recomputed with plain floats and math.comb, order selection by
-brute-force minimization, deterministic ruin by iterating the wealth map
-or by summing its series in exact rationals, series moments of Pareto and
-gamma shocks in exact rationals of their stored parameters, and log-moments
-of densities by quadrature.  CSV tables are rendered and read back one
-cell at a time, through ``format_cell``/``parse_cell`` and the csv module.
+Everything here but one deliberately avoids the package's log-domain code
+paths: moments are recomputed with plain floats and math.comb or in
+50-digit mpmath, order selection by brute-force minimization,
+deterministic ruin by iterating the wealth map or by summing its series in
+exact rationals, series moments of Pareto and gamma shocks in exact
+rationals of their stored parameters, and log-moments of densities by
+quadrature.  CSV tables are rendered and read back one cell at a time,
+through ``format_cell``/``parse_cell`` and the csv module.  The exception
+is ``per_cell_finite_moments``: the partial-sum recursion with one scalar
+``logsumexp`` per cell, which pins the bits of the batched recursion.
 """
 
 import csv
@@ -14,6 +17,8 @@ import io
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 from scipy.integrate import quad
 
 
@@ -42,6 +47,51 @@ def naive_finite_betas(spec, rmax, nmax):
             g = spec.inverse_moment(r)
             acc = sum(math.comb(r, j) * grid[j][n - 1] for j in range(r + 1))
             grid[r][n] = g * acc
+    return grid
+
+
+def per_cell_finite_moments(spec, rmax, nmax):
+    """``finite_moments``' log grid by the per-cell recursion, one ``logsumexp`` per cell.
+
+    The reference for the batched recursion, which must match it bit for bit.
+    """
+    from ruinbounds._special import logsumexp
+    from ruinbounds.moments import _log_binomial_rows
+
+    log_gamma = [0.0] + [spec.log_inverse_moment(r) for r in range(1, rmax + 1)]
+    log_binom = _log_binomial_rows(rmax)
+    grid = np.full((rmax + 1, nmax + 1), -np.inf)
+    grid[0, :] = 0.0
+    for n in range(1, nmax + 1):
+        prev = grid[:, n - 1]
+        for r in range(1, rmax + 1):
+            if log_gamma[r] == math.inf:
+                grid[r, n] = math.inf
+                continue
+            grid[r, n] = log_gamma[r] + logsumexp(log_binom[r, : r + 1] + prev[: r + 1])
+    return grid
+
+
+def mp_finite_log_betas(log_gamma, nmax, dps=50):
+    """log beta_r(n) by the partial-sum recursion in ``dps``-digit mpmath, rounded to floats.
+
+    ``log_gamma`` holds the float log gamma_r for r = 0..rmax.  A row whose
+    gamma_r is infinite, and every row above it, is +inf for n >= 1.
+    """
+    rmax = len(log_gamma) - 1
+    k = next((r for r in range(1, rmax + 1) if log_gamma[r] == math.inf), rmax + 1)
+    grid = np.full((rmax + 1, nmax + 1), -np.inf)
+    grid[0, :] = 0.0
+    grid[k:, 1:] = math.inf
+    with mpmath.workdps(dps):
+        gamma = [mpmath.exp(mpmath.mpf(float(lg))) for lg in log_gamma[:k]]
+        prev = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (k - 1)
+        for n in range(1, nmax + 1):
+            prev = [prev[0]] + [
+                gamma[r] * mpmath.fsum(math.comb(r, j) * prev[j] for j in range(r + 1))
+                for r in range(1, k)
+            ]
+            grid[1:k, n] = [float(mpmath.log(b)) for b in prev[1:]]
     return grid
 
 
@@ -134,13 +184,20 @@ def quad_expected_log_gamma(alpha, theta):
     return val
 
 
+# every character at which str.splitlines ends a line
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def per_cell_render_csv(columns, rows, metadata=None):
     """``tableio.render_csv`` one cell at a time through ``format_cell`` and ``csv.writer``."""
     from ruinbounds.tableio import format_cell
 
     buf = io.StringIO()
     for key, value in (metadata or {}).items():
-        buf.write(f"# {key} = {format_cell(value)}\n")
+        text = f"{key} = {format_cell(value)}"
+        if any(ch in text for ch in LINE_BREAKS):
+            raise ValueError(f"metadata {key!r} holds a line break")
+        buf.write(f"# {text}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:

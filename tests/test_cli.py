@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -266,13 +268,13 @@ class TestNonAsciiUnderAsciiLocale:
     """Files are UTF-8 whatever the locale: run under the C locale with UTF-8 mode off."""
 
     @staticmethod
-    def run(*args):
+    def run(*args, text=True):
         env = {k: v for k, v in os.environ.items()
                if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
         env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0",
                    PYTHONPATH=os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p))
         return subprocess.run([sys.executable, "-X", "utf8=0", *args], env=env,
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=text, timeout=120)
 
     def test_table_round_trip(self, tmp_path):
         script = (  # ASCII source: the C locale decodes the command line as ASCII
@@ -298,6 +300,27 @@ class TestNonAsciiUnderAsciiLocale:
         assert proc.returncode == 0, proc.stderr
         _, _, rows = read_csv_table(out)
         assert [row[0] for row in rows] == ["σ"]
+
+
+    def test_config_spec_name_to_stdout(self, tmp_path):
+        cfg = tmp_path / "sigma.ini"
+        cfg.write_bytes("[spec:σ]\nfamily = constant\na = 2\n".encode("utf-8"))
+        proc = self.run("-m", "ruinbounds.cli", "classify", "--config", str(cfg), text=False)
+        assert proc.returncode == 0, proc.stderr
+        assert b"\xcf\x83" in proc.stdout
+        out = tmp_path / "classify.csv"
+        self.run("-m", "ruinbounds.cli", "classify", "--config", str(cfg), "--out", str(out))
+        assert proc.stdout == out.read_bytes()
+
+    def test_stdout_without_a_buffer(self, tmp_path):
+        cfg = tmp_path / "sigma.ini"
+        cfg.write_bytes("[spec:σ]\nfamily = constant\na = 2\n".encode("utf-8"))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["classify", "--config", str(cfg)]) == 0
+        out = tmp_path / "classify.csv"
+        assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert buf.getvalue() == out.read_text(encoding="utf-8")
 
 
 class TestErrorPaths:

@@ -5,7 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import exact_series_betas, log_fraction, naive_finite_betas, naive_infinite_betas
+from oracles import (
+    exact_series_betas,
+    log_fraction,
+    mp_finite_log_betas,
+    naive_finite_betas,
+    naive_infinite_betas,
+    per_cell_finite_moments,
+)
 from ruinbounds import (
     Constant,
     DomainError,
@@ -18,7 +25,19 @@ from ruinbounds import (
     schedules,
 )
 from ruinbounds.moments import first_infinite_order
-from ruinbounds.reference import LOGNORMAL_HEAVY, PARETO_HEAVY
+from ruinbounds.reference import LOGNORMAL_HEAVY, MATCHED_TRIO, PARETO_HEAVY
+
+# every family: the six specs of the bound sweep benchmark and a gamma that
+# is infinite from order 3 on
+FAMILY_SPECS = {
+    "constant": Constant(1.25),
+    "lognormal_trio": MATCHED_TRIO["lognormal"],
+    "lognormal_heavy": LOGNORMAL_HEAVY,
+    "pareto_trio": MATCHED_TRIO["pareto"],
+    "pareto_heavy": PARETO_HEAVY,
+    "gamma_trio": MATCHED_TRIO["gamma"],
+    "gamma_3_2": Gamma(3.0, 2.0),
+}
 
 
 class TestInfiniteMoments:
@@ -208,6 +227,51 @@ class TestFiniteMoments:
             for r in range(1, 9):
                 for n in range(1, 11):
                     assert grid.beta(r, n) == pytest.approx(naive[r][n], rel=1e-10)
+
+
+class TestBatchedFiniteMoments:
+    """``finite_moments`` steps all orders at once; every cell keeps the per-cell bits."""
+
+    @pytest.mark.parametrize("name", FAMILY_SPECS)
+    @pytest.mark.parametrize("rmax, nmax", [
+        (1, 3), (1, 40), (2, 5), (6, 40), (7, 10), (8, 10), (9, 9), (15, 16), (16, 16),
+        (17, 50), (60, 1), (60, 32),
+        (130, 4),  # rows of 128 or more terms take numpy's recursive pairwise sum
+    ])
+    def test_bit_equal_to_per_cell(self, name, rmax, nmax):
+        spec = FAMILY_SPECS[name]
+        got = finite_moments(spec, rmax, nmax).log_beta_grid
+        assert np.array_equal(got, per_cell_finite_moments(spec, rmax, nmax))
+
+    def test_long_horizon_above_infinite_rows(self):
+        # rows above the first infinite gamma never enter a finite row's sum
+        spec = FAMILY_SPECS["gamma_trio"]
+        got = finite_moments(spec, 60, 200).log_beta_grid
+        assert np.array_equal(got, per_cell_finite_moments(spec, 60, 200))
+        assert np.isposinf(got[18:, 1:]).all() and np.isneginf(got[1:, 0]).all()  # alpha > 17
+
+    @pytest.mark.parametrize("name", FAMILY_SPECS)
+    @pytest.mark.parametrize("rmax, nmax", [(60, 50), (130, 4)])
+    def test_no_warning(self, name, rmax, nmax):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            finite_moments(FAMILY_SPECS[name], rmax, nmax)
+
+    # Largest error in ulp of the 50-digit value, rmax 60 and nmax 12, as
+    # measured: constant 16, lognormal_trio 3, lognormal_heavy 3,
+    # pareto_trio 9, pareto_heavy 31, gamma_trio 2, gamma_3_2 2.  At nmax 50
+    # the worst is pareto_heavy, 35 ulp.
+    @pytest.mark.parametrize("name", FAMILY_SPECS)
+    def test_within_64_ulp_of_mpmath(self, name):
+        grid = finite_moments(FAMILY_SPECS[name], 60, 12)
+        got = grid.log_beta_grid
+        want = mp_finite_log_betas(grid.log_gamma_values, 12)
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        cells = np.argwhere(finite)
+        ulps = np.abs(got[finite] - want[finite]) / np.array([math.ulp(w) for w in want[finite]])
+        worst = tuple(cells[np.argmax(ulps)])
+        assert ulps.max() <= 64, (worst, ulps.max(), got[worst], want[worst])
 
 
 class TestStructuralProperties:

@@ -4,12 +4,14 @@ scipy is only a test dependency: these tests use it as the oracle, and the
 import guard checks that the package itself never loads it.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special
 
 from fresh import is_numpy, loaded_modules
-from ruinbounds._special import digamma, lgamma_int, logsumexp
+from ruinbounds._special import digamma, lgamma_int, logsumexp, logsumexp_rows
 from ruinbounds.moments import _log_binomial_rows
 
 
@@ -58,6 +60,50 @@ class TestLogSumExp:
         with np.errstate(divide="ignore", invalid="ignore"):
             assert special.logsumexp(a) == want
         assert logsumexp(a) == want
+
+
+class TestLogSumExpRows:
+    """The row kernel against the scalar one.
+
+    Its sums copy numpy's pairwise summation order, so this is the test that
+    fails if a numpy release changes that order.
+    """
+
+    @staticmethod
+    def assert_rows_match(a, lengths):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp_rows(a, lengths)
+        want = [logsumexp(a[i, :n]) for i, n in enumerate(lengths)]
+        assert np.array_equal(got, want, equal_nan=True), (a, lengths)
+
+    def test_every_length_up_to_140(self):
+        rng = np.random.default_rng(1993)
+        a = rng.normal(0.0, 30.0, (140, 140))
+        self.assert_rows_match(a, np.arange(1, 141))
+
+    def test_bit_equal_on_random_ragged_rows(self):
+        rng = np.random.default_rng(2021)
+        for _ in range(400):
+            rows, width = int(rng.integers(1, 16)), int(rng.integers(1, 141))
+            lengths = rng.integers(1, width + 1, rows)
+            a = rng.normal(0.0, rng.choice([1.0, 30.0, 300.0]), (rows, width))
+            for i, n in enumerate(lengths):
+                if rng.random() < 0.3:  # ties at the maximum
+                    a[i, rng.integers(0, n, 3)] = a[i, :n].max()
+                if rng.random() < 0.3:
+                    a[i, rng.integers(0, n, int(rng.integers(1, n + 1)))] = -np.inf
+            self.assert_rows_match(a, lengths)
+
+    def test_rows_without_a_finite_maximum(self):
+        a = np.array([
+            [0.25, 7.0, 7.0, np.nan],
+            [np.inf, 1000.0, 1.0, 2.0],
+            [-np.inf, np.inf, 3.0, 2.0],
+            [-np.inf, -np.inf, -np.inf, 2.0],
+            [np.nan, 1.0, 2.0, 3.0],
+        ])
+        self.assert_rows_match(a, np.array([3, 2, 4, 3, 4]))
 
 
 class TestDigamma:

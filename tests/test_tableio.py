@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,8 +87,13 @@ class TestRenderColumns:
     @settings(max_examples=300)
     def test_same_bytes_as_per_cell(self, table, container):
         columns, rows, metadata = table
-        assert (render_csv(columns, container(rows), metadata)
-                == per_cell_render_csv(columns, rows, metadata))
+        try:
+            want = per_cell_render_csv(columns, rows, metadata)
+        except ValueError:  # a metadata line break is rejected, not written
+            with pytest.raises(ValueError, match="holds a line break"):
+                render_csv(columns, container(rows), metadata)
+            return
+        assert render_csv(columns, container(rows), metadata) == want
 
     @pytest.mark.parametrize("rows", [
         [(1.5,), (np.float64(2.0),), ("",)],       # a lone empty string is written ""
@@ -190,3 +196,16 @@ def test_read_guesses_types_from_text(tmp_path):
     meta, _, rows = read_csv_table(path)
     assert identical(meta, {"truncation": 10, "beta": 3, "seed": 5, "note": "x"})
     assert identical(rows, [(v, 3) for v in (7, math.inf, True, 100000.0, 7, "plain")])
+
+
+@pytest.mark.parametrize("metadata, key", [
+    ({"title": "x\ny"}, "title"),
+    ({"a": 1, "note": "ends\r"}, "note"),
+    ({"two\nlines": 1.5}, "two\nlines"),
+    ({"page": "x\x0cy"}, "page"),  # str.splitlines, which a read uses, ends a line here too
+])
+def test_metadata_line_break_is_rejected(tmp_path, metadata, key):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=re.escape(f"metadata {key!r} holds a line break")):
+        write_csv_table(path, ("a",), [(1.5,)], metadata)
+    assert not path.exists()
