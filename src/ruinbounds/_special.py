@@ -127,13 +127,13 @@ def logsumexp_rows(a: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _pairwise_row_sums(e: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Row sums with the bits of ``e[i, :lengths[i]].sum()``; ``e`` is 0.0 past each length.
 
-    numpy sums a row of L < 128 doubles with 8 strided accumulators over
+    numpy sums a row of L <= 128 doubles with 8 strided accumulators over
     its first L - L % 8 terms, combines them as
     ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds the
     other terms in order; below 8 terms the accumulators are empty and the
     sum is a plain loop from 0.0.  Adding the 0.0 entries of a masked
-    block changes no accumulator.  A row of 128 or more terms, which numpy
-    splits recursively, is summed by numpy itself.
+    block changes no accumulator.  Above 128 terms numpy splits the sum in
+    halves, so rows of 128 or more terms are summed by numpy, one at a time.
     """
     rows, width = e.shape
     block_end = np.where(lengths < 128, lengths - lengths % 8, 0)

@@ -122,7 +122,9 @@ def render_csv(columns, rows, metadata: dict | None = None) -> str:
     for key, value in (metadata or {}).items():
         line = f"# {key} = {format_cell(value)}"
         if line.splitlines() != [line]:  # a read splits the file with str.splitlines
-            raise ValueError(f"metadata {key!r} holds a line break, which a '# key = value' line cannot carry")
+            raise ValueError(
+                f"metadata {key!r} holds a line break, which a '# key = value' line cannot carry"
+            )
         buf.write(line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

@@ -11,7 +11,7 @@ import pytest
 from scipy import special
 
 from fresh import is_numpy, loaded_modules
-from ruinbounds._special import digamma, lgamma_int, logsumexp, logsumexp_rows
+from ruinbounds._special import _pairwise_row_sums, digamma, lgamma_int, logsumexp, logsumexp_rows
 from ruinbounds.moments import _log_binomial_rows
 
 
@@ -76,6 +76,21 @@ class TestLogSumExpRows:
             got = logsumexp_rows(a, lengths)
         want = [logsumexp(a[i, :n]) for i, n in enumerate(lengths)]
         assert np.array_equal(got, want, equal_nan=True), (a, lengths)
+
+    def test_sums_in_numpy_pairwise_order(self):
+        # terms of one magnitude, whose sum shows any change of order in its last bits
+        rng = np.random.default_rng(1993)
+        lengths = np.arange(1, 301)
+        e = rng.uniform(0.0, 1.0, (300, 300)) * (np.arange(300) < lengths[:, None])
+        want = [e[i, :n].sum() for i, n in enumerate(lengths)]
+        assert np.array_equal(_pairwise_row_sums(e, lengths), want)
+
+    def test_ties_at_a_small_maximum(self):
+        # m > 1 with a maximum near 0, where log(m) is not lost beside it
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-3.0, 0.0, (200, 20))
+        a[:, :3] = rng.uniform(-0.1, 0.1, (200, 1))
+        self.assert_rows_match(a, rng.integers(3, 21, 200))
 
     def test_every_length_up_to_140(self):
         rng = np.random.default_rng(1993)
