@@ -9,8 +9,9 @@ uses.  They keep every operation and its order, so they return the same
 bits as scipy 1.17; scipy stays the oracle in the tests.  The libm calls
 of the cephes code are ``math`` calls here, and the numpy calls of scipy's
 log-sum-exp stay numpy calls, because numpy's vectorised ``exp``/``log``
-may round differently from libm.  ``logsumexp_rows`` is the log-sum-exp
-of many ragged rows at once, with the bits of ``logsumexp`` on each row.
+may round differently from libm.  ``logsumexp_rows`` builds a kernel for
+the log-sum-exp of many ragged rows at once, with the bits of
+``logsumexp`` on each row.
 """
 
 from __future__ import annotations
@@ -102,31 +103,41 @@ def logsumexp(a: np.ndarray) -> float:
     return float(np.log1p(s) + np.log(m) + a_max)
 
 
-def logsumexp_rows(a: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of the ragged rows ``a[i, :lengths[i]]``.
+def logsumexp_rows(lengths: np.ndarray, width: int):
+    """Row-wise log-sum-exp of the ragged rows ``a[i, :lengths[i]]`` of a
+    ``(len(lengths), width)`` array ``a``.
 
-    ``out[i]`` has the bits of ``logsumexp(a[i, :lengths[i]])`` for every
-    row; entries past a row's length are ignored, and every length is at
-    least 1.  The steps are those of ``logsumexp`` done on all rows at
-    once, and the sums of the exponentials follow numpy's pairwise order
-    (``_pairwise_row_sums``), so no row rounds differently.
+    Returns a function of ``a`` whose ``out[i]`` has the bits of
+    ``logsumexp(a[i, :lengths[i]])`` for every row; entries past a row's
+    length are ignored, and every length is at least 1.  The steps are
+    those of ``logsumexp`` done on all rows at once, and the sums of the
+    exponentials follow numpy's pairwise order (``_pairwise_row_sums``), so
+    no row rounds differently.  The masks that depend only on the lengths
+    are built here once, for a recursion that sums the same rows each step.
     """
     lengths = np.asarray(lengths)
-    a = np.where(np.arange(a.shape[1]) < lengths[:, None], a, -np.inf)
-    a_max = a.max(axis=1)
-    finite = np.isfinite(a_max)
-    top = a == a_max[:, None]
-    # a row whose maximum is not finite sums nothing, so it returns its maximum
-    drop = top | ~finite[:, None]
-    shift = np.where(finite, a_max, 0.0)
-    m = np.maximum(np.count_nonzero(top, axis=1), 1)  # a NaN row has no maximum to count
-    s = _pairwise_row_sums(np.exp(np.where(drop, -np.inf, a) - shift[:, None]), lengths) / m
-    return np.log1p(s) + np.log(m) + a_max
+    valid = np.arange(width) < lengths[:, None]
+    row_sums = _pairwise_row_sums(lengths, width)
+
+    def logsumexp_each_row(a: np.ndarray) -> np.ndarray:
+        a = np.where(valid, a, -np.inf)
+        a_max = a.max(axis=1)
+        finite = np.isfinite(a_max)
+        top = a == a_max[:, None]
+        # a row whose maximum is not finite sums nothing, so it returns its maximum
+        drop = top | ~finite[:, None]
+        shift = np.where(finite, a_max, 0.0)
+        m = np.maximum(np.count_nonzero(top, axis=1), 1)  # a NaN row has no maximum to count
+        s = row_sums(np.exp(np.where(drop, -np.inf, a) - shift[:, None])) / m
+        return np.log1p(s) + np.log(m) + a_max
+
+    return logsumexp_each_row
 
 
-def _pairwise_row_sums(e: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Row sums with the bits of ``e[i, :lengths[i]].sum()``; ``e`` is 0.0 past each length.
+def _pairwise_row_sums(lengths: np.ndarray, width: int):
+    """A function of ``e`` returning row sums with the bits of ``e[i, :lengths[i]].sum()``.
 
+    ``e`` is a ``(len(lengths), width)`` array that is 0.0 past each length.
     numpy sums a row of L <= 128 doubles with 8 strided accumulators over
     its first L - L % 8 terms, combines them as
     ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds the
@@ -135,28 +146,34 @@ def _pairwise_row_sums(e: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     block changes no accumulator.  Above 128 terms numpy splits the sum in
     halves, so rows of 128 or more terms are summed by numpy, one at a time.
     """
-    rows, width = e.shape
+    rows = len(lengths)
     block_end = np.where(lengths < 128, lengths - lengths % 8, 0)
     nblocks = int(block_end.max()) // 8
-    if nblocks:
-        body = np.where(np.arange(8 * nblocks) < block_end[:, None], e[:, : 8 * nblocks], 0.0)
-        body = body.reshape(rows, nblocks, 8)
-        acc = body[:, 0].copy()
-        for k in range(1, nblocks):
-            acc += body[:, k]
-    else:
-        acc = np.zeros((rows, 8))
-    pairs = acc[:, 0::2] + acc[:, 1::2]
-    quads = pairs[:, 0::2] + pairs[:, 1::2]
-    total = quads[:, 0] + quads[:, 1]
+    in_blocks = np.arange(8 * nblocks) < block_end[:, None]
     tail = block_end[:, None] + np.arange(7)
-    terms = np.take_along_axis(e, np.minimum(tail, width - 1), axis=1)
-    terms = np.where(tail < lengths[:, None], terms, 0.0)
-    for t in range(7):
-        total += terms[:, t]
-    for i in np.flatnonzero(lengths >= 128):
-        total[i] = e[i, : lengths[i]].sum()
-    return total
+    tail_index = np.minimum(tail, width - 1)
+    in_tail = tail < lengths[:, None]
+    long_rows = np.flatnonzero(lengths >= 128)
+
+    def row_sums(e: np.ndarray) -> np.ndarray:
+        if nblocks:
+            body = np.where(in_blocks, e[:, : 8 * nblocks], 0.0).reshape(rows, nblocks, 8)
+            acc = body[:, 0].copy()
+            for k in range(1, nblocks):
+                acc += body[:, k]
+        else:
+            acc = np.zeros((rows, 8))
+        pairs = acc[:, 0::2] + acc[:, 1::2]
+        quads = pairs[:, 0::2] + pairs[:, 1::2]
+        total = quads[:, 0] + quads[:, 1]
+        terms = np.where(in_tail, np.take_along_axis(e, tail_index, axis=1), 0.0)
+        for t in range(7):
+            total += terms[:, t]
+        for i in long_rows:
+            total[i] = e[i, : lengths[i]].sum()
+        return total
+
+    return row_sums
 
 
 def digamma(x: float) -> float:

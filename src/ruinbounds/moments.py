@@ -35,8 +35,8 @@ and every value derived from a moment are compared exactly, so a kernel
 that rounds differently in the last place would change published output.
 
 The horizon recursion steps every finite order at once: each step is one
-``logsumexp_rows`` over the rows ``log C(r, j) + log beta_j(n-1)``, padded
-with -inf.  That kernel copies numpy's pairwise summation order, so each
+call of a ``logsumexp_rows`` kernel over the rows
+``log C(r, j) + log beta_j(n-1)``, padded with -inf.  That kernel copies numpy's pairwise summation order, so each
 row has the bits of a scalar ``logsumexp``; a test pins this, cell by cell,
 against the per-cell recursion.
 """
@@ -199,9 +199,9 @@ def finite_moments(spec: ShockSpec, rmax: int, nmax: int) -> FiniteMomentGrid:
     grid[k:, 1:] = np.inf
     if k > 1:
         terms = log_binom[1:k, :k]  # -inf above the diagonal pads the short rows
-        lengths = np.arange(2, k + 1)
+        logsumexp_each_row = logsumexp_rows(np.arange(2, k + 1), k)
         for n in range(1, nmax + 1):
-            grid[1:k, n] = log_gamma[1:k] + logsumexp_rows(terms + grid[:k, n - 1], lengths)
+            grid[1:k, n] = log_gamma[1:k] + logsumexp_each_row(terms + grid[:k, n - 1])
     log_gamma.setflags(write=False)
     grid.setflags(write=False)
     return FiniteMomentGrid(spec=spec, log_gamma_values=log_gamma, log_beta_grid=grid)
