@@ -115,7 +115,6 @@ def logsumexp_rows(lengths: np.ndarray, width: int):
     no row rounds differently.  The masks that depend only on the lengths
     are built here once, for a recursion that sums the same rows each step.
     """
-    lengths = np.asarray(lengths)
     valid = np.arange(width) < lengths[:, None]
     row_sums = _pairwise_row_sums(lengths, width)
 

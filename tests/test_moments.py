@@ -236,7 +236,7 @@ class TestBatchedFiniteMoments:
     @pytest.mark.parametrize("rmax, nmax", [
         (1, 3), (1, 40), (2, 5), (6, 40), (7, 10), (8, 10), (9, 9), (15, 16), (16, 16),
         (17, 50), (60, 1), (60, 32),
-        (130, 4),  # rows of 128 or more terms take numpy's recursive pairwise sum
+        (130, 4),  # rows of 128 or more terms are summed by numpy itself
     ])
     def test_bit_equal_to_per_cell(self, name, rmax, nmax):
         spec = FAMILY_SPECS[name]
