@@ -34,8 +34,12 @@ Conventions, fixed here and used by every caller:
 Evaluation runs in log space so order-60 schedules (binomials ~1e17,
 moments spanning decades) remain accurate.  A schedule keeps its edges and
 log moments as tuples of floats as well, so one scalar evaluation is a
-``bisect`` and a few ``math`` calls.  Its ``BoundResult`` is an immutable
-``NamedTuple``, so it also equals the plain tuple of its eight values.
+``bisect`` and a few ``math`` calls.  ``evaluate_bound`` reads those tuples
+itself, with the rule of ``order_for`` (clamped to ``max_order``) and the
+index of ``log_beta`` written out instead of called, and builds its
+``BoundResult`` with ``tuple.__new__``, skipping the Python-level
+``__new__`` that ``NamedTuple`` generates.  The result is still an immutable
+``BoundResult``, so it also equals the plain tuple of its eight values.
 """
 
 from __future__ import annotations
@@ -74,13 +78,19 @@ class BoundSchedule:
     ``beta_{i+2}/beta_{i+1}`` overflows; order ``i+1`` then covers every
     finite x past the previous edge.  ``horizon`` is the number of terms of
     the partial sum, or None for the full series.
+
+    The edges are nondecreasing except where consecutive orders tie
+    analytically, as for ``Constant``, whose edges are all equal in exact
+    arithmetic: there rounding leaves them a few hundred ulp apart, in no
+    order.  ``order_for`` bisects them as if sorted, as ``np.searchsorted``
+    would, and any of the tied orders gives the same bound up to rounding.
     """
 
     spec: ShockSpec
     c: float
     horizon: int | None
     log_beta_values: np.ndarray  # index r = 0..K, log series moments, [0] = 0
-    boundaries: np.ndarray       # length max_order, nondecreasing
+    boundaries: np.ndarray       # length max_order, see above for the order
     max_order: int
     degenerate: bool
     # The same values as Python floats, for the scalar lookups below.
@@ -118,6 +128,11 @@ class BoundResult(NamedTuple):
     ruin_raw: float
     vacuous: bool            # True when the raw bound was clamped
     below_consumption: bool  # True when x <= c (ruin immediate or certain)
+
+
+# Builds the same BoundResult as BoundResult(...), without the call of the
+# Python-level __new__ that NamedTuple generates.
+_new_tuple = tuple.__new__
 
 
 def switch_boundary(log_beta, r: int, c: float) -> float:
@@ -202,14 +217,17 @@ def evaluate_bound(sched: BoundSchedule, x: float) -> BoundResult:
         if x != x:
             raise ValueError(f"x must not be NaN, got x={x}")
         # x, c, order, survival_lower, ruin_upper, ruin_raw, vacuous, below_consumption
-        return BoundResult(x, c, 0, 0.0, 1.0, math.inf, True, True)
-    r = sched.order_for(x)
-    log_raw = sched.log_beta(r) - r * math.log(x / c - 1.0)
+        return _new_tuple(BoundResult, (x, c, 0, 0.0, 1.0, math.inf, True, True))
+    # sched.order_for(x) and sched.log_beta(r), without the two method calls
+    r = bisect_left(sched._edges, x) + 1
+    if r > sched.max_order:
+        r = sched.max_order
+    log_raw = sched._log_betas[r] - r * math.log(x / c - 1.0)
     if log_raw >= 0.0:
         raw = math.exp(log_raw) if log_raw < 700.0 else math.inf
-        return BoundResult(x, c, r, 0.0, 1.0, raw, True, False)
+        return _new_tuple(BoundResult, (x, c, r, 0.0, 1.0, raw, True, False))
     raw = math.exp(log_raw)
-    return BoundResult(x, c, r, -math.expm1(log_raw), raw, raw, False, False)
+    return _new_tuple(BoundResult, (x, c, r, -math.expm1(log_raw), raw, raw, False, False))
 
 
 def survival_lower_bound(sched: BoundSchedule, x: float) -> float:

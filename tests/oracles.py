@@ -95,6 +95,32 @@ def mp_finite_log_betas(log_gamma, nmax, dps=50):
     return grid
 
 
+def mp_switch_boundary(log_beta, r, c, dps=50):
+    """``c*(1 + beta_{r+1}/beta_r)`` in ``dps``-digit mpmath from the float log moments, rounded.
+
+    ``+inf`` when either moment is infinite or the edge exceeds the float range.
+    """
+    if math.inf in (log_beta[r], log_beta[r + 1]):
+        return math.inf
+    with mpmath.workdps(dps):
+        ratio = mpmath.exp(mpmath.mpf(float(log_beta[r + 1])) - mpmath.mpf(float(log_beta[r])))
+        return float(mpmath.mpf(c) * (1 + ratio))
+
+
+def mp_bound_log_path(log_beta_r, r, x, c, dps=50):
+    """``(ruin_raw, survival_lower)`` of order r at stock ``x > c``, in ``dps``-digit mpmath.
+
+    ``ruin_raw = beta_r / (x/c - 1)**r`` from the float ``log beta_r`` and the
+    exact x and c, and ``survival_lower = 1 - ruin_raw``, both rounded to
+    floats.  No clamping: the caller compares only where the package's
+    value is not clamped.
+    """
+    with mpmath.workdps(dps):
+        excess = mpmath.mpf(x) / mpmath.mpf(c) - 1
+        raw = mpmath.exp(mpmath.mpf(float(log_beta_r)) - r * mpmath.log(excess))
+        return float(raw), float(1 - raw)
+
+
 def brute_force_best_order(betas, x, c):
     """Order minimizing beta_r / (x/c - 1)**r over the finite orders in ``betas``.
 
@@ -210,16 +236,12 @@ def per_cell_read_csv(text):
     from ruinbounds.tableio import parse_cell
 
     metadata = {}
-    lines = text.splitlines()
-    body_start = 0
-    for i, line in enumerate(lines):
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            metadata[key.strip()] = parse_cell(value)
-            body_start = i + 1
-        else:
-            break
-    reader = csv.reader(lines[body_start:])
+    body = text
+    while body.startswith("#"):
+        line, _, body = body.partition("\n")
+        key, _, value = line[1:].partition("=")
+        metadata[key.strip()] = parse_cell(value)
+    reader = csv.reader(io.StringIO(body, newline=""))  # the body unsplit, as csv expects
     try:
         columns = tuple(next(reader))
     except StopIteration:

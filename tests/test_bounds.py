@@ -1,12 +1,15 @@
+import copy
 import math
+import pickle
 import struct
 
 import numpy as np
 import pytest
 
 import ruinbounds.bounds
-from oracles import brute_force_best_order
+from oracles import brute_force_best_order, mp_bound_log_path, mp_switch_boundary
 from ruinbounds import (
+    BoundResult,
     BoundSchedule,
     Constant,
     Lognormal,
@@ -235,6 +238,9 @@ class TestFastPath:
                         == [(r[2], r[6], r[7]) for r in want])
                 assert all(type(r.order) is int and type(r.vacuous) is bool
                            and type(r.below_consumption) is bool for r in got)
+                # evaluate_bound inlines order_for's rule; both must pick the same order
+                assert [sched.order_for(x) for x in xs if x > c] == [
+                    r.order for x, r in zip(xs, got) if x > c], (name, c, sched.horizon)
                 infinite_edges += int(np.isinf(sched.boundaries).sum())
         if name in ("trio_lognormal", "trio_gamma"):
             assert infinite_edges > 0  # the grid reaches overflowing edges
@@ -258,6 +264,66 @@ class TestFastPath:
                                "ruin_raw", "vacuous", "below_consumption")
         with pytest.raises(AttributeError):
             res.order = 3
+
+    @pytest.mark.parametrize("x", [0.5, 1.01, 1.4, 50.0, math.inf],
+                             ids=["below_c", "vacuous", "order_1", "order_2", "inf"])
+    def test_result_behaves_as_a_bound_result(self, x):
+        """Built by ``tuple.__new__``, the result still has every ``NamedTuple`` behaviour."""
+        sched = schedule(infinite_moments(LOGNORMAL_HEAVY, 4), 1.0)
+        res = evaluate_bound(sched, x)
+        assert type(res) is BoundResult
+        assert res == BoundResult(*res)
+        for other in (res._replace(), copy.copy(res), pickle.loads(pickle.dumps(res))):
+            assert type(other) is BoundResult and other == res
+        assert res._replace(order=9) == (*res[:2], 9, *res[3:])
+        assert res._asdict() == dict(zip(res._fields, res))
+
+    # Largest error in ulp of the 50-digit value (survival_lower: in ulp of
+    # the larger of it and ruin_raw, since 1 - ruin_raw loses relative
+    # accuracy as ruin_raw nears 1), as measured:
+    #   spec              edges  ruin_raw  survival_lower
+    #   trio_lognormal       27       883             4
+    #   trio_pareto           1      1090            12
+    #   trio_gamma          388       753             5
+    #   heavy_pareto          1       708             6.7
+    #   heavy_lognormal     203      1017             6.7
+    #   constant              1       788           117.5
+    # An edge inherits the rounding of log beta_{r+1} - log beta_r, and
+    # ruin_raw that of log_raw itself: near |log_raw| = 700 one ulp of it is
+    # 512 ulp of ruin_raw.
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_log_path_within_stated_ulp_of_mpmath(self, name):
+        spec = self.SPECS[name]
+        grid = finite_moments(spec, 60, 200)
+        table = infinite_moments(spec, 61)
+        worst = {"edges": 0.0, "ruin_raw": 0.0, "survival_lower": 0.0}
+        for c in (1.0, 2.5):
+            schedules = [schedule(grid, c, horizon=n) for n in (1, 2, 4, 8, 16, 32, 64, 128, 200)]
+            schedules.append(schedule(table, c))
+            for sched in schedules:
+                log_beta = sched.log_beta_values
+                for r, edge in enumerate(sched.boundaries.tolist(), start=1):
+                    want = mp_switch_boundary(log_beta, r, c)
+                    if want == math.inf:
+                        assert edge == math.inf, (sched.horizon, r)
+                        continue
+                    worst["edges"] = max(worst["edges"], abs(edge - want) / math.ulp(want))
+                xs = self._stocks(sched) + np.geomspace(1.001 * c, 1e3 * c, 64).tolist()
+                for x in xs:
+                    if not c < x < math.inf:
+                        continue
+                    res = evaluate_bound(sched, x)
+                    raw, survival = mp_bound_log_path(log_beta[res.order], res.order, x, c)
+                    if res.ruin_raw < math.inf:
+                        worst["ruin_raw"] = max(worst["ruin_raw"],
+                                                abs(res.ruin_raw - raw) / math.ulp(raw))
+                    if not res.vacuous:
+                        worst["survival_lower"] = max(
+                            worst["survival_lower"],
+                            abs(res.survival_lower - survival) / math.ulp(max(survival, raw)))
+        assert worst["edges"] <= 1024, worst
+        assert worst["ruin_raw"] <= 4096, worst
+        assert worst["survival_lower"] <= 512, worst
 
 
 class TestOptimalOrder:

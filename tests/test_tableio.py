@@ -50,6 +50,11 @@ class TestRoundTrip:
         for (got,), want in zip(rows, FLOATS):
             assert _same(float(got), want)
 
+    def test_line_breaks_in_cells(self, tmp_path):
+        path = write_csv_table(tmp_path / "t.csv", ("a", "b"), [("x\ny", 1.5), ("p\x0cq", 2)])
+        assert path.read_bytes() == b'a,b\n"x\ny",1.5\np\x0cq,2\n'
+        assert read_csv_table(path) == ({}, ("a", "b"), [("x\ny", 1.5), ("p\x0cq", 2)])
+
     def test_json_file(self, tmp_path):
         path = write_json(tmp_path / "t.json", {"zero": -0.0})
         assert _same(read_json(path)["zero"], -0.0)
