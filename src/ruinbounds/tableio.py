@@ -13,9 +13,9 @@ integer-looking text becomes an ``int``, ``inf``, ``-inf``, ``nan``,
 becomes ``None``, other numbers become ``float`` and anything else stays a
 string.  So a string such as ``007`` or ``true`` does not come back as
 written, and a float such as 3.0, written ``3``, comes back as the
-integer 3.  A read splits off the leading ``#`` lines and gives the rest
-of the file to the csv reader whole, so a quoted cell keeps its line
-breaks.
+integer 3.  A read splits off the leading ``#`` lines and cuts the rest
+only at ``\n``, ``\r`` and ``\r\n``, keeping the line ends, as the csv
+reader expects, so a quoted cell keeps its line breaks.
 
 Tables whose cells are all floats are formatted and parsed a column at a
 time; the bytes written and the values read are those of the per-cell
@@ -181,8 +181,9 @@ def read_csv_table(path):
         key, _, value = text[start + 1:end].partition("=")
         metadata[key.strip()] = parse_cell(value)
         start = end
-    # unsplit, so that a quoted cell keeps its line breaks
-    reader = csv.reader(io.StringIO(text[start:], newline=""))
+    # split only where csv itself would (newline=""), keeping the line ends, so
+    # that a quoted cell keeps its line breaks; a list reads faster than the stream
+    reader = csv.reader(io.StringIO(text[start:], newline="").readlines())
     try:
         columns = tuple(next(reader))
     except StopIteration:
