@@ -13,9 +13,9 @@ integer-looking text becomes an ``int``, ``inf``, ``-inf``, ``nan``,
 becomes ``None``, other numbers become ``float`` and anything else stays a
 string.  So a string such as ``007`` or ``true`` does not come back as
 written, and a float such as 3.0, written ``3``, comes back as the
-integer 3.  A read splits off the leading ``#`` lines and cuts the rest
-only at ``\n``, ``\r`` and ``\r\n``, keeping the line ends, as the csv
-reader expects, so a quoted cell keeps its line breaks.
+integer 3.  A read cuts the file only at ``\n``, ``\r`` and ``\r\n``,
+keeping the line ends, as the csv reader expects, so a quoted cell keeps
+its line breaks.
 
 Tables whose cells are all floats are formatted and parsed a column at a
 time; the bytes written and the values read are those of the per-cell
@@ -123,7 +123,7 @@ def render_csv(columns, rows, metadata: dict | None = None) -> str:
     buf = io.StringIO()
     for key, value in (metadata or {}).items():
         line = f"# {key} = {format_cell(value)}"
-        if line.splitlines() != [line]:  # nothing that ends a line may sit in a '# key = value' line
+        if line.splitlines() != [line]:  # holds no line-ending character of any kind
             raise ValueError(
                 f"metadata {key!r} holds a line break, which a '# key = value' line cannot carry"
             )
@@ -173,17 +173,19 @@ def read_csv_table(path):
     :func:`parse_cell`, each row a tuple.
     """
     metadata: dict = {}
+    # cut only where csv itself would (newline=""), keeping the line ends, so
+    # that a quoted cell keeps its line breaks
     with open(path, encoding="utf-8", newline="") as f:
-        text = f.read()
-    start = 0
-    while text.startswith("#", start):
-        end = text.find("\n", start) + 1 or len(text)
-        key, _, value = text[start + 1:end].partition("=")
-        metadata[key.strip()] = parse_cell(value)
-        start = end
-    # split only where csv itself would (newline=""), keeping the line ends, so
-    # that a quoted cell keeps its line breaks; a list reads faster than the stream
-    reader = csv.reader(io.StringIO(text[start:], newline="").readlines())
+        lines = f.readlines()
+    body_start = 0
+    for i, line in enumerate(lines):
+        if line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            metadata[key.strip()] = parse_cell(value)
+            body_start = i + 1
+        else:
+            break
+    reader = csv.reader(lines[body_start:])
     try:
         columns = tuple(next(reader))
     except StopIteration:
