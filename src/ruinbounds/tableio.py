@@ -123,7 +123,7 @@ def render_csv(columns, rows, metadata: dict | None = None) -> str:
     buf = io.StringIO()
     for key, value in (metadata or {}).items():
         line = f"# {key} = {format_cell(value)}"
-        if line.splitlines() != [line]:  # holds no line-ending character of any kind
+        if line.splitlines() != [line]:  # no line break of any kind, so it reads back whole
             raise ValueError(
                 f"metadata {key!r} holds a line break, which a '# key = value' line cannot carry"
             )
