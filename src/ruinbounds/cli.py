@@ -355,16 +355,18 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     result = build_table(args.table, seed=seed, replicates=replicates)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = {"table_id": result.table_id, "title": result.title,
+    ref = result.reference
+    meta = {"table_id": ref.table_id, "title": ref.title,
             "version": __version__, **result.metadata}
-    csv_path = out_dir / f"table_{result.table_id}.csv"
-    write_csv_table(csv_path, result.columns, result.rows, meta)
-    json_path = out_dir / f"table_{result.table_id}_deltas.json"
-    write_json(json_path, result.delta_report())
+    csv_path = out_dir / f"table_{ref.table_id}.csv"
+    write_csv_table(csv_path, ref.columns, result.rows, meta)
+    json_path = out_dir / f"table_{ref.table_id}_deltas.json"
+    report = result.delta_report()
+    write_json(json_path, report)
     print(f"wrote {csv_path} and {json_path}")
-    print(f"table {result.table_id}: max analytic |delta| = "
-          f"{result.max_abs_delta('analytic'):.2e}, "
-          f"max monte-carlo |delta| = {result.max_abs_delta('mc'):.3f}")
+    print(f"table {ref.table_id}: max analytic |delta| = "
+          f"{report['max_abs_delta_analytic']:.2e}, "
+          f"max monte-carlo |delta| = {report['max_abs_delta_mc']:.3f}")
     return 0
 
 

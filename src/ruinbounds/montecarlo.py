@@ -14,11 +14,11 @@ the SeedSequence hash (``_philox_keys``) and re-key one reused generator
 per replicate; the draws equal those of ``replicate_stream``, the
 documented reference derivation, bit for bit.
 
-Replicates are drawn a bounded block of rows at a time (``_draw_rows``):
+Replicates are drawn a bounded block of rows at a time (``_row_blocks``):
 each row takes one raw uniform, normal or gamma draw from its replicate's
 stream, and the family transform then runs once over the block, so every
 row equals ``spec.sample_inverse`` on that stream.  Fixed truncation and
-``crosscheck_equivalence`` share this row draw.
+``crosscheck_equivalence`` share this row draw and its partial sum.
 
 Two sampling modes produce survival-probability estimates:
 
@@ -33,8 +33,9 @@ Two sampling modes produce survival-probability estimates:
 
 The empirical CDF counts strictly, matching the survival event
 ``{series < x/c - 1}``; ``simulate_path`` iterates the wealth map itself,
-and ``crosscheck_equivalence`` verifies path by path, on shared draws,
-that the two formulations of the survival event coincide.
+on Python floats, and ``crosscheck_equivalence`` verifies path by path, on
+shared draws, that the two formulations of the survival event coincide; its
+vectorised wealth map is a second copy because a shared one is slower.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._defaults import DEFAULT_REPLICATES
 from .errors import DomainError, _require_integer
 from .shocks import ShockSpec
 
@@ -154,7 +156,7 @@ def _replicate_generators(seed: int, count: int):
 class SimConfig:
     """Simulation settings: replicate count, truncation mode, seed."""
 
-    replicates: int = 3000
+    replicates: int = DEFAULT_REPLICATES
     truncation: int | str = "adaptive"
     seed: int = 0
     adaptive_tol: float = 1e-9
@@ -214,41 +216,30 @@ class EcdfEstimate:
         return meta
 
 
-def _draw_rows(spec: ShockSpec, streams, rows: np.ndarray) -> None:
-    """Fill each row of ``rows`` with reciprocal shocks from the next stream.
-
-    Every row takes one raw draw from its own generator, then the family
-    transform runs once over the whole block; row i equals
-    ``spec.sample_inverse(stream_i, rows.shape[1])`` bit for bit.
-    """
-    for row, rng in zip(rows, streams):
-        spec._draw(rng, row)
-    spec._transform(rows)
-
-
 def _row_blocks(spec: ShockSpec, seed: int, count: int, width: int):
     """Yield ``(start, rows)``: replicates ``start, start+1, ...`` drawn ``width`` terms each.
 
-    Blocks hold about ``_ROW_BLOCK_DOUBLES`` doubles (at least one row) and
-    reuse one buffer, so finish with a block before taking the next.
+    Every row takes one raw draw from its replicate's generator, then the
+    family transform runs once over the block; row i equals
+    ``spec.sample_inverse(replicate_stream(seed, start + i), width)`` bit for
+    bit.  Blocks hold about ``_ROW_BLOCK_DOUBLES`` doubles (at least one row)
+    and reuse one buffer, so finish with a block before taking the next.
     """
     per_block = max(1, _ROW_BLOCK_DOUBLES // width)
     buffer = np.empty((min(per_block, count), width))
     streams = _replicate_generators(seed, count)
     for start in range(0, count, per_block):
         rows = buffer[: min(per_block, count - start)]
-        _draw_rows(spec, streams, rows)
+        for row, rng in zip(rows, streams):
+            spec._draw(rng, row)
+        spec._transform(rows)
         yield start, rows
 
 
-def _partial_sums(spec: ShockSpec, seed: int, n: int, out: np.ndarray) -> None:
-    """Fill ``out`` with the n-term partial sum of each replicate.
-
-    Each row's cumulative product and sum equal those of its replicate alone.
-    """
-    for start, rows in _row_blocks(spec, seed, len(out), n):
-        np.cumprod(rows, axis=1, out=rows)
-        rows.sum(axis=1, out=out[start:start + len(rows)])
+def _row_partial_sums(rows: np.ndarray, out: np.ndarray) -> None:
+    """Sum each row's cumulative products, made in place, into ``out``; rows stay independent."""
+    np.cumprod(rows, axis=1, out=rows)
+    rows.sum(axis=1, out=out)
 
 
 def _adaptive_sums(spec: ShockSpec, seed: int, tol: float, out: np.ndarray) -> None:
@@ -309,7 +300,8 @@ def sample_Z(spec: ShockSpec, config: SimConfig) -> EcdfEstimate:
     if config.adaptive:
         _adaptive_sums(spec, config.seed, config.adaptive_tol, out)
     else:
-        _partial_sums(spec, config.seed, int(config.truncation), out)
+        for start, rows in _row_blocks(spec, config.seed, len(out), int(config.truncation)):
+            _row_partial_sums(rows, out[start:start + len(rows)])
     out.sort()
     out.setflags(write=False)
     return EcdfEstimate(
@@ -346,16 +338,17 @@ def simulate_path(spec: ShockSpec, x: float, c: float, horizon: int,
         return 0
     wealth = x
     period = 0
-    # growth can overflow float range; inf wealth correctly keeps surviving
-    with np.errstate(over="ignore"):
+    # growth can overflow float range, and a zero draw (an infinite shock)
+    # gives inf wealth at once: inf wealth correctly keeps surviving
+    try:
         while period < horizon:
-            block = min(_BLOCK, horizon - period)
-            inverse = np.atleast_1d(spec.sample_inverse(stream, block))
-            for v in inverse:
+            for v in spec.sample_inverse(stream, min(_BLOCK, horizon - period)).tolist():
                 wealth = max(wealth - c, 0.0) / v
                 period += 1
                 if wealth <= c:
                     return period
+    except ZeroDivisionError:
+        pass
     return None
 
 
@@ -394,7 +387,11 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
     _require_integer("horizon", horizon, 1)
     _require_integer("paths", paths, 1)
     inverse = np.empty((paths, horizon))
-    _draw_rows(spec, _replicate_generators(seed, paths), inverse)
+    partial_sum = np.empty(paths)
+    for start, rows in _row_blocks(spec, seed, paths, horizon):
+        inverse[start:start + len(rows)] = rows
+        _row_partial_sums(rows, partial_sum[start:start + len(rows)])  # series side
+    series_alive = partial_sum < x / c - 1.0
     # Wealth-map side, absorbing at zero.
     wealth = np.full(paths, float(x))
     alive = np.ones(paths, dtype=bool)
@@ -402,9 +399,6 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
         for step in range(horizon):
             wealth = np.maximum(wealth - c, 0.0) / inverse[:, step]
             alive &= wealth > c
-    # Series side.
-    partial_sum = np.cumprod(inverse, axis=1).sum(axis=1)
-    series_alive = partial_sum < x / c - 1.0
     bad = np.nonzero(alive != series_alive)[0]
     return CrosscheckReport(
         spec=spec, x=x, c=c, horizon=horizon, paths=paths, seed=seed,

@@ -6,7 +6,9 @@ table comparing Chebyshev lower bounds with Monte Carlo estimates, and
 boundary/bound tables for a lognormal/Pareto/gamma trio matched on the
 first two reciprocal-shock moments.  The published values are embedded
 here as fixture data; ``build_table`` recomputes each table from scratch
-and pairs it with the fixture so callers can report cell-by-cell deltas.
+and returns a ``TableResult`` that holds the fixture (``reference``), the
+computed rows and the run metadata, so callers can report cell-by-cell
+deltas; ``delta_report`` lists every cell with the largest deltas.
 
 Analytic cells are deterministic.  Monte Carlo cells are statistical: the
 seeds behind the published values are unknown, so agreement is expected
@@ -98,19 +100,16 @@ class ReferenceTable:
 class TableResult:
     """A recomputed table paired with its published reference."""
 
-    table_id: int
-    title: str
-    columns: tuple
-    kinds: tuple
+    reference: ReferenceTable
     rows: tuple          # computed cells, blanks where the reference is blank
-    reference_rows: tuple
     metadata: dict
 
     def deltas(self) -> list[dict]:
         out = []
+        ref = self.reference
         n = self.metadata.get("replicates")
-        for row, ref_row in zip(self.rows, self.reference_rows):
-            for col, kind, got, want in zip(self.columns, self.kinds, row, ref_row):
+        for row, ref_row in zip(self.rows, ref.rows):
+            for col, kind, got, want in zip(ref.columns, ref.kinds, row, ref_row):
                 if kind == "key" or got is None or want is None:
                     continue
                 entry = {
@@ -131,24 +130,22 @@ class TableResult:
                 out.append(entry)
         return out
 
-    def max_abs_delta(self, kind: str) -> float:
-        vals = [abs(d["delta"]) for d in self.deltas() if d["kind"] == kind]
-        return max(vals, default=0.0)
-
-    def max_rel_delta(self, kind: str) -> float:
-        vals = [abs(d["rel_delta"]) for d in self.deltas()
-                if d["kind"] == kind and "rel_delta" in d]
-        return max(vals, default=0.0)
-
     def delta_report(self) -> dict:
+        """Every delta cell, with the largest |delta| per kind and relative analytic one."""
+        cells = self.deltas()
+
+        def largest(kind: str, key: str) -> float:
+            return max((abs(d[key]) for d in cells if d["kind"] == kind and key in d),
+                       default=0.0)
+
         return {
-            "table_id": self.table_id,
-            "title": self.title,
+            "table_id": self.reference.table_id,
+            "title": self.reference.title,
             "metadata": self.metadata,
-            "max_abs_delta_analytic": self.max_abs_delta("analytic"),
-            "max_abs_delta_mc": self.max_abs_delta("mc"),
-            "max_rel_delta_analytic": self.max_rel_delta("analytic"),
-            "cells": self.deltas(),
+            "max_abs_delta_analytic": largest("analytic", "delta"),
+            "max_abs_delta_mc": largest("mc", "delta"),
+            "max_rel_delta_analytic": largest("analytic", "rel_delta"),
+            "cells": cells,
         }
 
 
@@ -310,19 +307,17 @@ def _restricted_rmax(spec: ShockSpec, cap: int = 64) -> int:
     return cap if fi is None else fi - 1
 
 
-def _build_moment_table(table_id: int, spec: ShockSpec, meta: dict) -> TableResult:
+def _build_moment_table(ref: ReferenceTable, spec: ShockSpec, meta: dict) -> TableResult:
     """(r, gamma_r, beta_r, boundary) rows at c = 1; the boundary needs the next moment."""
-    ref = reference_table(table_id)
     n_rows = len(ref.rows)
     table = infinite_moments(spec, n_rows + 1)
     edges = boundary_table(spec, 1.0, [math.inf], n_rows + 1).values[:, 0]
     rows = tuple((r, table.gamma(r), table.beta(r), float(edges[r - 1]))
                  for r in range(1, n_rows + 1))
-    return TableResult(table_id, ref.title, ref.columns, ref.kinds, rows, ref.rows,
-                       {**meta, "c": 1.0})
+    return TableResult(ref, rows, {**meta, "c": 1.0})
 
 
-def _build_survival_table(table_id: int, specs, horizons, seed: int, replicates: int,
+def _build_survival_table(ref: ReferenceTable, specs, horizons, seed: int, replicates: int,
                           meta: dict) -> TableResult:
     """Rows of x against (bound, simulation) column pairs, laid out from the reference.
 
@@ -330,7 +325,6 @@ def _build_survival_table(table_id: int, specs, horizons, seed: int, replicates:
     at c = 1: the bound uses the restricted-order schedule, the simulation the
     series truncated at the horizon (adaptively for ``math.inf``).
     """
-    ref = reference_table(table_id)
     pairs = [(spec, horizon, sched) for spec in specs
              for horizon, sched in zip(horizons, schedules(spec, 1.0, horizons,
                                                            _restricted_rmax(spec)))]
@@ -338,43 +332,41 @@ def _build_survival_table(table_id: int, specs, horizons, seed: int, replicates:
     for j, (spec, horizon, sched) in enumerate(pairs):
         config = SimConfig(replicates=replicates,
                            truncation="adaptive" if horizon == math.inf else horizon,
-                           seed=derive_seed(seed, table_id, j))
+                           seed=derive_seed(seed, ref.table_id, j))
         by_kind = {"analytic": partial(survival_lower_bound, sched),
                    "mc": partial(ecdf_survival, sample_Z(spec, config))}
         cells += [by_kind[kind] for kind in ref.kinds[1 + 2 * j:3 + 2 * j]]
     rows = tuple((x,) + tuple(None if want is None else cell(x)
                               for cell, want in zip(cells, wants))
                  for x, *wants in ref.rows)
-    return TableResult(table_id, ref.title, ref.columns, ref.kinds, rows, ref.rows, meta)
+    return TableResult(ref, rows, meta)
 
 
-def _build_boundary_table(table_id: int, family: str) -> TableResult:
-    ref = reference_table(table_id)
+def _build_boundary_table(ref: ReferenceTable, family: str) -> TableResult:
     spec = MATCHED_TRIO[family]
     bt = boundary_table(spec, 1.0, list(_TRIO_HORIZONS) + [math.inf], rmax=6)
     rows = [("c",) + (1.0,) * 5]
     for i, r in enumerate(bt.orders):
         rows.append((r,) + tuple(float(v) for v in bt.values[i]))
     meta = {"family": family, **spec.to_record(), "c": 1.0, "rmax": 6}
-    return TableResult(table_id, ref.title, ref.columns, ref.kinds,
-                       tuple(rows), ref.rows, meta)
+    return TableResult(ref, tuple(rows), meta)
 
 
 def build_table(table_id: int, seed: int = DEFAULT_SEED,
                 replicates: int = DEFAULT_REPLICATES) -> TableResult:
     """Recompute one reference table; deterministic given (table_id, seed)."""
-    reference_table(table_id)
+    ref = reference_table(table_id)
     if table_id == 1:
-        return _build_moment_table(1, LOGNORMAL_HEAVY, {
+        return _build_moment_table(ref, LOGNORMAL_HEAVY, {
             "spec": "lognormal",
             "mu": LOGNORMAL_HEAVY.mu,
             "sigma2": LOGNORMAL_HEAVY.sigma2,
             "display_parameters": "mu=3.17, sigma2=1.75 (rounded)",
         })
     if table_id == 2:
-        return _build_moment_table(2, PARETO_HEAVY, {"spec": "pareto", "beta": 0.1, "k": 0.9})
+        return _build_moment_table(ref, PARETO_HEAVY, {"spec": "pareto", "beta": 0.1, "k": 0.9})
     if table_id == 3:
-        return _build_survival_table(3, (LOGNORMAL_HEAVY, PARETO_HEAVY), (math.inf,),
+        return _build_survival_table(ref, (LOGNORMAL_HEAVY, PARETO_HEAVY), (math.inf,),
                                      seed, replicates, {
             "lognormal_mu": LOGNORMAL_HEAVY.mu, "lognormal_sigma2": LOGNORMAL_HEAVY.sigma2,
             "pareto_beta": 0.1, "pareto_k": 0.9,
@@ -383,10 +375,10 @@ def build_table(table_id: int, seed: int = DEFAULT_SEED,
         })
     if table_id in (4, 5, 6):
         family = {4: "lognormal", 5: "pareto", 6: "gamma"}[table_id]
-        return _build_boundary_table(table_id, family)
+        return _build_boundary_table(ref, family)
     family = {7: "lognormal", 8: "pareto", 9: "gamma"}[table_id]
     spec = MATCHED_TRIO[family]
-    return _build_survival_table(table_id, (spec,), _TRIO_HORIZONS, seed, replicates, {
+    return _build_survival_table(ref, (spec,), _TRIO_HORIZONS, seed, replicates, {
         "family": family, **spec.to_record(),
         "c": 1.0, "rmax": _restricted_rmax(spec), "seed": seed, "replicates": replicates,
         "generator": GENERATOR_NAME,

@@ -119,6 +119,16 @@ def _float_columns(rows, width: int):
     return columns
 
 
+def _write_row(buf, writer, cells) -> None:
+    """Write one CSV line ending in '\n', quoting a cell with a lone '\r' as csv quotes '\n'."""
+    if any(isinstance(cell, str) and "\r" in cell for cell in cells):
+        line = io.StringIO()  # csv quotes the characters of its line terminator
+        csv.writer(line, lineterminator="\r\n").writerow(cells)
+        buf.write(line.getvalue()[:-2] + "\n")
+    else:
+        writer.writerow(cells)
+
+
 def render_csv(columns, rows, metadata: dict | None = None) -> str:
     buf = io.StringIO()
     for key, value in (metadata or {}).items():
@@ -129,13 +139,13 @@ def render_csv(columns, rows, metadata: dict | None = None) -> str:
             )
         buf.write(line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    _write_row(buf, writer, columns)
     if not isinstance(rows, (list, tuple)):
         rows = list(rows)
     float_columns = _float_columns(rows, len(columns))
     if float_columns is None:
         for row in rows:
-            writer.writerow([format_cell(v) for v in row])
+            _write_row(buf, writer, [format_cell(v) for v in row])
     else:
         # float texts hold no comma, quote or line break, so need no csv quoting
         texts = [_float_texts(column) for column in float_columns]

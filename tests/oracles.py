@@ -4,7 +4,7 @@ Everything here but one deliberately avoids the package's log-domain code
 paths: moments are recomputed with plain floats and math.comb or in
 50-digit mpmath, order selection by brute-force minimization,
 deterministic ruin by iterating the wealth map or by summing its series in
-exact rationals, series moments of Pareto and gamma shocks in exact
+exact rationals, random ruin by the wealth map on numpy floats, series moments of Pareto and gamma shocks in exact
 rationals of their stored parameters, and log-moments of densities by
 quadrature.  CSV tables are rendered and read back one cell at a time,
 through ``format_cell``/``parse_cell`` and the csv module.  The exception
@@ -95,6 +95,53 @@ def mp_finite_log_betas(log_gamma, nmax, dps=50):
     return grid
 
 
+def mp_infinite_log_betas(log_gamma, first_infinite, dps=50):
+    """log beta_r by the series recursion in ``dps``-digit mpmath, rounded to floats.
+
+    ``log_gamma`` holds the float log gamma_r for r = 0..rmax; orders from
+    ``first_infinite`` on (None: none) are +inf, as the package decides them.
+    """
+    rmax = len(log_gamma) - 1
+    k = rmax + 1 if first_infinite is None else first_infinite
+    out = np.full(rmax + 1, math.inf)
+    out[0] = 0.0
+    with mpmath.workdps(dps):
+        betas = [mpmath.mpf(1)]
+        for r in range(1, k):
+            gamma = mpmath.exp(mpmath.mpf(float(log_gamma[r])))
+            betas.append(gamma / (1 - gamma)
+                         * mpmath.fsum(math.comb(r, j) * betas[j] for j in range(r)))
+            out[r] = float(mpmath.log(betas[r]))
+    return out
+
+
+def _mp_log_inverse_moment(spec, r):
+    """log E[shock^-r] at mpmath's working precision, from the stored float parameters."""
+    if spec.family == "lognormal":
+        return -r * mpmath.mpf(spec.mu) + r * r * mpmath.mpf(spec.sigma2) / 2
+    if spec.family == "gamma":
+        if r >= spec.alpha:
+            return mpmath.inf
+        alpha = mpmath.mpf(spec.alpha)
+        return r * mpmath.log(spec.theta) + mpmath.loggamma(alpha - r) - mpmath.loggamma(alpha)
+    if spec.family == "pareto":
+        beta = mpmath.mpf(spec.beta)
+        return mpmath.log(beta) - r * mpmath.log(spec.k) - mpmath.log(beta + r)
+    raise ValueError(f"no mpmath moment for {spec.family}")
+
+
+def mp_log_inverse_moment(spec, r, dps=50):
+    """log E[shock^-r] of a lognormal, Pareto or gamma spec in ``dps``-digit mpmath, rounded."""
+    with mpmath.workdps(dps):
+        return float(_mp_log_inverse_moment(spec, r))
+
+
+def mp_inverse_moments(spec, dps=50):
+    """``(gamma_1, gamma_2)`` of a lognormal, Pareto or gamma spec in ``dps``-digit mpmath, rounded."""
+    with mpmath.workdps(dps):
+        return tuple(float(mpmath.exp(_mp_log_inverse_moment(spec, r))) for r in (1, 2))
+
+
 def mp_switch_boundary(log_beta, r, c, dps=50):
     """``c*(1 + beta_{r+1}/beta_r)`` in ``dps``-digit mpmath from the float log moments, rounded.
 
@@ -144,6 +191,22 @@ def iterate_deterministic_ruin(r, x, c, cap=100_000):
         if wealth <= c:
             return n
         wealth = r * (wealth - c)
+    return None
+
+
+def numpy_ruin_period(spec, x, c, horizon, stream, block=128):
+    """``montecarlo.simulate_path`` as it iterated numpy floats, one block of draws at a time."""
+    if x <= c:
+        return 0
+    wealth = x
+    period = 0
+    with np.errstate(over="ignore"):
+        while period < horizon:
+            for v in np.atleast_1d(spec.sample_inverse(stream, min(block, horizon - period))):
+                wealth = max(wealth - c, 0.0) / v
+                period += 1
+                if wealth <= c:
+                    return period
     return None
 
 
@@ -225,9 +288,19 @@ def per_cell_render_csv(columns, rows, metadata=None):
             raise ValueError(f"metadata {key!r} holds a line break")
         buf.write(f"# {text}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+
+    def write(cells):
+        if any(isinstance(cell, str) and "\r" in cell for cell in cells):
+            # csv.writer leaves a lone '\r' unquoted; quote as it would quote '\n'
+            buf.write(",".join('"' + cell.replace('"', '""') + '"'
+                               if any(ch in cell for ch in ',"\r\n') else cell
+                               for cell in cells) + "\n")
+        else:
+            writer.writerow(cells)
+
+    write(columns)
     for row in rows:
-        writer.writerow([format_cell(v) for v in row])
+        write([format_cell(v) for v in row])
     return buf.getvalue()
 
 

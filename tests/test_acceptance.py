@@ -58,7 +58,7 @@ def test_criterion_01_pareto_moment_table():
     result = build_table(2)
     elapsed = time.perf_counter() - start
     failures = []
-    dev = result.max_abs_delta("analytic")
+    dev = result.delta_report()["max_abs_delta_analytic"]
     if not dev < 5e-4:
         failures.append(f"max abs deviation {dev:.2e} >= 5e-4")
     if elapsed >= 1.0:
@@ -70,7 +70,7 @@ def test_criterion_02_lognormal_moment_table():
     failures = []
     # full table under the exact two-moment-matched parameters
     result = build_table(1)
-    dev = result.max_abs_delta("analytic")
+    dev = result.delta_report()["max_abs_delta_analytic"]
     if not dev < 5e-3:
         failures.append(f"exact-parameter max abs deviation {dev:.2e} >= 5e-3")
     # the published reciprocal-moment column under the rounded display parameters
@@ -105,11 +105,11 @@ def test_criterion_03_survival_bound_rows():
             (2.2, "lower_bound_pareto"): 0.9591}
     got = {(row[0], col): value
            for row in result.rows
-           for col, value in zip(result.columns, row)}
+           for col, value in zip(result.reference.columns, row)}
     for key, want in spot.items():
         if not abs(got[key] - want) < 1e-3:
             failures.append(f"spot cell {key}: {got[key]:.4f} vs {want}")
-    dev = result.max_abs_delta("analytic")
+    dev = result.delta_report()["max_abs_delta_analytic"]
     _report(3, f"table 3 bound rows (max |delta| {dev:.1e})", failures)
 
 

@@ -23,8 +23,8 @@ PUBLIC = {
 }
 
 # The modules the first access to an exported name loads.
-LOADED_ON_FIRST_USE = {"ruinbounds", "ruinbounds._special", "ruinbounds.bounds",
-                       "ruinbounds.errors", "ruinbounds.moments", "ruinbounds.montecarlo",
+LOADED_ON_FIRST_USE = {"ruinbounds", "ruinbounds._defaults", "ruinbounds._special",
+                       "ruinbounds.bounds", "ruinbounds.errors", "ruinbounds.moments", "ruinbounds.montecarlo",
                        "ruinbounds.regimes", "ruinbounds.shocks"}
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import numpy_ruin_period
 from ruinbounds import montecarlo as mc
 from ruinbounds import (
     Constant,
@@ -17,7 +18,7 @@ from ruinbounds import (
     simulate_path,
 )
 from ruinbounds.montecarlo import ADAPTIVE_FLOOR, GENERATOR_NAME
-from ruinbounds.reference import DEFAULT_SEED, derive_seed
+from ruinbounds.reference import DEFAULT_REPLICATES, DEFAULT_SEED, derive_seed
 
 # One spec per family, each with E[log shock] > 0 so adaptive mode applies.
 FAMILIES = [
@@ -126,7 +127,7 @@ class TestReusedGenerator:
 class TestSimConfig:
     def test_defaults(self):
         config = SimConfig()
-        assert config.replicates == 3000
+        assert config.replicates == DEFAULT_REPLICATES == 3000
         assert config.adaptive
 
     @pytest.mark.parametrize("kwargs", [
@@ -275,24 +276,50 @@ class TestBitIdentity:
         assert est.samples.tobytes() == want.tobytes()
 
     def test_crosscheck_draws_equal_replicate_streams(self, monkeypatch):
-        # crosscheck_equivalence draws through the shared row helper; keep
-        # what it drew and compare it row by row with the reference streams
-        draw_rows = mc._draw_rows
+        # crosscheck_equivalence draws through the row blocks sample_Z uses;
+        # keep what each block drew and compare it row by row with the reference streams
+        row_blocks = mc._row_blocks
         drawn = []
 
-        def recording(spec, streams, rows):
-            draw_rows(spec, streams, rows)
-            drawn.append(rows.copy())
+        def recording(*args):
+            for start, rows in row_blocks(*args):
+                drawn.append((start, rows.copy()))
+                yield start, rows
 
-        monkeypatch.setattr(mc, "_draw_rows", recording)
+        monkeypatch.setattr(mc, "_row_blocks", recording)
+        # five rows a block: several blocks and a ragged last one
+        monkeypatch.setattr(mc, "_ROW_BLOCK_DOUBLES", 5 * 11 + 3)
         spec = Lognormal(0.2146, 0.0645)
         paths, horizon = 37, 11
         report = crosscheck_equivalence(spec, 7.5, 1.0, horizon, paths, seed=19)
         assert report.paths == paths and report.passed
-        assert len(drawn) == 1 and drawn[0].shape == (paths, horizon)
-        for i, got in enumerate(drawn[0]):
+        assert [start for start, _ in drawn] == list(range(0, paths, 5))
+        rows = np.concatenate([block for _, block in drawn])
+        assert rows.shape == (paths, horizon)
+        for i, got in enumerate(rows):
             want = spec.sample_inverse(replicate_stream(19, i), horizon)
             assert got.tobytes() == want.tobytes(), i
+
+    def test_one_partial_sum_for_samples_and_crosscheck(self, monkeypatch):
+        # doubling the shared row sum must move both callers; a private copy
+        # of the sum in either would leave it unmoved
+        spec = Lognormal(0.2146, 0.0645)
+        config = SimConfig(replicates=50, truncation=10, seed=17)
+        want = sample_Z(spec, config).samples
+        assert crosscheck_equivalence(spec, 7.5, 1.0, 10, 2000, seed=17).passed
+        row_partial_sums = mc._row_partial_sums
+
+        def doubled(rows, out):
+            row_partial_sums(rows, out)
+            out *= 2.0
+
+        monkeypatch.setattr(mc, "_row_partial_sums", doubled)
+        assert sample_Z(spec, config).samples.tobytes() == (2.0 * want).tobytes()
+        report = crosscheck_equivalence(spec, 7.5, 1.0, 10, 2000, seed=17)
+        assert not report.passed
+        # the reported draws are the raw draws, not the products summed in place
+        for i, draws in zip(report.discrepancy_indices, report.discrepancy_draws):
+            assert draws.tobytes() == spec.sample_inverse(replicate_stream(17, i), 10).tobytes()
 
 
 class TestFastPath:
@@ -392,6 +419,22 @@ class TestSimulatePath:
             simulate_path(Constant(2.0), 3.0, 1.0, 2.5, replicate_stream(0, 0))
         with pytest.raises(ValueError, match="horizon must be an integer"):
             simulate_path(Constant(2.0), 3.0, 1.0, True, replicate_stream(0, 0))
+
+    @pytest.mark.parametrize("horizon", [3, 5, 10, 20])
+    def test_ruin_periods_equal_the_numpy_loop(self, matched_trio, horizon):
+        for spec in matched_trio.values():
+            got = [simulate_path(spec, 3.5, 1.0, horizon, replicate_stream(41, i))
+                   for i in range(250)]
+            want = [numpy_ruin_period(spec, 3.5, 1.0, horizon, replicate_stream(41, i))
+                    for i in range(250)]
+            assert got == want
+            assert None in got and set(got) - {None}  # survival and ruin both occur
+
+    def test_zero_reciprocal_draw_survives(self):
+        # the first draw underflows to 0.0: an infinite shock, wealth infinite for good
+        spec = Pareto(0.001, 0.9)
+        assert spec.sample_inverse(replicate_stream(0, 0), 1)[0] == 0.0
+        assert simulate_path(spec, 3.0, 1.0, 5, replicate_stream(0, 0)) is None
 
     def test_rejects_nan_stock(self):
         # a shrinking shock would otherwise report the NaN stock as surviving

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import quad_expected_log_gamma, quad_expected_log_pareto
+from oracles import (
+    mp_inverse_moments,
+    mp_log_inverse_moment,
+    quad_expected_log_gamma,
+    quad_expected_log_pareto,
+)
 from ruinbounds import (
     ConfigError,
     Constant,
@@ -190,6 +195,38 @@ class TestSampling:
         assert np.all(Constant(2.0).sample_inverse(rng, 100) == 0.5)
 
 
+class TestLogInverseMomentAudit:
+    """``log_inverse_moment`` against 50-digit mpmath on the stored parameters, orders 1..60.
+
+    Errors are in ulp of the exact value, so they grow where the terms cancel
+    near log gamma_r = 0, and for gamma shocks with the size of
+    lgamma(alpha).  Measured maxima: lognormal 10 ulp (the trio, r = 7),
+    Pareto 71 ulp (the trio, r = 18), gamma with alpha <= 64.5 2472 ulp
+    (Gamma(64.5, 40), r = 44, 1.7e-14 absolute), Gamma(1000, 900) 123632
+    ulp (r = 1, 1.7e-12 absolute).
+    """
+
+    @pytest.mark.parametrize("spec, bound", [
+        (match_inverse_moments("lognormal", GAMMA1, GAMMA2), 16),
+        (Lognormal(3.168168811077203, 1.7512681078733179), 16),
+        (Lognormal(0.15, 0.09), 16),
+        (Pareto(0.1, 0.9), 128),
+        (Pareto(3.0, 0.9), 128),
+        (match_inverse_moments("gamma", GAMMA1, GAMMA2), 4096),
+        (Gamma(2.5, 1.0), 4096),
+        (Gamma(40.0, 30.0), 4096),
+        (Gamma(64.5, 40.0), 4096),
+        (Gamma(1000.0, 900.0), 2 ** 17),
+    ], ids=repr)
+    def test_within_ulp_bound(self, spec, bound):
+        for r in range(1, 61):
+            got, want = spec.log_inverse_moment(r), mp_log_inverse_moment(spec, r)
+            if math.isinf(want):
+                assert got == want, r
+            else:
+                assert abs(got - want) <= bound * math.ulp(want), (r, got, want)
+
+
 class TestMatching:
     def test_lognormal_published_parameters(self):
         spec = match_inverse_moments("lognormal", GAMMA1, GAMMA2)
@@ -212,11 +249,17 @@ class TestMatching:
         (0.101010101, 0.0587889477),
         (0.5, 0.3),
         (0.9, 0.85),
+        (0.1, 0.0101),   # t = 1.01, close to a degenerate shock
+        (0.7, 0.931),    # t = 1.9
     ])
     def test_round_trip(self, family, g1, g2):
         spec = match_inverse_moments(family, g1, g2)
         assert spec.inverse_moment(1) == pytest.approx(g1, rel=1e-10)
         assert spec.inverse_moment(2) == pytest.approx(g2, rel=1e-10)
+        # the 50-digit moments of the matched parameters, within 8 ulp of the
+        # targets; measured at most 3 (lognormal), 2 (Pareto) and 1 ulp (gamma)
+        for got, want in zip(mp_inverse_moments(spec), (g1, g2)):
+            assert abs(got - want) <= 8 * math.ulp(want), (got, want)
 
     def test_infeasible_below_cauchy_schwarz(self):
         with pytest.raises(FeasibilityError):

@@ -55,6 +55,12 @@ class TestRoundTrip:
         assert path.read_bytes() == b'a,b\n"x\ny",1.5\np\x0cq,2\n'
         assert read_csv_table(path) == ({}, ("a", "b"), [("x\ny", 1.5), ("p\x0cq", 2)])
 
+    def test_lone_carriage_return_in_a_cell(self, tmp_path):
+        # csv.writer quotes only the characters of its '\n' line terminator
+        path = write_csv_table(tmp_path / "t.csv", ("a", "b"), [("x\ry", 1.5), ("z", 2)])
+        assert path.read_bytes() == b'a,b\n"x\ry",1.5\nz,2\n'
+        assert read_csv_table(path) == ({}, ("a", "b"), [("x\ry", 1.5), ("z", 2)])
+
     def test_json_file(self, tmp_path):
         path = write_json(tmp_path / "t.json", {"zero": -0.0})
         assert _same(read_json(path)["zero"], -0.0)
@@ -68,7 +74,7 @@ _floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(),
                     st.integers(-10 ** 17, 10 ** 17).map(float))
 FLOAT_CELLS = st.one_of(_floats, _floats.map(np.float64))
 TEXTS = st.one_of(st.text(), st.sampled_from(["", "a,b", 'say "hi"', "two\nlines", "x\r\ny",
-                                              ",", '"', "007", "true", "inf", "1e5"]))
+                                              "x\ry", ",", '"', "007", "true", "inf", "1e5"]))
 OTHER_CELLS = st.one_of(st.floats(width=32).map(np.float32), st.booleans(), st.integers(),
                         st.none(), TEXTS, st.integers(-5, 5).map(np.int64))
 
