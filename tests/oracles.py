@@ -4,9 +4,9 @@ Everything here but one deliberately avoids the package's log-domain code
 paths: moments are recomputed with plain floats and math.comb or in
 50-digit mpmath, order selection by brute-force minimization,
 deterministic ruin by iterating the wealth map or by summing its series in
-exact rationals, random ruin by the wealth map on numpy floats, series moments of Pareto and gamma shocks in exact
-rationals of their stored parameters, and log-moments of densities by
-quadrature.  CSV tables are rendered and read back one cell at a time,
+exact rationals, random ruin by the wealth map on numpy floats, series
+moments of Pareto and gamma shocks in exact rationals of their stored
+parameters, and log-moments of densities by quadrature.  CSV tables are rendered and read back one cell at a time,
 through ``format_cell``/``parse_cell`` and the csv module.  The exception
 is ``per_cell_finite_moments``: the partial-sum recursion with one scalar
 ``logsumexp`` per cell, which pins the bits of the batched recursion.
