@@ -26,10 +26,12 @@ Two sampling modes produce survival-probability estimates:
   empirical CDF estimates the probability of surviving n periods;
 * adaptive truncation approximates the full series: a replicate stops at
   the first term (never before ``ADAPTIVE_FLOOR`` terms) smaller than
-  ``adaptive_tol`` times the running sum.  This needs a positive mean log
-  shock, otherwise the series diverges.  The first ``_BLOCK`` terms of all
-  replicates are drawn in row blocks and their stops found at once; a
-  replicate that runs past them is recomputed alone on its own stream.
+  ``adaptive_tol`` times the running sum, or equal to 0, past which the sum
+  is exact.  This needs a positive mean log shock, otherwise the series
+  diverges; one still running after ``_MAX_TERMS`` terms is a
+  ``DomainError``.  The first ``_BLOCK`` terms of all replicates are drawn
+  in row blocks and their stops found at once; the replicates that run
+  past them go on together, each on its own stream.
 
 The empirical CDF counts strictly, matching the survival event
 ``{series < x/c - 1}``; ``simulate_path`` iterates the wealth map itself,
@@ -245,44 +247,41 @@ def _row_partial_sums(rows: np.ndarray, out: np.ndarray) -> None:
 def _adaptive_sums(spec: ShockSpec, seed: int, tol: float, out: np.ndarray) -> None:
     """Fill ``out`` with the adaptively truncated series of each replicate.
 
-    The first ``_BLOCK`` terms of every replicate are drawn in row blocks and
-    each row's stop is found at once; with ``lead = 1.0`` and ``total = 0.0``
-    these are the exact products and sums of ``_series_adaptive``'s first
-    block.  A row that does not stop there is recomputed alone on its own
-    stream by ``_series_adaptive``, which gives the same value.
+    The first ``_BLOCK`` terms of all replicates are drawn in row blocks; the
+    rows that do not stop there run on together, ``_BLOCK`` terms at a time,
+    each on its own stream past its first block, carrying their last term
+    (``lead``) and running sum (``total``).
     """
     for start, terms in _row_blocks(spec, seed, len(out), _BLOCK):
-        np.cumprod(terms, axis=1, out=terms)
-        sums = np.cumsum(terms, axis=1)
-        small = terms < tol * sums
-        # term index i+1 must reach the floor before stopping
-        small[:, : ADAPTIVE_FLOOR - 1] = False
-        stop = small.argmax(axis=1)
-        index = np.arange(len(terms))
-        out[start:start + len(terms)] = sums[index, stop]
-        for i in np.flatnonzero(~small[index, stop]):
-            out[start + i] = _series_adaptive(spec, replicate_stream(seed, start + i), tol)
-
-
-def _series_adaptive(spec: ShockSpec, rng: np.random.Generator, tol: float) -> float:
-    total = 0.0
-    lead = 1.0
-    count = 0
-    while count < _MAX_TERMS:
-        terms = lead * np.cumprod(spec.sample_inverse(rng, _BLOCK))
-        sums = total + np.cumsum(terms)
-        small = terms < tol * sums
-        # term index count+i+1 must reach the floor before stopping
-        small[: max(ADAPTIVE_FLOOR - count - 1, 0)] = False
-        hits = np.nonzero(small)[0]
-        if hits.size:
-            return float(sums[hits[0]])
-        total = float(sums[-1])
-        lead = float(terms[-1])
-        count += _BLOCK
-    raise RuntimeError(
-        f"series did not converge within {_MAX_TERMS} terms for {spec!r}"
-    )
+        rows = np.arange(start, start + len(terms))
+        lead, total, streams = 1.0, 0.0, None
+        for count in range(0, _MAX_TERMS, _BLOCK):
+            np.cumprod(terms, axis=1, out=terms)
+            terms *= lead
+            sums = np.cumsum(terms, axis=1) + total
+            # a row stops at a term below tol times its sum, or at a zero term
+            # (every later term is 0 too), once term count+j+1 reaches the floor
+            small = (terms < tol * sums) | (terms == 0.0)
+            small[:, : max(ADAPTIVE_FLOOR - 1 - count, 0)] = False
+            stop = small.argmax(axis=1)
+            index = np.arange(len(rows))
+            out[rows] = sums[index, stop]
+            go_on = np.flatnonzero(~small[index, stop])
+            if not go_on.size:
+                break
+            rows, lead, total = rows[go_on], terms[go_on, -1:], sums[go_on, -1:]
+            if streams is None:
+                streams = [replicate_stream(seed, i) for i in rows]
+                for rng in streams:
+                    spec._draw(rng, np.empty(_BLOCK))
+            else:
+                streams = [streams[i] for i in go_on]
+            terms = np.empty((len(rows), _BLOCK))
+            for row, rng in zip(terms, streams):
+                spec._draw(rng, row)
+            spec._transform(terms)
+        else:
+            raise DomainError(f"series did not converge within {_MAX_TERMS} terms for {spec!r}")
 
 
 def sample_Z(spec: ShockSpec, config: SimConfig) -> EcdfEstimate:

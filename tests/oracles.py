@@ -4,7 +4,8 @@ Everything here but one deliberately avoids the package's log-domain code
 paths: moments are recomputed with plain floats and math.comb or in
 50-digit mpmath, order selection by brute-force minimization,
 deterministic ruin by iterating the wealth map or by summing its series in
-exact rationals, random ruin by the wealth map on numpy floats, series
+exact rationals, random ruin by the wealth map on numpy floats, the adaptively truncated
+shock series one replicate and one block at a time, series
 moments of Pareto and gamma shocks in exact rationals of their stored
 parameters, and log-moments of densities by quadrature.  CSV tables are rendered and read back one cell at a time,
 through ``format_cell``/``parse_cell`` and the csv module.  The exception
@@ -208,6 +209,32 @@ def numpy_ruin_period(spec, x, c, horizon, stream, block=128):
                 if wealth <= c:
                     return period
     return None
+
+
+def series_adaptive(spec, rng, tol, block=128, floor=100, max_terms=1_000_000):
+    """Adaptive truncation of one replicate's series, ``block`` terms at a time.
+
+    The scalar reference of ``montecarlo.sample_Z`` in adaptive mode: the
+    first term past the floor below ``tol`` times the running sum stops it.
+    """
+    total = 0.0
+    lead = 1.0
+    count = 0
+    while count < max_terms:
+        terms = lead * np.cumprod(spec.sample_inverse(rng, block))
+        sums = total + np.cumsum(terms)
+        small = terms < tol * sums
+        # term index count+i+1 must reach the floor before stopping
+        small[: max(floor - count - 1, 0)] = False
+        hits = np.nonzero(small)[0]
+        if hits.size:
+            return float(sums[hits[0]])
+        total = float(sums[-1])
+        lead = float(terms[-1])
+        count += block
+    raise RuntimeError(
+        f"series did not converge within {max_terms} terms for {spec!r}"
+    )
 
 
 def exact_ruin_horizon(r, x, c, cap=20_000):

@@ -226,6 +226,30 @@ class TestSimulateCommand:
         cfg.write_text("[spec:shrink]\nfamily = lognormal\nmu = -0.2\nsigma2 = 0.1\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
+    def test_adaptive_zero_sums(self, tmp_path):
+        # most reciprocal draws underflow to 0.0, so many series are 0 exactly
+        cfg = tmp_path / "zero.ini"
+        cfg.write_text("[spec:flat]\nfamily = pareto\nbeta = 0.001\nk = 0.9\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--replicates", "50"]) == 0
+        _, _, rows = read_csv_table(out / "samples_flat.csv")
+        assert 0 < sum(row[0] == 0.0 for row in rows) < 50
+
+    def test_adaptive_non_convergence_is_domain_error(self, tmp_path):
+        # E[log shock] is about 1.1e-6: the series needs far more than the term cap
+        cfg = tmp_path / "slow.ini"
+        cfg.write_text("[spec:slow]\nfamily = pareto\nbeta = 1e6\nk = 1.0000001\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ruinbounds.cli", "simulate",
+             "--config", str(cfg), "--out", str(tmp_path / "o"), "--replicates", "3"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("domain error: series did not converge")
+        assert "Traceback" not in proc.stderr
+
 
 class TestReproduceCommand:
     def test_table_2_files(self, tmp_path):

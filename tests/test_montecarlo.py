@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import numpy_ruin_period
+from oracles import numpy_ruin_period, series_adaptive
 from ruinbounds import montecarlo as mc
 from ruinbounds import (
     Constant,
@@ -18,7 +18,14 @@ from ruinbounds import (
     simulate_path,
 )
 from ruinbounds.montecarlo import ADAPTIVE_FLOOR, GENERATOR_NAME
-from ruinbounds.reference import DEFAULT_REPLICATES, DEFAULT_SEED, derive_seed
+from ruinbounds.reference import (
+    DEFAULT_REPLICATES,
+    DEFAULT_SEED,
+    LOGNORMAL_HEAVY,
+    MATCHED_TRIO,
+    PARETO_HEAVY,
+    derive_seed,
+)
 
 # One spec per family, each with E[log shock] > 0 so adaptive mode applies.
 FAMILIES = [
@@ -39,7 +46,7 @@ def _loop_fixed(spec, seed, n, replicates):
 
 def _loop_adaptive(spec, seed, replicates, tol=1e-9):
     """Reference: one fresh stream per replicate, adaptive truncation."""
-    out = np.array([mc._series_adaptive(spec, replicate_stream(seed, i), tol)
+    out = np.array([series_adaptive(spec, replicate_stream(seed, i), tol)
                     for i in range(replicates)])
     out.sort()
     return out
@@ -202,8 +209,15 @@ class TestSampleZ:
 
     def test_adaptive_term_cap(self):
         # the tail still exceeds tol times the sum after the last allowed term
-        with pytest.raises(RuntimeError, match="did not converge"):
+        with pytest.raises(DomainError, match="did not converge"):
             sample_Z(Constant(1 + 1e-7), SimConfig(replicates=1, seed=0))
+
+    def test_adaptive_zero_sum_stops(self):
+        # a reciprocal draw that underflows to 0.0 makes every later term 0:
+        # 22 of these 50 replicates start with one, and their series is 0 exactly
+        est = sample_Z(Pareto(0.001, 0.9), SimConfig(replicates=50, seed=1))
+        assert np.count_nonzero(est.samples == 0.0) == 22
+        assert np.all(est.samples[22:] > 0.0)
 
     def test_metadata_records_generator(self):
         est = sample_Z(Constant(2.0), SimConfig(replicates=4, truncation=7, seed=5))
@@ -259,21 +273,50 @@ class TestBitIdentity:
     def test_adaptive_rows_past_first_block_in_ragged_blocks(self, monkeypatch):
         # three rows per block and 29 replicates: the last block is ragged, and
         # with mean log 0.15 some rows stop inside their first 128 terms while
-        # others go on alone on their own stream
+        # others go on, each on its own stream
         monkeypatch.setattr(mc, "_ROW_BLOCK_DOUBLES", 3 * mc._BLOCK + 5)
         spec = Lognormal(0.15, 0.09)
         want = _loop_adaptive(spec, 5, 29)
-        series = mc._series_adaptive
+        stream = mc.replicate_stream
         continued = []
 
-        def counting(spec, rng, tol):
-            continued.append(rng)
-            return series(spec, rng, tol)
+        def counting(seed, index):
+            continued.append(index)
+            return stream(seed, index)
 
-        monkeypatch.setattr(mc, "_series_adaptive", counting)
+        monkeypatch.setattr(mc, "replicate_stream", counting)
         est = sample_Z(spec, SimConfig(replicates=29, seed=5))
         assert 0 < len(continued) < 29
+        assert len(set(continued)) == len(continued)
         assert est.samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        PARETO_HEAVY, LOGNORMAL_HEAVY, *MATCHED_TRIO.values(),
+        Lognormal(0.01, 0.01), Constant(1.01),
+    ], ids=lambda s: repr(s)[:24])
+    def test_adaptive_equals_scalar_reference(self, spec):
+        est = sample_Z(spec, SimConfig(replicates=200, seed=5))
+        assert est.samples.tobytes() == _loop_adaptive(spec, 5, 200).tobytes()
+
+    def test_row_accumulations_equal_one_dimensional_calls(self):
+        # the adaptive rows accumulate along axis 1 of a block; each row must
+        # carry the bits of the 1-D cumprod and cumsum that the reference makes
+        rng = np.random.default_rng(3)
+        block = np.exp(rng.normal(-0.2, 0.3, size=(37, 128)))
+        products = np.cumprod(block, axis=1)
+        sums = np.cumsum(products, axis=1)
+        for row, product, total in zip(block, products, sums):
+            assert np.cumprod(row).tobytes() == product.tobytes()
+            assert np.cumsum(product).tobytes() == total.tobytes()
+        # rows that run on carry their last term and sum as columns
+        lead, carried = products[:, -1:], sums[:, -1:]
+        on = np.cumprod(block, axis=1)
+        on *= lead
+        on_sums = np.cumsum(on, axis=1) + carried
+        for row, head, total, product, running in zip(block, lead, carried, on, on_sums):
+            one = float(head[0]) * np.cumprod(row)
+            assert one.tobytes() == product.tobytes()
+            assert (float(total[0]) + np.cumsum(one)).tobytes() == running.tobytes()
 
     def test_crosscheck_draws_equal_replicate_streams(self, monkeypatch):
         # crosscheck_equivalence draws through the row blocks sample_Z uses;
