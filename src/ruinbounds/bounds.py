@@ -143,7 +143,10 @@ def switch_boundary(log_beta, r: int, c: float) -> float:
     """
     if log_beta[r + 1] == math.inf or log_beta[r] == math.inf:
         return math.inf
-    log_ratio = log_beta[r + 1] - log_beta[r]
+    if log_beta[r + 1] == -math.inf:  # a moment of 0 in floats: ratio 0, as for finite log_beta[r]
+        return c
+    # Python floats: a difference past the float range is +inf, with no warning
+    log_ratio = float(log_beta[r + 1]) - float(log_beta[r])
     if log_ratio > _LOG_FLOAT_MAX:
         return math.inf
     return c * (1.0 + math.exp(log_ratio))

@@ -200,8 +200,11 @@ def finite_moments(spec: ShockSpec, rmax: int, nmax: int) -> FiniteMomentGrid:
     if k > 1:
         terms = log_binom[1:k, :k]  # -inf above the diagonal pads the short rows
         logsumexp_each_row = logsumexp_rows(np.arange(2, k + 1), k)
-        for n in range(1, nmax + 1):
-            grid[1:k, n] = log_gamma[1:k] + logsumexp_each_row(terms + grid[:k, n - 1])
+        # a log moment past the float range is +inf, and the -inf padding
+        # plus +inf is NaN only where logsumexp_each_row ignores it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, nmax + 1):
+                grid[1:k, n] = log_gamma[1:k] + logsumexp_each_row(terms + grid[:k, n - 1])
     log_gamma.setflags(write=False)
     grid.setflags(write=False)
     return FiniteMomentGrid(spec=spec, log_gamma_values=log_gamma, log_beta_grid=grid)

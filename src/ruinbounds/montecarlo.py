@@ -67,6 +67,9 @@ STREAM_DERIVATION = "SeedSequence(entropy=seed, spawn_key=(replicate,))"
 ADAPTIVE_FLOOR = 100
 _BLOCK = 128
 _MAX_TERMS = 1_000_000
+# A draw or product of 0 times +inf (a shock below and one above the float
+# range) is NaN: no float value of the series or the wealth exists there.
+_NAN_MESSAGE = "0 times +inf in a product of reciprocal shocks of {!r}; it has no float value"
 # Doubles drawn per block of replicate rows (at least one row).
 _ROW_BLOCK_DOUBLES = 8192
 
@@ -240,8 +243,11 @@ def _row_blocks(spec: ShockSpec, seed: int, count: int, width: int):
 
 def _row_partial_sums(rows: np.ndarray, out: np.ndarray) -> None:
     """Sum each row's cumulative products, made in place, into ``out``; rows stay independent."""
-    np.cumprod(rows, axis=1, out=rows)
-    rows.sum(axis=1, out=out)
+    # a product or sum past the float range is +inf, the right value; a draw
+    # of 0 times one of +inf is NaN, which sample_Z reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(rows, axis=1, out=rows)
+        rows.sum(axis=1, out=out)
 
 
 def _adaptive_sums(spec: ShockSpec, seed: int, tol: float, out: np.ndarray) -> None:
@@ -256,12 +262,15 @@ def _adaptive_sums(spec: ShockSpec, seed: int, tol: float, out: np.ndarray) -> N
         rows = np.arange(start, start + len(terms))
         lead, total, streams = 1.0, 0.0, None
         for count in range(0, _MAX_TERMS, _BLOCK):
-            np.cumprod(terms, axis=1, out=terms)
-            terms *= lead
-            sums = np.cumsum(terms, axis=1) + total
-            # a row stops at a term below tol times its sum, or at a zero term
-            # (every later term is 0 too), once term count+j+1 reaches the floor
-            small = (terms < tol * sums) | (terms == 0.0)
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _row_partial_sums
+                np.cumprod(terms, axis=1, out=terms)
+                terms *= lead
+                sums = np.cumsum(terms, axis=1)
+                sums += total
+            # a row stops at a term below tol times its sum, or once its sum is
+            # 0, +inf or NaN, which no later term changes; not before term
+            # count+j+1 reaches the floor
+            small = (terms < tol * sums) | ~((0.0 < sums) & (sums < np.inf))
             small[:, : max(ADAPTIVE_FLOOR - 1 - count, 0)] = False
             stop = small.argmax(axis=1)
             index = np.arange(len(rows))
@@ -301,6 +310,8 @@ def sample_Z(spec: ShockSpec, config: SimConfig) -> EcdfEstimate:
     else:
         for start, rows in _row_blocks(spec, config.seed, len(out), int(config.truncation)):
             _row_partial_sums(rows, out[start:start + len(rows)])
+    if np.isnan(out).any():
+        raise DomainError(_NAN_MESSAGE.format(spec))
     out.sort()
     out.setflags(write=False)
     return EcdfEstimate(
@@ -344,7 +355,9 @@ def simulate_path(spec: ShockSpec, x: float, c: float, horizon: int,
             for v in spec.sample_inverse(stream, min(_BLOCK, horizon - period)).tolist():
                 wealth = max(wealth - c, 0.0) / v
                 period += 1
-                if wealth <= c:
+                if not wealth > c:
+                    if wealth != wealth:
+                        raise DomainError(_NAN_MESSAGE.format(spec))
                     return period
     except ZeroDivisionError:
         pass
@@ -390,11 +403,15 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
     for start, rows in _row_blocks(spec, seed, paths, horizon):
         inverse[start:start + len(rows)] = rows
         _row_partial_sums(rows, partial_sum[start:start + len(rows)])  # series side
+    if np.isnan(partial_sum).any():
+        raise DomainError(_NAN_MESSAGE.format(spec))
     series_alive = partial_sum < x / c - 1.0
     # Wealth-map side, absorbing at zero.
     wealth = np.full(paths, float(x))
     alive = np.ones(paths, dtype=bool)
-    with np.errstate(over="ignore"):
+    # a zero draw (an infinite shock) gives +inf wealth, as in simulate_path,
+    # or NaN on a path already ruined, which stays ruined
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for step in range(horizon):
             wealth = np.maximum(wealth - c, 0.0) / inverse[:, step]
             alive &= wealth > c

@@ -130,7 +130,16 @@ class Lognormal(ShockSpec):
     def log_inverse_moment(self, r: int) -> float:
         """log E[shock^-r] = -r*mu + r^2*sigma2/2, exact for every r >= 1."""
         _check_order(r)
-        return -r * self.mu + r * r * self.sigma2 / 2.0
+        value = -r * self.mu + r * r * self.sigma2 / 2.0
+        if value == value:
+            return value
+        # -inf + inf: both terms leave the float range, so round the exact
+        # -num/den once, to +-inf past the range
+        num, den = next(itertools.islice(self._exact_gaps(), r - 1, None))
+        try:
+            return -num / den
+        except OverflowError:
+            return math.inf if num < 0 else -math.inf
 
     def expected_log(self) -> float:
         return self.mu
@@ -145,7 +154,10 @@ class Lognormal(ShockSpec):
 
     def _log_gap(self, num: int, den: int) -> float:
         # log(1 - exp(-x)) for x = num/den; below the normal range 1 - exp(-x) is x
-        x = num / den
+        try:
+            x = num / den
+        except OverflowError:  # x past the float range: 1 - exp(-x) is 1
+            return 0.0
         return math.log(-math.expm1(-x)) if x >= _FLOAT_MIN else _log_ratio(num, den)
 
     def support_bounds(self) -> SupportBounds:
@@ -158,7 +170,8 @@ class Lognormal(ShockSpec):
         # exp(-(mu + sigma*z)), with the sign folded into exact negations
         values *= -math.sqrt(self.sigma2)
         values -= self.mu
-        return np.exp(values, out=_in_place(values))
+        with np.errstate(over="ignore"):  # +inf past the float range
+            return np.exp(values, out=_in_place(values))
 
 
 @dataclass(frozen=True)
@@ -205,7 +218,8 @@ class Pareto(ShockSpec):
         # Inverse CDF: shock = k * u**(-1/beta), u = 1 - draw uniform on (0, 1].
         values = np.subtract(1.0, values, out=_in_place(values))
         values **= 1.0 / self.beta
-        values /= self.k
+        with np.errstate(over="ignore"):  # +inf past the float range
+            values /= self.k
         return values
 
 
@@ -229,11 +243,14 @@ class Gamma(ShockSpec):
         _check_order(r)
         if r >= self.alpha:
             return math.inf
-        return (
-            r * math.log(self.theta)
-            + math.lgamma(self.alpha - r)
-            - math.lgamma(self.alpha)
-        )
+        try:
+            return (
+                r * math.log(self.theta)
+                + math.lgamma(self.alpha - r)
+                - math.lgamma(self.alpha)
+            )
+        except OverflowError:  # lgamma leaves the float range above alpha ~ 2.5e305
+            return r * math.log(self.theta) - sum(math.log(self.alpha - j) for j in range(1, r + 1))
 
     def expected_log(self) -> float:
         return digamma(self.alpha) - math.log(self.theta)
@@ -259,8 +276,12 @@ class Gamma(ShockSpec):
         return rng.standard_gamma(self.alpha, out=out)
 
     def _transform(self, values):
-        values *= 1.0 / self.theta
-        return np.reciprocal(values, out=_in_place(values))
+        # past the float range, or from a draw that underflows to 0 or is
+        # subnormal, the shock is +inf and its reciprocal 0, or the reverse;
+        # a draw of 0 times 1/theta = +inf is NaN, which montecarlo reports
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            values *= 1.0 / self.theta
+            return np.reciprocal(values, out=_in_place(values))
 
 
 @dataclass(frozen=True)

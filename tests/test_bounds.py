@@ -407,6 +407,22 @@ class TestBoundaryTable:
             boundary_table(Constant(2.0), 1.0, horizons, 4)
 
 
+class TestLogMomentsPastTheFloatRange:
+    """Specs whose log moments leave the float range, below or above."""
+
+    def test_moments_of_zero(self):
+        # log beta_r is -inf from order 3 on: a ratio of two moments of 0 counts as 0,
+        # as it does below a finite log_beta[r], so each edge is c
+        sched = schedule(infinite_moments(Lognormal(5.992310449541053e307, 1.0), 4), 1.0)
+        assert list(sched.log_beta_values[3:]) == [-math.inf, -math.inf]
+        assert list(sched.boundaries) == [1.0, 1.0, 1.0]
+
+    def test_gap_past_the_float_range(self):
+        # -log gamma_1 = mu - sigma2/2 is an exact rational above DBL_MAX: 1 - gamma_1 is 1
+        table = infinite_moments(Lognormal(8.98846567431158e307, 1.1235584101968108e307), 4)
+        assert not np.isnan(table.log_beta_values).any()
+
+
 class TestLongHorizonOverflow:
     """Order-60 columns at long horizons, where beta_{r+1}/beta_r overflows a double."""
 

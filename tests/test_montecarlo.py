@@ -440,6 +440,11 @@ class TestSimulatePath:
         got = simulate_path(Constant(1.5), 2.9, 1.0, 10_000, replicate_stream(0, 0))
         assert got == want == 8
 
+    def test_nan_wealth_is_domain_error(self):
+        # gamma draw 0 times 1/theta = +inf: stream 4 starts with a NaN reciprocal shock
+        with pytest.raises(DomainError, match="0 times \\+inf"):
+            simulate_path(Gamma(1e-3, 5e-324), 3.0, 1.0, 5, replicate_stream(0, 4))
+
     def test_no_surplus_is_immediate_ruin(self):
         assert simulate_path(Constant(2.0), 1.0, 1.0, 10, replicate_stream(0, 0)) == 0
 
@@ -498,6 +503,26 @@ class TestCrosscheck:
     def test_event_identity_on_shared_draws(self, spec, x, n):
         report = crosscheck_equivalence(spec, x, 1.0, n, 2000, seed=17)
         assert report.passed, report.discrepancy_indices
+
+    @pytest.mark.parametrize("spec", [Constant(1e-300), Pareto(50, 1e-300)], ids=repr)
+    def test_products_past_the_float_range(self, spec):
+        # the row products overflow: +inf is the right value, and no warning is raised
+        est = sample_Z(spec, SimConfig(replicates=3, truncation=5, seed=0))
+        assert np.all(est.samples == np.inf)
+        assert crosscheck_equivalence(spec, 3.0, 1.0, 5, 10, 0).passed
+
+    def test_infinite_shock(self):
+        # stream 0 draws 0.0 first (an infinite shock): +inf wealth, as in simulate_path
+        report = crosscheck_equivalence(Pareto(0.001, 0.9), 3.0, 1.0, 5, 10, 0)
+        assert report.passed
+
+    def test_zero_times_infinite_shock_is_domain_error(self):
+        # draws of exp(+-1000 z) leave the float range both ways: 0 * inf has no value
+        spec = Lognormal(0.0, 1e6)
+        with pytest.raises(DomainError, match="0 times \\+inf"):
+            crosscheck_equivalence(spec, 3.0, 1.0, 5, 10, 0)
+        with pytest.raises(DomainError, match="0 times \\+inf"):
+            sample_Z(spec, SimConfig(replicates=3, truncation=5, seed=0))
 
     def test_requires_surplus(self):
         with pytest.raises(ValueError):

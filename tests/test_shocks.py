@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +46,20 @@ class TestInverseMoment:
         assert spec.inverse_moment(3) == math.inf
         assert spec.inverse_moment(4) == math.inf
         assert spec.log_inverse_moment(3) == math.inf
+
+    def test_lognormal_terms_past_the_float_range(self):
+        # -r*mu is -inf and r*r*sigma2/2 is +inf: the exact r*(r*sigma2/2 - mu), rounded once
+        for mu, sigma2, r in [(9e307, 9e307, 2), (9e307, 9e307, 3), (1.7e308, 9e307, 2)]:
+            exact = r * (r * Fraction(sigma2) / 2 - Fraction(mu))
+            assert Lognormal(mu, sigma2).log_inverse_moment(r) == float(exact)
+        assert Lognormal(9e307, 1.7e308).log_inverse_moment(3) == math.inf
+        assert Lognormal(1.79e308, 5e307).log_inverse_moment(3) == -math.inf
+
+    def test_gamma_shape_past_lgamma_range(self):
+        # lgamma(alpha) overflows; gamma_r = theta**r / prod_{j<=r} (alpha - j)
+        alpha = 2.5599833278516387e305
+        assert Gamma(alpha, 1.0).log_inverse_moment(2) == pytest.approx(
+            -2 * math.log(alpha), rel=1e-15)
 
     def test_log_form_is_exact(self):
         spec = Pareto(0.1, 0.9)
@@ -185,6 +200,16 @@ class TestSampling:
             var = spec.inverse_moment(2 * r) - spec.inverse_moment(r) ** 2
             se = math.sqrt(var / n)
             assert abs(mean_r - spec.inverse_moment(r)) < 4 * se, f"r={r}"
+
+    def test_gamma_draws_that_underflow(self):
+        # a standard gamma draw of 0.0 or a subnormal one: reciprocal +inf, no warning
+        draws = Gamma(1e-3, 1.0).sample_inverse(replicate_stream(0, 0), 128)
+        assert np.isinf(draws).any() and not np.isnan(draws).any()
+
+    def test_draws_past_the_float_range(self):
+        # exp and the Pareto scale overflow to +inf, the right reciprocal shock
+        assert np.isinf(Lognormal(0.0, 1e6).sample_inverse(replicate_stream(0, 0), 64)).any()
+        assert np.isinf(Pareto(1.0, 1e-320).sample_inverse(replicate_stream(0, 0), 64)).any()
 
     def test_draws_stay_inside_reciprocal_support(self):
         rng = replicate_stream(3, 0)
