@@ -3,16 +3,34 @@
 Each digest is the SHA-256 of one output (a file written by the CLI, or the
 CSV it prints to stdout).  A refactor that keeps behaviour fixed must leave
 every digest as it is.  The ``simulate`` digests pin the sample sets that
-are promised bit-identical for a given (seed, config, spec).  The digests were recorded on x86-64 Linux with
-numpy 2.4.6; a platform whose ``math.exp`` rounds differently in the last
-place changes them.  A deliberate output change re-records them with::
+are promised bit-identical for a given (seed, config, spec).
+
+Outputs and samples are bit-identical for one numpy build and one SIMD
+dispatch level.  numpy's AVX-512 and AVX2 kernels of ``exp``, ``log1p``,
+``log`` and ``power`` round differently on a few percent of inputs, and the
+package calls them in ``_special.logsumexp`` and ``logsumexp_rows``
+(``np.exp``, ``np.log1p``, ``np.log``), ``Lognormal._transform``
+(``np.exp``) and ``Pareto._transform`` (``**=``).  So two digest sets are
+recorded, on x86-64 Linux with numpy 2.4.6: ``GOLDEN`` where numpy
+dispatches its AVX-512 kernels, and ``GOLDEN_WITHOUT_AVX512`` with
+``NPY_DISABLE_CPU_FEATURES`` set to ``AVX512_FEATURES``, the path of a CPU
+without AVX-512.  The outputs run here are checked against the set of this
+host's path, and a child process checks the other set where it can.  A
+deliberate output change re-records both with::
 
     PYTHONPATH=src python -c "import tests.test_golden as g; g.print_digests()"
+    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \\
+        PYTHONPATH=src python -c "import tests.test_golden as g; g.print_digests()"
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -88,12 +106,16 @@ def collect_outputs(root: Path) -> dict:
     return outputs
 
 
-def print_digests() -> None:
-    import tempfile
-
+def compute_digests() -> dict:
+    """Output name -> SHA-256 hex digest of every covered output."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in collect_outputs(Path(tmp)).items():
-            print(f'    "{name}": "{hashlib.sha256(data).hexdigest()}",')
+        return {name: hashlib.sha256(data).hexdigest()
+                for name, data in collect_outputs(Path(tmp)).items()}
+
+
+def print_digests() -> None:
+    for name, digest in compute_digests().items():
+        print(f'    "{name}": "{digest}",')
 
 
 GOLDEN = {
@@ -148,6 +170,42 @@ GOLDEN = {
 }
 
 
+# The numpy dispatch targets that use AVX-512; disabling them selects the
+# AVX2 kernels.  These outputs differ there, the others keep their bytes.
+AVX512_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+GOLDEN_WITHOUT_AVX512 = {
+    **GOLDEN,
+    "reproduce/table_2.csv": "61175df231a44a74ff77717c28c332d44c3f0e88783193c57c31031db12bc161",
+    "reproduce/table_2_deltas.json": "24dfa87fc850fcd032b1854e585de3a43df282bb21e6cef3023a3c347db4bcb0",
+    "reproduce/table_5.csv": "342f9ed58e44d2ad19c4a5a55938b4e69a2f466546a9c5593449b07c9521d86e",
+    "reproduce/table_5_deltas.json": "73af69af1926cc40d0fca0eb0abfda1d427a0df115a8e96b233c42a18b8097ea",
+    "reproduce/table_8.csv": "a34737073c130a7144be8caa45e5e4b6a036a16f9849f7c4c3ad2b4fd4064026",
+    "reproduce/table_8_deltas.json": "85f0023acd77fa93ce95dbee2ccf9b6ad284673da36092b657cd20db07a5ca7b",
+    "moments/stdout": "f70be5169b6e91ae3f730c3d798427f55886d96f8e2faf225f6e8b154fdcb04a",
+    "moments/moments_horizons.csv": "5448a0edcbe3d90eb5e87d94328c96c87e10af51b3336463d5851eb79004c53f",
+    "moments/moments_series.csv": "32673b02a12026ae034552f7b447a56dfca00ef48e822108d7b111da8b0ac61d",
+    "moments/moments_horizons.json": "495e842d8435d40eebe1c6ee35b3301937bc57ea0410c711f11ea39116ad8623",
+    "moments/moments_series.json": "cd3ab8d5dc4f64a42004fc1363d9800690306086fff357706abaa7f9ec6fdcfe",
+    "boundaries/stdout": "84358c0d75fa3eb0a4e339c5d44ffe92f29ad8a02e73c1d18743de181c658c39",
+    "boundaries/boundaries.csv": "84358c0d75fa3eb0a4e339c5d44ffe92f29ad8a02e73c1d18743de181c658c39",
+    "boundaries/boundaries.json": "2233a3994da0dbd6c01e1c6ff9c3a9ba9468acc788e3cb348ce6df5d404205f7",
+    "simulate/10/samples_heavy.csv": "feeeb992f59a77c5a6fcdf6e0f9e2cd339227095b4824c2d9f07e68b4bbf838a",
+    "simulate/10/samples_matched.csv": "58fc2f49fd846a255a06d9475d3c92f2fb705224d1e3b5001b48d1008c5c84df",
+    "simulate/adaptive/samples_heavy.csv": "2380e50400368fc11cb9b2c41b6970ca1590dabe6a431144c02a358f83b67dbe",
+    "simulate/adaptive/samples_matched.csv": "88c3e4a8036e64b55df72ce3e9c52dd5344dbd5d752eabf8175fc4254b8e99a4",
+}
+
+
+def _dispatches_avx512() -> bool:
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return all(__cpu_features__.get(name, False) for name in AVX512_FEATURES)
+
+
+# the digest set of the path that the outputs run here take
+EXPECTED = GOLDEN if _dispatches_avx512() else GOLDEN_WITHOUT_AVX512
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     return collect_outputs(tmp_path_factory.mktemp("golden"))
@@ -159,12 +217,31 @@ def computed(outputs):
 
 
 def test_same_outputs_are_covered(computed):
-    assert sorted(computed) == sorted(GOLDEN)
+    assert sorted(computed) == sorted(GOLDEN) == sorted(GOLDEN_WITHOUT_AVX512)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_unchanged(computed, name):
-    assert computed[name] == GOLDEN[name]
+    assert computed[name] == EXPECTED[name]
+
+
+def test_output_bytes_without_avx512():
+    # a child process with the AVX-512 kernels disabled takes a CPU's path without them
+    if not _dispatches_avx512():
+        pytest.skip("numpy dispatches no AVX-512 kernels here: the outputs above are "
+                    "checked against GOLDEN_WITHOUT_AVX512, and GOLDEN cannot be checked")
+    tests_dir = Path(__file__).resolve().parent
+    src = tests_dir.parent / "src"
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_FEATURES),
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (str(src), str(tests_dir), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import json, test_golden; print(json.dumps(test_golden.compute_digests()))"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    computed = json.loads(proc.stdout)
+    assert {n: d for n, d in computed.items() if d != GOLDEN_WITHOUT_AVX512[n]} == {}
 
 
 @pytest.mark.parametrize("name", sorted(n for n in GOLDEN if n.endswith((".csv", "/stdout"))))
