@@ -26,12 +26,15 @@ Two sampling modes produce survival-probability estimates:
   empirical CDF estimates the probability of surviving n periods;
 * adaptive truncation approximates the full series: a replicate stops at
   the first term (never before ``ADAPTIVE_FLOOR`` terms) smaller than
-  ``adaptive_tol`` times the running sum, or equal to 0, past which the sum
-  is exact.  This needs a positive mean log shock, otherwise the series
-  diverges; one still running after ``_MAX_TERMS`` terms is a
-  ``DomainError``.  The first ``_BLOCK`` terms of all replicates are drawn
-  in row blocks and their stops found at once; the replicates that run
-  past them go on together, each on its own stream.
+  ``adaptive_tol`` times the running sum, or once that sum is 0 or +inf,
+  which no later term changes.  This needs a positive mean log shock,
+  otherwise the series diverges; one still running after ``_MAX_TERMS``
+  terms is a ``DomainError``.  The first ``_BLOCK`` terms of all
+  replicates are drawn in row blocks and their stops found at once; the
+  replicates that run past them go on together, each on its own stream.
+
+A draw or product of 0 times +inf has no float value; the sampling
+functions raise ``DomainError`` where one would enter a result.
 
 The empirical CDF counts strictly, matching the survival event
 ``{series < x/c - 1}``; ``simulate_path`` iterates the wealth map itself,
