@@ -74,7 +74,7 @@ def _simulate(spec, truncation):
                          "--replicates", "3", "--truncation", truncation])
 
 
-@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(SPECS)
 @example(Pareto(0.001, 0.9))           # draws underflow to 0: zero series
 @example(Pareto(1e6, 1.0000001))       # E[log shock] ~ 1e-6: past the term cap
