@@ -61,7 +61,6 @@ class ExperimentConfig:
     rmax: int = 6
     replicates: int = DEFAULT_REPLICATES
     truncation: int | str = "adaptive"
-    adaptive_tol: float = 1e-9
     seed: int = 0
     fmt: str = "csv"
     out: str | None = None
@@ -127,7 +126,6 @@ _RUN_FIELDS = {
     "rmax": ("rmax", int),
     "replicates": ("replicates", int),
     "truncation": ("truncation", _parse_truncation),
-    "adaptive_tol": ("adaptive_tol", float),
     "seed": ("seed", int),
     "format": ("fmt", lambda text: text.strip().lower()),
     "out": ("out", str.strip),
@@ -324,8 +322,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for index, (name, spec) in enumerate(cfg.specs):
         sim = SimConfig(replicates=cfg.replicates, truncation=cfg.truncation,
-                        seed=derive_seed(cfg.seed, index),
-                        adaptive_tol=cfg.adaptive_tol)
+                        seed=derive_seed(cfg.seed, index))
         est = sample_Z(spec, sim)
         meta = est.metadata()
         meta["master_seed"] = cfg.seed

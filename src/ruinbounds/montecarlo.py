@@ -25,9 +25,10 @@ Two sampling modes produce survival-probability estimates:
 * a fixed number of terms ``n`` samples the n-term partial sum, whose
   empirical CDF estimates the probability of surviving n periods;
 * adaptive truncation approximates the full series: a replicate stops at
-  the first term (never before ``ADAPTIVE_FLOOR`` terms) smaller than
-  ``adaptive_tol`` times the running sum, or once that sum is 0 or +inf,
-  which no later term changes.  This needs a positive mean log shock,
+  the first term (never before ``ADAPTIVE_FLOOR`` = 100 terms) smaller than
+  ``ADAPTIVE_TOL`` = 1e-9 times the running sum, or once that sum is 0 or
+  +inf, which no later term changes.  Both are fixed constants, recorded in
+  the ``truncation`` metadata.  This needs a positive mean log shock,
   otherwise the series diverges; one still running after ``_MAX_TERMS``
   terms is a ``DomainError``.  The first ``_BLOCK`` terms of all
   replicates are drawn in row blocks and their stops found at once; the
@@ -68,6 +69,7 @@ __all__ = [
 GENERATOR_NAME = "philox4x64"
 STREAM_DERIVATION = "SeedSequence(entropy=seed, spawn_key=(replicate,))"
 ADAPTIVE_FLOOR = 100
+ADAPTIVE_TOL = 1e-9
 _BLOCK = 128
 _MAX_TERMS = 1_000_000
 # A draw or product of 0 times +inf (a shock below and one above the float
@@ -167,7 +169,6 @@ class SimConfig:
     replicates: int = DEFAULT_REPLICATES
     truncation: int | str = "adaptive"
     seed: int = 0
-    adaptive_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         _require_integer("replicates", self.replicates, 1)
@@ -180,10 +181,6 @@ class SimConfig:
                 )
         else:
             _require_integer("truncation", self.truncation, 1)
-        if not 0.0 < self.adaptive_tol <= 1e-6:
-            raise ValueError(
-                f"adaptive_tol must be in (0, 1e-6], got {self.adaptive_tol}"
-            )
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be an unsigned 64-bit value, got {self.seed}")
 
@@ -200,7 +197,6 @@ class EcdfEstimate:
     samples: np.ndarray = field(repr=False)
     seed: int
     n: int | None            # fixed horizon, or None for adaptive truncation
-    adaptive_tol: float | None = None
 
     @property
     def replicates(self) -> int:
@@ -210,7 +206,7 @@ class EcdfEstimate:
     def horizon_tag(self) -> str:
         if self.n is not None:
             return str(self.n)
-        return f"adaptive(tol={self.adaptive_tol:g},floor={ADAPTIVE_FLOOR})"
+        return f"adaptive(tol={ADAPTIVE_TOL:g},floor={ADAPTIVE_FLOOR})"
 
     def metadata(self) -> dict:
         meta = dict(self.spec.to_record())
@@ -253,7 +249,7 @@ def _row_partial_sums(rows: np.ndarray, out: np.ndarray) -> None:
         rows.sum(axis=1, out=out)
 
 
-def _adaptive_sums(spec: ShockSpec, seed: int, tol: float, out: np.ndarray) -> None:
+def _adaptive_sums(spec: ShockSpec, seed: int, out: np.ndarray) -> None:
     """Fill ``out`` with the adaptively truncated series of each replicate.
 
     The first ``_BLOCK`` terms of all replicates are drawn in row blocks; the
@@ -270,10 +266,10 @@ def _adaptive_sums(spec: ShockSpec, seed: int, tol: float, out: np.ndarray) -> N
                 terms *= lead
                 sums = np.cumsum(terms, axis=1)
                 sums += total
-            # a row stops at a term below tol times its sum, or once its sum is
-            # 0, +inf or NaN, which no later term changes; not before term
-            # count+j+1 reaches the floor
-            small = (terms < tol * sums) | ~((0.0 < sums) & (sums < np.inf))
+            # a row stops at a term below ADAPTIVE_TOL times its sum, or once
+            # its sum is 0, +inf or NaN, which no later term changes; not
+            # before term count+j+1 reaches the floor
+            small = (terms < ADAPTIVE_TOL * sums) | ~((0.0 < sums) & (sums < np.inf))
             small[:, : max(ADAPTIVE_FLOOR - 1 - count, 0)] = False
             stop = small.argmax(axis=1)
             index = np.arange(len(rows))
@@ -309,7 +305,7 @@ def sample_Z(spec: ShockSpec, config: SimConfig) -> EcdfEstimate:
         )
     out = np.empty(config.replicates)
     if config.adaptive:
-        _adaptive_sums(spec, config.seed, config.adaptive_tol, out)
+        _adaptive_sums(spec, config.seed, out)
     else:
         for start, rows in _row_blocks(spec, config.seed, len(out), int(config.truncation)):
             _row_partial_sums(rows, out[start:start + len(rows)])
@@ -322,7 +318,6 @@ def sample_Z(spec: ShockSpec, config: SimConfig) -> EcdfEstimate:
         samples=out,
         seed=config.seed,
         n=None if config.adaptive else int(config.truncation),
-        adaptive_tol=config.adaptive_tol if config.adaptive else None,
     )
 
 

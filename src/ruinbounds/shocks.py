@@ -18,10 +18,11 @@ inverse moment and ``sample_inverse``.  All parameterizations are validated
 on construction; instances are frozen and safe to share between threads.
 
 A family states its draw once, in two pieces: ``_draw`` makes the raw
-uniform, standard normal or standard gamma draw (into ``out`` when given),
-and ``_transform`` maps raw values to reciprocal shocks, in place for an
-array.  ``sample_inverse`` is one draw followed by its transform; the Monte
-Carlo module draws many raw rows and transforms a whole block at once.
+uniform, standard normal or standard gamma draw into an array ``out``, and
+``_transform`` maps those raw values to reciprocal shocks in place.
+``sample_inverse(rng, size)`` is one draw of ``size`` values followed by
+its transform, always an array; the Monte Carlo module draws many raw rows
+and transforms a whole block at once.
 Both give the same bits as ``rng.normal``, ``rng.random`` and ``rng.gamma``
 would, because numpy computes ``normal(loc, scale)`` as ``loc + scale * z``
 and ``gamma(shape, scale)`` as ``scale * standard_gamma(shape)``.
@@ -48,7 +49,7 @@ from typing import ClassVar
 import numpy as np
 
 from ._special import digamma
-from .errors import ConfigError, FeasibilityError
+from .errors import ConfigError, FeasibilityError, _require_integer
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp stays finite up to here
 _FLOAT_MIN = sys.float_info.min  # smallest normal double
@@ -97,9 +98,9 @@ class ShockSpec:
         # benchmark tracer's) counts that family's draws alone
         cls.sample_inverse = ShockSpec.sample_inverse
 
-    def sample_inverse(self, rng: np.random.Generator, size: int | None = None):
-        """Draws of the reciprocal shock: one float for ``size=None``, else an array."""
-        return self._transform(self._draw(rng, None if size is None else np.empty(size)))
+    def sample_inverse(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """An array of ``size`` draws of the reciprocal shock."""
+        return self._transform(self._draw(rng, np.empty(size)))
 
     def _log_gap(self, num: int, den: int) -> float:
         # the pair is 1 - gamma_r itself, except for the lognormal
@@ -129,7 +130,7 @@ class Lognormal(ShockSpec):
 
     def log_inverse_moment(self, r: int) -> float:
         """log E[shock^-r] = -r*mu + r^2*sigma2/2, exact for every r >= 1."""
-        _check_order(r)
+        _require_integer("moment order", r, 1)
         value = -r * self.mu + r * r * self.sigma2 / 2.0
         if value == value:
             return value
@@ -163,7 +164,7 @@ class Lognormal(ShockSpec):
     def support_bounds(self) -> SupportBounds:
         return SupportBounds(0.0, math.inf)
 
-    def _draw(self, rng, out=None):
+    def _draw(self, rng, out):
         return rng.standard_normal(out=out)
 
     def _transform(self, values):
@@ -171,7 +172,7 @@ class Lognormal(ShockSpec):
         values *= -math.sqrt(self.sigma2)
         values -= self.mu
         with np.errstate(over="ignore"):  # +inf past the float range
-            return np.exp(values, out=_in_place(values))
+            return np.exp(values, out=values)
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ class Pareto(ShockSpec):
             raise ValueError(f"pareto requires finite beta > 0 and k > 0, got {self}")
 
     def log_inverse_moment(self, r: int) -> float:
-        _check_order(r)
+        _require_integer("moment order", r, 1)
         return math.log(self.beta) - r * math.log(self.k) - math.log(self.beta + r)
 
     def expected_log(self) -> float:
@@ -211,12 +212,12 @@ class Pareto(ShockSpec):
     def support_bounds(self) -> SupportBounds:
         return SupportBounds(self.k, math.inf)
 
-    def _draw(self, rng, out=None):
+    def _draw(self, rng, out):
         return rng.random(out=out)
 
     def _transform(self, values):
         # Inverse CDF: shock = k * u**(-1/beta), u = 1 - draw uniform on (0, 1].
-        values = np.subtract(1.0, values, out=_in_place(values))
+        np.subtract(1.0, values, out=values)
         values **= 1.0 / self.beta
         with np.errstate(over="ignore"):  # +inf past the float range
             values /= self.k
@@ -240,7 +241,7 @@ class Gamma(ShockSpec):
             raise ValueError(f"gamma requires finite alpha > 0 and theta > 0, got {self}")
 
     def log_inverse_moment(self, r: int) -> float:
-        _check_order(r)
+        _require_integer("moment order", r, 1)
         if r >= self.alpha:
             return math.inf
         try:
@@ -272,7 +273,7 @@ class Gamma(ShockSpec):
     def support_bounds(self) -> SupportBounds:
         return SupportBounds(0.0, math.inf)
 
-    def _draw(self, rng, out=None):
+    def _draw(self, rng, out):
         return rng.standard_gamma(self.alpha, out=out)
 
     def _transform(self, values):
@@ -281,7 +282,7 @@ class Gamma(ShockSpec):
         # a draw of 0 times 1/theta = +inf is NaN, which montecarlo reports
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             values *= 1.0 / self.theta
-            return np.reciprocal(values, out=_in_place(values))
+            return np.reciprocal(values, out=values)
 
 
 @dataclass(frozen=True)
@@ -301,7 +302,7 @@ class Constant(ShockSpec):
             raise ValueError(f"constant requires a > 0, got {self}")
 
     def log_inverse_moment(self, r: int) -> float:
-        _check_order(r)
+        _require_integer("moment order", r, 1)
         return -r * math.log(self.a)
 
     def expected_log(self) -> float:
@@ -319,12 +320,10 @@ class Constant(ShockSpec):
     def support_bounds(self) -> SupportBounds:
         return SupportBounds(self.a, self.a)
 
-    def _draw(self, rng, out=None):
+    def _draw(self, rng, out):
         return out  # a degenerate shock consumes no random numbers
 
     def _transform(self, values):
-        if values is None:
-            return 1.0 / self.a
         values.fill(1.0 / self.a)
         return values
 
@@ -339,17 +338,7 @@ def _log_ratio(num: int, den: int) -> float:
     return math.log(ratio) if ratio >= _FLOAT_MIN else math.log(num) - math.log(den)
 
 
-def _in_place(values):
-    """The ``out=`` of a transform's ufunc: the array itself, or None for a float."""
-    return values if isinstance(values, np.ndarray) else None
-
-
 _FAMILIES = {cls.family: cls for cls in (Lognormal, Pareto, Gamma, Constant)}
-
-
-def _check_order(r: int) -> None:
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
-        raise ValueError(f"moment order must be a positive integer, got {r!r}")
 
 
 def spec_from_record(record: dict) -> ShockSpec:

@@ -203,7 +203,7 @@ def numpy_ruin_period(spec, x, c, horizon, stream, block=128):
     period = 0
     with np.errstate(over="ignore"):
         while period < horizon:
-            for v in np.atleast_1d(spec.sample_inverse(stream, min(block, horizon - period))):
+            for v in spec.sample_inverse(stream, min(block, horizon - period)):
                 wealth = max(wealth - c, 0.0) / v
                 period += 1
                 if wealth <= c:

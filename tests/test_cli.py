@@ -360,6 +360,13 @@ class TestErrorPaths:
         cfg.write_text("[spec:c]\nfamily = constant\na = 2\n[run]\nbogus = 1\n")
         assert main(["classify", "--config", str(cfg)]) == 2
 
+    def test_adaptive_tol_is_an_unknown_run_key(self, tmp_path, capsys):
+        # the adaptive tolerance is the fixed montecarlo.ADAPTIVE_TOL
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[spec:c]\nfamily = constant\na = 2\n[run]\nadaptive_tol = 1e-9\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "unknown key 'adaptive_tol'" in capsys.readouterr().err
+
     def test_unknown_family(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[spec:c]\nfamily = cauchy\nloc = 2\n")

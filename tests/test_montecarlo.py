@@ -141,8 +141,6 @@ class TestSimConfig:
         {"replicates": 0},
         {"truncation": 0},
         {"truncation": "sometimes"},
-        {"adaptive_tol": 0.0},
-        {"adaptive_tol": 1e-3},
         {"seed": -1},
         {"seed": 1.5},
         {"seed": 2.0},

@@ -77,9 +77,9 @@ class TestInverseMoment:
         assert math.isfinite(spec.inverse_moment(150))
 
     def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="moment order must be >= 1"):
             Lognormal(1.0, 1.0).inverse_moment(0)
-        with pytest.raises(ValueError, match="moment order must be a positive integer"):
+        with pytest.raises(ValueError, match="moment order must be an integer"):
             Lognormal(1.0, 1.0).inverse_moment(True)
 
     @pytest.mark.parametrize("spec, orders", [
@@ -144,7 +144,7 @@ def _sample_inverse_oracle(spec, rng, size):
         return (1 - rng.random(size)) ** (1 / spec.beta) / spec.k
     if isinstance(spec, Gamma):
         return 1 / rng.gamma(spec.alpha, 1 / spec.theta, size)
-    return 1 / spec.a if size is None else np.full(size, 1 / spec.a)
+    return np.full(size, 1 / spec.a)
 
 
 class TestSampling:
@@ -154,22 +154,18 @@ class TestSampling:
         Pareto(3.0, 0.9), Pareto(2.0, 0.9), Pareto(0.5, 1.3),
         Gamma(17.0, 40.0 / 3.0), Gamma(2.5, 0.7), Constant(1.5),
     ], ids=repr)
-    @pytest.mark.parametrize("size", [None, 1, 7, 128, 1000])
+    @pytest.mark.parametrize("size", [1, 7, 128, 1000])
     def test_equals_oracle_bit_for_bit(self, spec, size):
-        for seed in range(40 if size is None else 3):
+        for seed in range(40 if size == 1 else 3):
             got = spec.sample_inverse(replicate_stream(seed, 2), size)
             want = _sample_inverse_oracle(spec, replicate_stream(seed, 2), size)
-            assert np.shape(got) == np.shape(want)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), seed
+            assert got.shape == want.shape == (size,)
+            assert got.tobytes() == want.tobytes(), seed
 
     def test_each_family_defines_sample_inverse(self):
         # per-class instrumentation wraps the method in each family's own dict
         for cls in (Lognormal, Pareto, Gamma, Constant):
             assert "sample_inverse" in cls.__dict__
-
-    def test_constant_draw(self):
-        rng = replicate_stream(0, 0)
-        assert Constant(2.0).sample_inverse(rng) == 0.5
 
     def test_reproducible(self):
         spec = Lognormal(0.2146, 0.0645)
