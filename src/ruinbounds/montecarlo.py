@@ -31,8 +31,9 @@ Two sampling modes produce survival-probability estimates:
   the ``truncation`` metadata.  This needs a positive mean log shock,
   otherwise the series diverges; one still running after ``_MAX_TERMS``
   terms is a ``DomainError``.  The first ``_BLOCK`` terms of all
-  replicates are drawn in row blocks and their stops found at once; the
-  replicates that run past them go on together, each on its own stream.
+  replicates are drawn in row blocks and their stops found at once; of the
+  replicates of a block that run past them, the first goes on alone and
+  the others together after it, each on its own stream.
 
 A draw or product of 0 times +inf has no float value; the sampling
 functions raise ``DomainError`` where one would enter a result.
@@ -252,44 +253,61 @@ def _row_partial_sums(rows: np.ndarray, out: np.ndarray) -> None:
 def _adaptive_sums(spec: ShockSpec, seed: int, out: np.ndarray) -> None:
     """Fill ``out`` with the adaptively truncated series of each replicate.
 
-    The first ``_BLOCK`` terms of all replicates are drawn in row blocks; the
-    rows that do not stop there run on together, ``_BLOCK`` terms at a time,
-    each on its own stream past its first block, carrying their last term
-    (``lead``) and running sum (``total``).
+    The first ``_BLOCK`` terms of all replicates are drawn in row blocks and
+    their stops found at once; the rows of a block that do not stop there
+    run on.  The first of them runs on alone and the others together after
+    it, so a series that never converges fails after one row's terms.
     """
     for start, terms in _row_blocks(spec, seed, len(out), _BLOCK):
         rows = np.arange(start, start + len(terms))
-        lead, total, streams = 1.0, 0.0, None
-        for count in range(0, _MAX_TERMS, _BLOCK):
-            with np.errstate(over="ignore", invalid="ignore"):  # as in _row_partial_sums
-                np.cumprod(terms, axis=1, out=terms)
-                terms *= lead
-                sums = np.cumsum(terms, axis=1)
-                sums += total
-            # a row stops at a term below ADAPTIVE_TOL times its sum, or once
-            # its sum is 0, +inf or NaN, which no later term changes; not
-            # before term count+j+1 reaches the floor
-            small = (terms < ADAPTIVE_TOL * sums) | ~((0.0 < sums) & (sums < np.inf))
-            small[:, : max(ADAPTIVE_FLOOR - 1 - count, 0)] = False
-            stop = small.argmax(axis=1)
-            index = np.arange(len(rows))
-            out[rows] = sums[index, stop]
-            go_on = np.flatnonzero(~small[index, stop])
-            if not go_on.size:
-                break
-            rows, lead, total = rows[go_on], terms[go_on, -1:], sums[go_on, -1:]
-            if streams is None:
-                streams = [replicate_stream(seed, i) for i in rows]
-                for rng in streams:
-                    spec._draw(rng, np.empty(_BLOCK))
-            else:
-                streams = [streams[i] for i in go_on]
-            terms = np.empty((len(rows), _BLOCK))
-            for row, rng in zip(terms, streams):
-                spec._draw(rng, row)
-            spec._transform(terms)
-        else:
-            raise DomainError(f"series did not converge within {_MAX_TERMS} terms for {spec!r}")
+        go_on, lead, total = _stop_rows(terms, 1.0, 0.0, 0, rows, out)
+        if go_on.size:
+            rows = rows[go_on]
+            for part in (slice(0, 1), slice(1, None)):
+                _run_on(spec, seed, rows[part], lead[part], total[part], out)
+
+
+def _stop_rows(terms, lead, total, count: int, rows: np.ndarray, out: np.ndarray):
+    """Set ``out[rows]`` from the next ``_BLOCK`` reciprocal shocks of each row.
+
+    ``terms`` holds shocks ``count+1, count+2, ...`` of every row and becomes
+    the row's terms: ``lead`` (its last term so far) times their cumulative
+    products, added to ``total`` (its running sum).  Returns the indices of
+    the rows that have not stopped, with their last term and running sum.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _row_partial_sums
+        np.cumprod(terms, axis=1, out=terms)
+        terms *= lead
+        sums = np.cumsum(terms, axis=1)
+        sums += total
+    # a row stops at a term below ADAPTIVE_TOL times its sum, or once its sum
+    # is 0, +inf or NaN, which no later term changes; not before term
+    # count+j+1 reaches the floor
+    small = (terms < ADAPTIVE_TOL * sums) | ~((0.0 < sums) & (sums < np.inf))
+    small[:, : max(ADAPTIVE_FLOOR - 1 - count, 0)] = False
+    stop = small.argmax(axis=1)
+    index = np.arange(len(rows))
+    out[rows] = sums[index, stop]
+    go_on = np.flatnonzero(~small[index, stop])
+    return go_on, terms[go_on, -1:], sums[go_on, -1:]
+
+
+def _run_on(spec: ShockSpec, seed: int, rows: np.ndarray, lead, total, out: np.ndarray) -> None:
+    """Run ``rows`` on past their first ``_BLOCK`` terms, together, each on its own stream."""
+    streams = [replicate_stream(seed, i) for i in rows]
+    for rng in streams:
+        spec._draw(rng, np.empty(_BLOCK))  # the row pass drew these
+    for count in range(_BLOCK, _MAX_TERMS, _BLOCK):
+        if not rows.size:
+            return
+        terms = np.empty((len(rows), _BLOCK))
+        for row, rng in zip(terms, streams):
+            spec._draw(rng, row)
+        spec._transform(terms)
+        go_on, lead, total = _stop_rows(terms, lead, total, count, rows, out)
+        rows, streams = rows[go_on], [streams[i] for i in go_on]
+    if rows.size:
+        raise DomainError(f"series did not converge within {_MAX_TERMS} terms for {spec!r}")
 
 
 def sample_Z(spec: ShockSpec, config: SimConfig) -> EcdfEstimate:

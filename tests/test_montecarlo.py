@@ -210,6 +210,22 @@ class TestSampleZ:
         with pytest.raises(DomainError, match="did not converge"):
             sample_Z(Constant(1 + 1e-7), SimConfig(replicates=1, seed=0))
 
+    def test_adaptive_term_cap_fails_after_one_row(self, monkeypatch):
+        # all 64 rows of the first block run past their first 128 terms; the
+        # first runs on alone and reaches the cap before any other row runs on
+        monkeypatch.setattr(mc, "_MAX_TERMS", 4 * mc._BLOCK)
+        stream = mc.replicate_stream
+        continued = []
+
+        def counting(seed, index):
+            continued.append(index)
+            return stream(seed, index)
+
+        monkeypatch.setattr(mc, "replicate_stream", counting)
+        with pytest.raises(DomainError, match="within 512 terms"):
+            sample_Z(Constant(1 + 1e-7), SimConfig(replicates=64, seed=0))
+        assert continued == [0]
+
     def test_adaptive_zero_sum_stops(self):
         # a reciprocal draw that underflows to 0.0 makes every later term 0:
         # 22 of these 50 replicates start with one, and their series is 0 exactly
@@ -224,6 +240,11 @@ class TestSampleZ:
         assert meta["family"] == "constant"
         assert meta["truncation"] == "7"
         assert meta["seed"] == 5
+
+    def test_metadata_records_adaptive_rule(self):
+        est = sample_Z(Constant(2.0), SimConfig(replicates=4, seed=5))
+        assert est.metadata()["truncation"] == "adaptive(tol=1e-09,floor=100)"
+        assert mc.ADAPTIVE_TOL == 1e-9
 
     def test_truncation_consistency_adaptive_vs_deep_fixed(self):
         spec = Lognormal(3.17, 1.75)
