@@ -137,6 +137,26 @@ def mp_log_inverse_moment(spec, r, dps=50):
         return float(_mp_log_inverse_moment(spec, r))
 
 
+def mp_expected_log(spec, dps=50):
+    """``(E[log shock], scale)`` in ``dps``-digit mpmath from the stored parameters, rounded.
+
+    E[log shock] is log k + 1/beta for a Pareto and digamma(alpha) - log theta
+    for a gamma spec; ``scale`` is the larger magnitude of the two terms, the
+    size of their rounding errors where the sum cancels.  A lognormal's is
+    mu and a constant's log a, a single term.
+    """
+    with mpmath.workdps(dps):
+        if spec.family == "lognormal":
+            terms = (mpmath.mpf(spec.mu),)
+        elif spec.family == "pareto":
+            terms = (mpmath.log(spec.k), 1 / mpmath.mpf(spec.beta))
+        elif spec.family == "gamma":
+            terms = (mpmath.digamma(spec.alpha), -mpmath.log(spec.theta))
+        else:
+            terms = (mpmath.log(spec.a),)
+        return float(mpmath.fsum(terms)), max(abs(float(t)) for t in terms)
+
+
 def mp_inverse_moments(spec, dps=50):
     """``(gamma_1, gamma_2)`` of a lognormal, Pareto or gamma spec in ``dps``-digit mpmath, rounded."""
     with mpmath.workdps(dps):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    mp_expected_log,
     mp_inverse_moments,
     mp_log_inverse_moment,
     quad_expected_log_gamma,
@@ -21,6 +22,8 @@ from ruinbounds import (
     replicate_stream,
     spec_from_record,
 )
+from ruinbounds._special import digamma
+from ruinbounds.reference import LOGNORMAL_HEAVY, MATCHED_TRIO, PARETO_HEAVY
 
 GAMMA1 = 5.0 / 6.0
 GAMMA2 = 20.0 / 27.0
@@ -246,6 +249,50 @@ class TestLogInverseMomentAudit:
                 assert got == want, r
             else:
                 assert abs(got - want) <= bound * math.ulp(want), (r, got, want)
+
+
+# the specs behind the golden outputs, the reference tables and the benchmark
+_PUBLISHED_SPECS = [
+    PARETO_HEAVY, LOGNORMAL_HEAVY, *MATCHED_TRIO.values(),
+    Lognormal(0.21459085740810752, 0.06453852113757118),
+    Gamma(17.0, 13.333333333333334), Constant(1.5), Constant(1.25),
+]
+# decades across each parameter's range, and a few values in between
+_GRID = [10.0 ** e for e in (-300, -100, -10, -3, -1, 0, 1, 3, 10, 100, 300)] + [0.5, 2.5, 17.0]
+_CANCELLING = [0.01, 0.1, 0.5, 1.0, 3.0, 17.0, 100.0, 1e4, 1e10]
+
+
+class TestExpectedLogAudit:
+    """``expected_log`` against 50-digit mpmath on the stored parameters.
+
+    Errors are in ulp of the larger of the formula's two terms, since they
+    cancel where E[log shock] is near 0; a sum of two terms of one sign
+    rounds to up to 1 ulp of the result, 2 of the larger term.  Measured
+    maxima against the rounded oracle: lognormal 0 (mu is returned as is),
+    constant 0, Pareto 2.0 (Pareto(0.001, 1e300)) and gamma 2.0 ulp
+    (Gamma(2.5, 0.5)).
+    """
+
+    BOUNDS = {"lognormal": 0, "constant": 1, "pareto": 4, "gamma": 4}
+
+    @pytest.mark.parametrize("family", ["lognormal", "pareto", "gamma", "constant"])
+    def test_within_ulp_bound(self, family):
+        specs = [s for s in _PUBLISHED_SPECS if s.family == family]
+        if family == "lognormal":
+            specs += [Lognormal(sign * mu, 1.0) for mu in _GRID for sign in (1, -1)]
+        elif family == "pareto":
+            specs += [Pareto(b, k) for b in _GRID for k in _GRID]
+            specs += [Pareto(b, math.exp(-1.0 / b)) for b in _CANCELLING]
+        elif family == "gamma":
+            specs += [Gamma(a, t) for a in _GRID for t in _GRID]
+            specs += [Gamma(a, math.exp(digamma(a))) for a in _CANCELLING]
+        else:
+            specs += [Constant(a) for a in _GRID]
+        bound = self.BOUNDS[family]
+        for spec in specs:
+            want, scale = mp_expected_log(spec)
+            got = spec.expected_log()
+            assert abs(got - want) <= bound * math.ulp(scale), (spec, got, want)
 
 
 class TestMatching:
