@@ -270,10 +270,11 @@ def _adaptive_sums(spec: ShockSpec, seed: int, out: np.ndarray) -> None:
 def _stop_rows(terms, lead, total, count: int, rows: np.ndarray, out: np.ndarray):
     """Set ``out[rows]`` from the next ``_BLOCK`` reciprocal shocks of each row.
 
-    ``terms`` holds shocks ``count+1, count+2, ...`` of every row and becomes
-    the row's terms: ``lead`` (its last term so far) times their cumulative
-    products, added to ``total`` (its running sum).  Returns the indices of
-    the rows that have not stopped, with their last term and running sum.
+    Row i of ``terms`` holds the reciprocal shocks ``count+1, count+2, ...``
+    of replicate ``rows[i]`` and becomes its series terms: ``lead`` (its last
+    term so far) times their cumulative products, summed onto ``total`` (its
+    running sum).  Returns the indices of the rows that have not stopped,
+    with their last term and running sum.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # as in _row_partial_sums
         np.cumprod(terms, axis=1, out=terms)

@@ -241,11 +241,6 @@ class TestSampleZ:
         assert meta["truncation"] == "7"
         assert meta["seed"] == 5
 
-    def test_metadata_records_adaptive_rule(self):
-        est = sample_Z(Constant(2.0), SimConfig(replicates=4, seed=5))
-        assert est.metadata()["truncation"] == "adaptive(tol=1e-09,floor=100)"
-        assert mc.ADAPTIVE_TOL == 1e-9
-
     def test_truncation_consistency_adaptive_vs_deep_fixed(self):
         spec = Lognormal(3.17, 1.75)
         adaptive = sample_Z(spec, SimConfig(replicates=3000, truncation="adaptive", seed=21))
