@@ -32,14 +32,15 @@ Conventions, fixed here and used by every caller:
   non-positive or NaN ``c``.
 
 Evaluation runs in log space so order-60 schedules (binomials ~1e17,
-moments spanning decades) remain accurate.  A schedule keeps its edges and
-log moments as tuples of floats as well, so one scalar evaluation is a
-``bisect`` and a few ``math`` calls.  ``evaluate_bound`` reads those tuples
-itself, with the rule of ``order_for`` (clamped to ``max_order``) and the
-index of ``log_beta`` written out instead of called, and builds its
-``BoundResult`` with ``tuple.__new__``, skipping the Python-level
-``__new__`` that ``NamedTuple`` generates.  The result is still an immutable
-``BoundResult``, so it also equals the plain tuple of its eight values.
+moments spanning decades) remain accurate.  A schedule holds its edges and
+log moments as tuples of Python floats, so one scalar evaluation is a
+``bisect`` and a few ``math`` calls; ``np.asarray`` gives them as arrays.
+``evaluate_bound`` reads those tuples itself, with the rule of ``order_for``
+(clamped to ``max_order``) and the index of ``log_beta`` written out instead
+of called, and builds its ``BoundResult`` with ``tuple.__new__``, skipping
+the Python-level ``__new__`` that ``NamedTuple`` generates.  The result is
+still an immutable ``BoundResult``, so it also equals the plain tuple of its
+eight values.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -84,32 +85,32 @@ class BoundSchedule:
     arithmetic: there rounding leaves them a few hundred ulp apart, in no
     order.  ``order_for`` bisects them as if sorted, as ``np.searchsorted``
     would, and any of the tied orders gives the same bound up to rounding.
+
+    Both sequences are tuples of Python floats, so two schedules compare and
+    hash by value.  A schedule with no edge is ``degenerate``: it has fewer
+    than two finite moments and uses order 1 everywhere.
     """
 
     spec: ShockSpec
     c: float
     horizon: int | None
-    log_beta_values: np.ndarray  # index r = 0..K, log series moments, [0] = 0
-    boundaries: np.ndarray       # length max_order, see above for the order
+    log_beta_values: tuple  # index r = 0..K, log series moments, [0] = 0
+    boundaries: tuple       # length max_order, see above for the order
     max_order: int
-    degenerate: bool
-    # The same values as Python floats, for the scalar lookups below.
-    _edges: tuple = field(init=False, repr=False, compare=False)
-    _log_betas: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_edges", tuple(self.boundaries.tolist()))
-        object.__setattr__(self, "_log_betas", tuple(self.log_beta_values.tolist()))
+    @property
+    def degenerate(self) -> bool:
+        return not self.boundaries
 
     def order_for(self, x: float) -> int:
         """Optimal order for stock ``x > c`` (ties go to the lower order); NaN raises."""
-        i = bisect_left(self._edges, x)
+        i = bisect_left(self.boundaries, x)
         if i == 0 and x != x:  # bisect_left sends NaN to 0; only that branch pays
             raise ValueError(f"x must not be NaN, got x={x}")
         return i + 1 if i < self.max_order else self.max_order
 
     def log_beta(self, r: int) -> float:
-        return self._log_betas[r]
+        return self.log_beta_values[r]
 
 
 class BoundResult(NamedTuple):
@@ -167,30 +168,20 @@ def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
         if (isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral)
                 or not 1 <= horizon <= moments.nmax):
             raise ValueError(f"horizon must be an integer in 1..{moments.nmax}, got {horizon!r}")
-        log_col = moments.log_beta_grid[:, horizon].copy()
+        log_col = moments.log_beta_grid[:, horizon].tolist()
     else:
         if horizon is not None:
             raise ValueError("horizon applies only to FiniteMomentGrid input")
-        log_col = moments.log_beta_values.copy()
-    rmax = len(log_col) - 1
-    finite_orders = [r for r in range(1, rmax + 1) if log_col[r] < np.inf]
-    last_finite = max(finite_orders, default=0)
-    degenerate = last_finite < 2
-    max_order = max(last_finite - 1, 1)
-    edges = np.array([
-        switch_boundary(log_col, r, c) for r in range(1, max_order + 1)
-    ]) if not degenerate else np.empty(0)
-    log_beta_values = log_col[: max(last_finite, 1) + 1]
-    log_beta_values.setflags(write=False)
-    edges.setflags(write=False)
+        log_col = moments.log_beta_values.tolist()
+    last_finite = max((r for r in range(1, len(log_col)) if log_col[r] < math.inf), default=0)
     return BoundSchedule(
         spec=moments.spec,
         c=c,
         horizon=horizon,
-        log_beta_values=log_beta_values,
-        boundaries=edges,
-        max_order=max_order,
-        degenerate=degenerate,
+        log_beta_values=tuple(log_col[: max(last_finite, 1) + 1]),
+        # float(): an edge takes the type of c, which may be an int or a numpy scalar
+        boundaries=tuple(float(switch_boundary(log_col, r, c)) for r in range(1, last_finite)),
+        max_order=max(last_finite - 1, 1),
     )
 
 
@@ -222,10 +213,10 @@ def evaluate_bound(sched: BoundSchedule, x: float) -> BoundResult:
         # x, c, order, survival_lower, ruin_upper, ruin_raw, vacuous, below_consumption
         return _new_tuple(BoundResult, (x, c, 0, 0.0, 1.0, math.inf, True, True))
     # sched.order_for(x) and sched.log_beta(r), without the two method calls
-    r = bisect_left(sched._edges, x) + 1
+    r = bisect_left(sched.boundaries, x) + 1
     if r > sched.max_order:
         r = sched.max_order
-    log_raw = sched._log_betas[r] - r * math.log(x / c - 1.0)
+    log_raw = sched.log_beta_values[r] - r * math.log(x / c - 1.0)
     if log_raw >= 0.0:
         raw = math.exp(log_raw) if log_raw < 700.0 else math.inf
         return _new_tuple(BoundResult, (x, c, r, 0.0, 1.0, raw, True, False))

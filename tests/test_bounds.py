@@ -55,7 +55,7 @@ class TestSchedule:
         table = infinite_moments(PARETO_HEAVY, 5)
         one = schedule(table, 1.0)
         five = schedule(table, 5.0)
-        assert five.boundaries == pytest.approx(5.0 * one.boundaries, rel=1e-12)
+        assert five.boundaries == pytest.approx([5.0 * b for b in one.boundaries], rel=1e-12)
 
     def test_degenerate_single_order(self):
         # second reciprocal moment above one: only order 1 usable
@@ -107,6 +107,29 @@ class TestSchedule:
         calls.clear()
         schedules(spec, 1.0, [math.inf], 6)
         assert calls == [("infinite_moments", (6,))]
+
+    def test_holds_tuples_of_python_floats(self):
+        for sched in (schedule(infinite_moments(PARETO_HEAVY, 8), np.float64(2.0)),
+                      schedule(finite_moments(Lognormal(5.992310449541053e307, 1.0), 4, 3), 1,
+                               horizon=3),
+                      schedule(infinite_moments(Lognormal(0.5, 0.6), 4), 1.0)):
+            for values in (sched.boundaries, sched.log_beta_values):
+                assert type(values) is tuple
+                assert all(type(v) is float for v in values), values
+            assert sched.degenerate == (sched.boundaries == ())
+
+    def test_equal_and_hash_by_value(self):
+        table = infinite_moments(PARETO_HEAVY, 8)
+        one, again = schedule(table, 1.0), schedule(table, 1.0)
+        assert one is not again
+        assert one == again and hash(one) == hash(again)
+        assert len({one, again}) == 1
+        other = schedule(table, 2.0)
+        assert other != one
+        assert other.log_beta_values == one.log_beta_values
+        grid = finite_moments(PARETO_HEAVY, 8, 4)
+        assert schedule(grid, 1.0, horizon=4) == schedule(grid, 1.0, horizon=4)
+        assert schedule(grid, 1.0, horizon=4) != schedule(grid, 1.0, horizon=3)
 
     def test_tie_goes_to_lower_order(self):
         sched = schedule(infinite_moments(LOGNORMAL_HEAVY, 4), 1.0)
@@ -214,7 +237,7 @@ class TestFastPath:
     def _stocks(sched):
         """Each finite edge, one ulp either side and as np.float64, plus the extremes."""
         xs = [sched.c, 0.5 * sched.c, math.inf, 1e300]
-        for edge in sched.boundaries.tolist():
+        for edge in sched.boundaries:
             if edge != math.inf:
                 xs += [edge, math.nextafter(edge, -math.inf),
                        math.nextafter(edge, math.inf), np.float64(edge)]
@@ -303,7 +326,7 @@ class TestFastPath:
             schedules.append(schedule(table, c))
             for sched in schedules:
                 log_beta = sched.log_beta_values
-                for r, edge in enumerate(sched.boundaries.tolist(), start=1):
+                for r, edge in enumerate(sched.boundaries, start=1):
                     want = mp_switch_boundary(log_beta, r, c)
                     if want == math.inf:
                         assert edge == math.inf, (sched.horizon, r)
@@ -437,8 +460,9 @@ class TestLongHorizonOverflow:
         for grid in grids.values():
             for n in self.HORIZONS:
                 sched = schedule(grid, 1.0, horizon=n)
-                assert np.isinf(sched.boundaries[-1])
-                assert np.all(np.diff(sched.boundaries[np.isfinite(sched.boundaries)]) > 0)
+                edges = np.asarray(sched.boundaries)
+                assert np.isinf(edges[-1])
+                assert np.all(np.diff(edges[np.isfinite(edges)]) > 0)
 
     def test_order_is_log_domain_argmin(self, grids):
         for grid in grids.values():
