@@ -12,7 +12,7 @@ on which order r is optimal.  A schedule materializes those switch points
 from a moment table (full series or a fixed-horizon column of partial-sum
 moments); ``schedules`` builds one per horizon.  A horizon is an integer
 n >= 1 (the n-term partial sum) or ``math.inf`` (the series); ``schedule``
-rejects anything else with ``ValueError``.
+and ``schedules`` reject anything else with ``ValueError``.
 
 Conventions, fixed here and used by every caller:
 
@@ -29,7 +29,7 @@ Conventions, fixed here and used by every caller:
 * with fewer than two finite moments the schedule degenerates to the
   single order 1 and is flagged;
 * a NaN stock ``x`` raises ``ValueError`` (it has no order), as does a
-  non-positive or NaN ``c``.
+  ``c`` that is not positive and finite.
 
 Evaluation runs in log space so order-60 schedules (binomials ~1e17,
 moments spanning decades) remain accurate.  A schedule holds its edges and
@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import _require_integer
+from .errors import _require_consumption, _require_integer
 from .moments import FiniteMomentGrid, MomentTable, finite_moments, infinite_moments
 from .shocks import _LOG_FLOAT_MAX, ShockSpec
 
@@ -160,8 +160,7 @@ def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
     Pass a ``MomentTable`` for the full series, or a ``FiniteMomentGrid``
     together with ``horizon=n`` for the n-term partial sum.
     """
-    if not c > 0:
-        raise ValueError(f"consumption must be positive, got c={c}")
+    _require_consumption(c)
     if isinstance(moments, FiniteMomentGrid):
         if horizon is None:
             raise ValueError("a horizon is required with a FiniteMomentGrid")
@@ -188,14 +187,17 @@ def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
 def schedules(spec: ShockSpec, c: float, horizons, rmax: int) -> list[BoundSchedule]:
     """One schedule per horizon, in order, from moments up to ``rmax``.
 
-    Partial-sum moments are computed once, up to the largest integer horizon
-    (``schedule`` rejects the others), and series moments only for ``math.inf``.
+    Each horizon is checked first.  Partial-sum moments are computed once, up
+    to the largest integer horizon, and series moments only for ``math.inf``.
     """
     _require_integer("rmax", rmax, 1)  # also when no horizon needs moments
     horizons = list(horizons)
+    for h in horizons:
+        if h != math.inf and (isinstance(h, bool) or not isinstance(h, numbers.Integral)
+                              or h < 1):
+            raise ValueError(f"horizon must be an integer >= 1 or math.inf, got {h!r}")
     finite = [h for h in horizons if h != math.inf]
-    nmax = max([1, *(h for h in finite if isinstance(h, numbers.Integral))])
-    grid = finite_moments(spec, rmax, nmax) if finite else None
+    grid = finite_moments(spec, rmax, max(finite)) if finite else None
     table = infinite_moments(spec, rmax) if math.inf in horizons else None
     return [schedule(table, c) if h == math.inf else schedule(grid, c, horizon=h)
             for h in horizons]
@@ -234,7 +236,7 @@ def ruin_upper_bound(sched: BoundSchedule, x: float) -> float:
     return evaluate_bound(sched, x).ruin_upper
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryTable:
     """Switch boundaries, one row per order, one column per horizon."""
 

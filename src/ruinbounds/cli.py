@@ -71,8 +71,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.specs:
             raise ConfigError("no shock specs configured; add a [spec:NAME] section")
-        if not self.c > 0:
-            raise ConfigError(f"c must be positive, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise ConfigError(f"c must be positive and finite, got {self.c}")
         if not all(x > 0 for x in self.x_grid):
             raise ConfigError(f"x grid values must be positive, got {self.x_grid}")
         if self.rmax < 1:
@@ -414,9 +414,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3

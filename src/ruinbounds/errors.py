@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and its one integer check.
+"""Exception types shared across the package, and its integer and consumption checks.
 
 The CLI maps these onto distinct exit codes: configuration problems exit
 with 2, domain errors (a computation requested outside its region of
 validity) with 3, and I/O failures with 4.
 """
 
+import math
 import numbers
 
 __all__ = ["ConfigError", "DomainError", "FeasibilityError"]
@@ -31,3 +32,9 @@ def _require_integer(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _require_consumption(c) -> None:
+    """Raise ``ValueError`` unless the consumption level ``c`` is positive and finite."""
+    if not 0 < c < math.inf:
+        raise ValueError(f"consumption must be positive and finite, got c={c}")

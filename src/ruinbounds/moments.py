@@ -72,7 +72,7 @@ def _log_gammas(spec: ShockSpec, rmax: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentTable:
     """Inverse moments and series moments up to a cap, kept in log form.
 
@@ -101,7 +101,7 @@ class MomentTable:
         return _exp(self.log_beta_values[r])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMomentGrid:
     """Moments of the partial sums over orders 1..rmax and horizons 1..nmax."""
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._defaults import DEFAULT_REPLICATES
-from .errors import DomainError, _require_integer
+from .errors import DomainError, _require_consumption, _require_integer
 from .shocks import ShockSpec
 
 __all__ = [
@@ -190,7 +190,7 @@ class SimConfig:
         return self.truncation == "adaptive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EcdfEstimate:
     """Sorted sample set of the (truncated) series with its provenance."""
 
@@ -342,8 +342,9 @@ def sample_Z(spec: ShockSpec, config: SimConfig) -> EcdfEstimate:
 
 def ecdf_survival(est: EcdfEstimate, x: float, c: float = 1.0) -> float:
     """Fraction of sampled series values strictly below ``x/c - 1``."""
-    if not (x > 0 and c > 0):
-        raise ValueError(f"x and c must be positive, got x={x}, c={c}")
+    _require_consumption(c)
+    if not x > 0:
+        raise ValueError(f"x must be positive, got x={x}")
     threshold = x / c - 1.0
     count = int(np.searchsorted(est.samples, threshold, side="left"))
     return count / est.replicates
@@ -358,8 +359,9 @@ def simulate_path(spec: ShockSpec, x: float, c: float, horizon: int,
     (0 when already x <= c); None means wealth stayed above c through
     ``horizon`` periods.
     """
-    if not (x > 0 and c > 0):
-        raise ValueError(f"x and c must be positive, got x={x}, c={c}")
+    _require_consumption(c)
+    if not x > 0:
+        raise ValueError(f"x must be positive, got x={x}")
     _require_integer("horizon", horizon, 1)
     if x <= c:
         return 0
@@ -411,6 +413,7 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
     unless the algebraic identity itself were broken; any discrepancy is
     reported with the path's draws.
     """
+    _require_consumption(c)
     if not x > c:
         raise ValueError(f"requires x > c, got x={x}, c={c}")
     _require_integer("horizon", horizon, 1)

@@ -17,8 +17,8 @@ where the threshold ``c*r/(r-1)`` and the exact ruin period have closed
 forms; they double as oracles for the degenerate constant-shock family.
 
 Infinities are ordinary ``math.inf`` values throughout, never sentinels.
-A NaN stock ``x``, a non-positive or NaN ``c``, or a NaN or infinite
-productivity ``r`` raises ``ValueError``.
+A NaN stock ``x``, a ``c`` that is not positive and finite, or a NaN or
+infinite productivity ``r`` raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import enum
 import math
 from dataclasses import asdict, dataclass
 
+from .errors import _require_consumption
 from .shocks import ShockSpec
 
 # Horizons checked against the exact partial sums; r**N has about 53*N bits.
@@ -102,8 +103,7 @@ def deterministic_min_stock(r: float, c: float) -> float:
     threshold itself does.  For r <= 1 no initial stock works,
     reported as ``+inf`` rather than an error.  A NaN or infinite ``r`` raises.
     """
-    if not c > 0:
-        raise ValueError(f"consumption must be positive, got c={c}")
+    _require_consumption(c)
     if not r < math.inf:
         raise ValueError(f"productivity must be finite, got r={r}")
     if r <= 1.0:
@@ -124,8 +124,7 @@ def deterministic_horizon(r: float, x: float, c: float) -> float:
     ``_EXACT_TERMS``, and used as it is beyond.  An N past 2**53, which a
     float cannot hold exactly, raises ``ValueError``.
     """
-    if not c > 0:
-        raise ValueError(f"consumption must be positive, got c={c}")
+    _require_consumption(c)
     if not 0 < r < math.inf:
         raise ValueError(f"productivity must be positive and finite, got r={r}")
     if x != x:
@@ -196,8 +195,7 @@ def trichotomy(regime: Regime, x: float, c: float) -> Trichotomy:
     belongs to the survival side (when the shock is bounded away from 1 the
     threshold stock sustains consumption exactly), so it returns ONE.
     """
-    if not c > 0:
-        raise ValueError(f"consumption must be positive, got c={c}")
+    _require_consumption(c)
     if x != x:
         raise ValueError(f"x must not be NaN, got x={x}")
     if x <= c or regime.elog <= 0.0:

@@ -1,7 +1,11 @@
 """The package's public surface: which names ``ruinbounds`` exports, where each
-one lives, and which modules ``import ruinbounds`` and its first use load."""
+one lives, which modules ``import ruinbounds`` and its first use load, and the
+rules its types and entry points share."""
 
+import dataclasses
 import importlib
+import math
+import pkgutil
 
 import pytest
 
@@ -74,3 +78,57 @@ def test_first_use_loads_the_computing_modules(access):
     assert _package_modules(names) == LOADED_ON_FIRST_USE
     assert "numpy" in names
     assert not set(names) & {"ruinbounds.cli", "ruinbounds.reference", "ruinbounds.tableio"}
+
+
+def _package_dataclasses():
+    for info in pkgutil.iter_modules(ruinbounds.__path__):
+        module = importlib.import_module(f"ruinbounds.{info.name}")
+        for value in vars(module).values():
+            if (isinstance(value, type) and dataclasses.is_dataclass(value)
+                    and value.__module__ == module.__name__):
+                yield value
+
+
+def test_array_fields_mean_identity_equality():
+    """A generated ``__eq__`` compares the fields as tuples, which raises on an array."""
+    holding_arrays = set()
+    for cls in _package_dataclasses():
+        if any("ndarray" in str(f.type) for f in dataclasses.fields(cls)):
+            holding_arrays.add(cls.__name__)
+            assert not cls.__dataclass_params__.eq, f"{cls.__name__} needs eq=False"
+    assert holding_arrays == {"BoundaryTable", "EcdfEstimate", "FiniteMomentGrid",
+                              "MomentTable"}
+    table = ruinbounds.infinite_moments(ruinbounds.Constant(2.0), 3)
+    again = ruinbounds.infinite_moments(ruinbounds.Constant(2.0), 3)
+    assert table == table and table != again
+    assert hash(table) != hash(again)
+
+
+def _entry_points():
+    """Each public function that takes a consumption level, called with it."""
+    rb = ruinbounds
+    spec = rb.Constant(2.0)
+    estimate = rb.sample_Z(spec, rb.SimConfig(replicates=4, truncation=3, seed=0))
+    return {
+        "schedule": lambda c: rb.schedule(rb.infinite_moments(spec, 4), c),
+        "schedules": lambda c: rb.schedules(spec, c, [3, math.inf], 4),
+        "boundary_table": lambda c: rb.boundary_table(spec, c, [3, math.inf], 4),
+        "ecdf_survival": lambda c: rb.ecdf_survival(estimate, 3.0, c),
+        "simulate_path": lambda c: rb.simulate_path(spec, 3.0, c, 5, rb.replicate_stream(0, 0)),
+        "crosscheck_equivalence": lambda c: rb.crosscheck_equivalence(spec, 3.0, c, 5, 3, 0),
+        "deterministic_min_stock": lambda c: rb.deterministic_min_stock(2.0, c),
+        "deterministic_horizon": lambda c: rb.deterministic_horizon(2.0, 3.0, c),
+        "trichotomy": lambda c: rb.trichotomy(rb.classify(spec), 3.0, c),
+    }
+
+
+@pytest.mark.parametrize("c", [math.inf, 0.0, -1.0, -math.inf, math.nan])
+@pytest.mark.parametrize("entry", ["schedule", "schedules", "boundary_table", "ecdf_survival",
+                                   "simulate_path", "crosscheck_equivalence",
+                                   "deterministic_min_stock", "deterministic_horizon",
+                                   "trichotomy"])
+def test_consumption_must_be_positive_and_finite(entry, c):
+    call = _entry_points()[entry]
+    with pytest.raises(ValueError, match=f"consumption must be positive and finite, got c={c}"):
+        call(c)
+    call(1.5)

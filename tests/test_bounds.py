@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 import struct
 
 import numpy as np
@@ -428,6 +429,19 @@ class TestBoundaryTable:
     def test_rejects_non_integer_or_nonpositive_horizon(self, horizons):
         with pytest.raises(ValueError, match="horizon must be an integer"):
             boundary_table(Constant(2.0), 1.0, horizons, 4)
+
+
+    @pytest.mark.parametrize("bad", [2.5, True, math.nan, -math.inf, 0, "inf"], ids=repr)
+    @pytest.mark.parametrize("build", [schedules, boundary_table])
+    def test_names_the_horizon_rule_before_any_moment(self, monkeypatch, build, bad):
+        def refuse(*args):
+            raise AssertionError("moments computed before the horizons were checked")
+
+        monkeypatch.setattr(ruinbounds.bounds, "finite_moments", refuse)
+        monkeypatch.setattr(ruinbounds.bounds, "infinite_moments", refuse)
+        rule = f"horizon must be an integer >= 1 or math.inf, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            build(Constant(2.0), 1.0, [3, math.inf, bad], 4)
 
 
 class TestLogMomentsPastTheFloatRange:

@@ -401,6 +401,15 @@ class TestErrorPaths:
         assert captured.out == ""
         assert "x grid values must be positive" in captured.err
 
+    @pytest.mark.parametrize("c", ["inf", "0", "-1", "nan"])
+    def test_consumption_must_be_positive_and_finite(self, tmp_path, capsys, c):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[spec:c]\nfamily = constant\na = 2\n[run]\nc = {c}\nx = 3.5\n")
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "c must be positive and finite" in captured.err
+
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")
