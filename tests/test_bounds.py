@@ -228,7 +228,8 @@ def _float_bits(rows):
 
 
 class TestFastPath:
-    """``evaluate_bound`` bisects cached tuples; it must match the array lookup bit for bit."""
+    """``evaluate_bound`` bisects the schedule's tuples; it must match the array lookup
+    bit for bit."""
 
     SPECS = {**{f"trio_{k}": v for k, v in MATCHED_TRIO.items()},
              "heavy_pareto": PARETO_HEAVY, "heavy_lognormal": LOGNORMAL_HEAVY,
@@ -429,7 +430,6 @@ class TestBoundaryTable:
     def test_rejects_non_integer_or_nonpositive_horizon(self, horizons):
         with pytest.raises(ValueError, match="horizon must be an integer"):
             boundary_table(Constant(2.0), 1.0, horizons, 4)
-
 
     @pytest.mark.parametrize("bad", [2.5, True, math.nan, -math.inf, 0, "inf"], ids=repr)
     @pytest.mark.parametrize("build", [schedules, boundary_table])
