@@ -10,7 +10,9 @@ simulate     seeded sampling of the discounted shock series
 reproduce    regenerate a reference table plus a cell-by-cell delta report
 
 Shock specs and run settings come from an INI-style config file; command
-line flags override the ``[run]`` section.  Example::
+line flags override the ``[run]`` section.  Each subcommand takes only the
+flags it reads (see ``_COMMANDS``); one config file serves them all.
+Example::
 
     [spec:heavy]
     family = pareto
@@ -163,7 +165,7 @@ def load_config_file(path: str) -> ExperimentConfig:
                 name, parse = _RUN_FIELDS[key]
                 try:
                     setattr(cfg, name, parse(value))
-                except ConfigError as exc:
+                except ValueError as exc:  # a ConfigError, or int()/float() on bad text
                     raise ConfigError(f"{path} [run] {key}: {exc}") from exc
         else:
             raise ConfigError(f"{path}: unknown section [{section}]")
@@ -369,17 +371,37 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- plumbing
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH", help="experiment config file")
-    sub.add_argument("--seed", type=int, metavar="U64", help="master seed")
-    sub.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                     help="output format (default csv)")
-    sub.add_argument("--out", metavar="PATH", help="output file or directory")
-    sub.add_argument("--replicates", type=int, metavar="N",
-                     help=f"Monte Carlo replicates (default {DEFAULT_REPLICATES})")
-    sub.add_argument("--truncation", metavar="N|adaptive",
-                     help="series truncation: term count or 'adaptive'")
-    sub.add_argument("--rmax", type=int, metavar="R", help="largest moment order")
+# Every flag, declared once: option string -> add_argument keywords.
+_FLAGS = {
+    "--table": {"type": int, "required": True, "metavar": "1..9",
+                "help": "reference table number"},
+    "--config": {"metavar": "PATH", "help": "experiment config file"},
+    "--format": {"dest": "fmt", "choices": ("csv", "json"),
+                 "help": "output format (default csv)"},
+    "--out": {"metavar": "PATH", "help": "output file or directory"},
+    "--seed": {"type": int, "metavar": "U64", "help": "master seed"},
+    "--replicates": {"type": int, "metavar": "N",
+                     "help": f"Monte Carlo replicates (default {DEFAULT_REPLICATES})"},
+    "--truncation": {"metavar": "N|adaptive",
+                     "help": "series truncation: term count or 'adaptive'"},
+    "--rmax": {"type": int, "metavar": "R", "help": "largest moment order"},
+}
+
+# the flags of moments, bounds and boundaries
+_ANALYTIC_FLAGS = ("--config", "--format", "--out", "--rmax")
+
+# command -> (handler, help, the flags its code reads)
+_COMMANDS = {
+    "classify": (cmd_classify, "classify the survival regime of each spec",
+                 ("--config", "--format", "--out")),
+    "moments": (cmd_moments, "emit moment tables", _ANALYTIC_FLAGS),
+    "bounds": (cmd_bounds, "evaluate survival lower bounds on the x grid", _ANALYTIC_FLAGS),
+    "boundaries": (cmd_boundaries, "emit bound switch boundaries by horizon", _ANALYTIC_FLAGS),
+    "simulate": (cmd_simulate, "sample the discounted shock series",
+                 ("--config", "--out", "--seed", "--replicates", "--truncation")),
+    "reproduce": (cmd_reproduce, "regenerate a reference table with deltas",
+                  ("--table", "--seed", "--replicates", "--out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,20 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ruinbounds {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "classify": (cmd_classify, "classify the survival regime of each spec"),
-        "moments": (cmd_moments, "emit moment tables"),
-        "bounds": (cmd_bounds, "evaluate survival lower bounds on the x grid"),
-        "boundaries": (cmd_boundaries, "emit bound switch boundaries by horizon"),
-        "simulate": (cmd_simulate, "sample the discounted shock series"),
-        "reproduce": (cmd_reproduce, "regenerate a reference table with deltas"),
-    }
-    for name, (handler, help_text) in handlers.items():
+    for name, (handler, help_text, flags) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
-        if name == "reproduce":
-            sub.add_argument("--table", type=int, required=True,
-                             metavar="1..9", help="reference table number")
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
         sub.set_defaults(handler=handler)
     return parser
 

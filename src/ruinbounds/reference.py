@@ -42,7 +42,8 @@ from functools import partial
 import numpy as np
 
 from ._defaults import DEFAULT_REPLICATES, DEFAULT_SEED
-from .bounds import boundary_table, schedules, survival_lower_bound
+from .bounds import boundary_table, schedule, schedules, survival_lower_bound
+from .errors import _require_integer
 from .moments import first_infinite_order, infinite_moments
 from .montecarlo import GENERATOR_NAME, SimConfig, ecdf_survival, sample_Z
 from .shocks import Pareto, ShockSpec, match_inverse_moments
@@ -311,9 +312,8 @@ def _build_moment_table(ref: ReferenceTable, spec: ShockSpec, meta: dict) -> Tab
     """(r, gamma_r, beta_r, boundary) rows at c = 1; the boundary needs the next moment."""
     n_rows = len(ref.rows)
     table = infinite_moments(spec, n_rows + 1)
-    edges = boundary_table(spec, 1.0, [math.inf], n_rows + 1).values[:, 0]
-    rows = tuple((r, table.gamma(r), table.beta(r), float(edges[r - 1]))
-                 for r in range(1, n_rows + 1))
+    edges = schedule(table, 1.0).boundaries + (math.inf,) * n_rows  # +inf past the last edge
+    rows = tuple((r, table.gamma(r), table.beta(r), edges[r - 1]) for r in range(1, n_rows + 1))
     return TableResult(ref, rows, {**meta, "c": 1.0})
 
 
@@ -354,8 +354,14 @@ def _build_boundary_table(ref: ReferenceTable, family: str) -> TableResult:
 
 def build_table(table_id: int, seed: int = DEFAULT_SEED,
                 replicates: int = DEFAULT_REPLICATES) -> TableResult:
-    """Recompute one reference table; deterministic given (table_id, seed)."""
+    """Recompute one reference table; deterministic given (table_id, seed).
+
+    ``seed`` must be an integer >= 0 and ``replicates`` an integer >= 1, also
+    for the analytic tables 1-2 and 4-6, which use neither.
+    """
     ref = reference_table(table_id)
+    _require_integer("seed", seed, 0)
+    _require_integer("replicates", replicates, 1)
     if table_id == 1:
         return _build_moment_table(ref, LOGNORMAL_HEAVY, {
             "spec": "lognormal",

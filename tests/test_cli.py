@@ -1,10 +1,13 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +287,24 @@ class TestReproduceCommand:
     def test_invalid_table_id(self):
         assert main(["reproduce", "--table", "12"]) == 2
 
+    @pytest.mark.parametrize("name, value", [("seed", -5), ("seed", True),
+                                             ("replicates", 0), ("replicates", True)])
+    @pytest.mark.parametrize("table_id", [1, 3, 7])
+    def test_build_table_checks_seed_and_replicates(self, table_id, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            reference.build_table(table_id, **{name: value})
+
+    @pytest.mark.parametrize("flag, value, message", [("--seed", "-5", "seed must be >= 0"),
+                                                      ("--replicates", "0",
+                                                       "replicates must be >= 1")])
+    @pytest.mark.parametrize("table_id", ["1", "7"])
+    def test_bad_seed_or_replicates_exits_2(self, tmp_path, capsys, table_id, flag, value,
+                                            message):
+        out = tmp_path / "repro"
+        assert main(["reproduce", "--table", table_id, flag, value, "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_defaults_are_the_reference_defaults(self):
         assert cli.ExperimentConfig().replicates == reference.DEFAULT_REPLICATES
 
@@ -367,6 +388,16 @@ class TestErrorPaths:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "unknown key 'adaptive_tol'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("rmax", "2.5"), ("c", "abc"), ("seed", "1e3"),
+                                            ("replicates", "ten")])
+    def test_unparsable_run_value_names_file_and_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[spec:c]\nfamily = constant\na = 2\n[run]\n{key} = {value}\n")
+        assert main(["classify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg} [run] {key}: ")
+        assert repr(value) in err
+
     def test_unknown_family(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[spec:c]\nfamily = cauchy\nloc = 2\n")
@@ -428,3 +459,51 @@ class TestErrorPaths:
         a = (out1 / "samples_heavy.csv").read_text()
         b = (out2 / "samples_heavy.csv").read_text()
         assert a != b
+
+
+# The (command, flag) pairs a command does not read; each was once accepted and ignored.
+UNREAD_FLAGS = {
+    "classify": ("--seed", "--replicates", "--truncation", "--rmax"),
+    "moments": ("--seed", "--replicates", "--truncation"),
+    "bounds": ("--seed", "--replicates", "--truncation"),
+    "boundaries": ("--seed", "--replicates", "--truncation"),
+    "simulate": ("--format", "--rmax"),
+    "reproduce": ("--config", "--format", "--truncation", "--rmax"),
+}
+FLAG_VALUES = {"--config": "x.ini", "--format": "json", "--seed": "1", "--replicates": "5",
+               "--truncation": "9", "--rmax": "3"}
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("command, flag", [(command, flag)
+                                               for command, flags in UNREAD_FLAGS.items()
+                                               for flag in flags])
+    def test_unread_flag_is_rejected(self, config_path, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        argv = ([command, "--table", "1"] if command == "reproduce"
+                else [command, "--config", config_path])
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(out), flag, FLAG_VALUES[flag]])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_flag_table_matches_the_parser(self):
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8").splitlines()
+        start = lines.index("| command | flags |") + 2  # past the |---|---| rule
+        documented = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            commands, flags = re.split(r"(?<!\\)\|", line)[1:3]
+            for command in re.findall(r"`(\w+)`", commands):
+                documented[command] = tuple(re.findall(r"--\w+", flags))
+        parser = cli.build_parser()
+        subparsers = next(action for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction)).choices
+        parsed = {name: tuple(option for action in sub._actions
+                              for option in action.option_strings
+                              if option.startswith("--") and option != "--help")
+                  for name, sub in subparsers.items()}
+        assert parsed == documented
