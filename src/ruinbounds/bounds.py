@@ -11,8 +11,8 @@ consecutive intervals
 on which order r is optimal.  A schedule materializes those switch points
 from a moment table (full series or a fixed-horizon column of partial-sum
 moments); ``schedules`` builds one per horizon.  A horizon is an integer
-n >= 1 (the n-term partial sum) or ``math.inf`` (the series); ``schedule``
-and ``schedules`` reject anything else with ``ValueError``.
+n >= 1 (the n-term partial sum) or ``math.inf`` (the series, the default);
+``schedule`` and ``schedules`` reject anything else with ``ValueError``.
 
 Conventions, fixed here and used by every caller:
 
@@ -46,14 +46,13 @@ eight values.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import _require_consumption, _require_integer
+from .errors import _require_consumption, _require_horizon, _require_integer
 from .moments import FiniteMomentGrid, MomentTable, finite_moments, infinite_moments
 from .shocks import _LOG_FLOAT_MAX, ShockSpec
 
@@ -78,7 +77,7 @@ class BoundSchedule:
     implicit next edge is ``+inf``.  An entry is ``+inf`` itself when
     ``beta_{i+2}/beta_{i+1}`` overflows; order ``i+1`` then covers every
     finite x past the previous edge.  ``horizon`` is the number of terms of
-    the partial sum, or None for the full series.
+    the partial sum, or ``math.inf`` for the full series.
 
     The edges are nondecreasing except where consecutive orders tie
     analytically, as for ``Constant``, whose edges are all equal in exact
@@ -93,7 +92,7 @@ class BoundSchedule:
 
     spec: ShockSpec
     c: float
-    horizon: int | None
+    horizon: int | float  # math.inf for the series
     log_beta_values: tuple  # index r = 0..K, log series moments, [0] = 0
     boundaries: tuple       # length max_order, see above for the order
     max_order: int
@@ -154,23 +153,23 @@ def switch_boundary(log_beta, r: int, c: float) -> float:
 
 
 def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
-             horizon: int | None = None) -> BoundSchedule:
+             horizon: int | float = math.inf) -> BoundSchedule:
     """Build the order schedule from a moment table at consumption level ``c``.
 
-    Pass a ``MomentTable`` for the full series, or a ``FiniteMomentGrid``
-    together with ``horizon=n`` for the n-term partial sum.
+    Pass a ``MomentTable`` for the full series (``horizon=math.inf``, the
+    default), or a ``FiniteMomentGrid`` together with ``horizon=n``, at most
+    its ``nmax``, for the n-term partial sum.
     """
     _require_consumption(c)
+    _require_horizon(horizon)
     if isinstance(moments, FiniteMomentGrid):
-        if horizon is None:
-            raise ValueError("a horizon is required with a FiniteMomentGrid")
-        if (isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral)
-                or not 1 <= horizon <= moments.nmax):
-            raise ValueError(f"horizon must be an integer in 1..{moments.nmax}, got {horizon!r}")
+        if horizon > moments.nmax:
+            raise ValueError(f"horizon must be at most the grid's nmax {moments.nmax}, "
+                             f"got {horizon!r}")
         log_col = moments.log_beta_grid[:, horizon].tolist()
+    elif horizon != math.inf:
+        raise ValueError(f"a MomentTable holds the series only, horizon math.inf; got {horizon!r}")
     else:
-        if horizon is not None:
-            raise ValueError("horizon applies only to FiniteMomentGrid input")
         log_col = moments.log_beta_values.tolist()
     last_finite = max((r for r in range(1, len(log_col)) if log_col[r] < math.inf), default=0)
     return BoundSchedule(
@@ -193,14 +192,11 @@ def schedules(spec: ShockSpec, c: float, horizons, rmax: int) -> list[BoundSched
     _require_integer("rmax", rmax, 1)  # also when no horizon needs moments
     horizons = list(horizons)
     for h in horizons:
-        if h != math.inf and (isinstance(h, bool) or not isinstance(h, numbers.Integral)
-                              or h < 1):
-            raise ValueError(f"horizon must be an integer >= 1 or math.inf, got {h!r}")
+        _require_horizon(h)
     finite = [h for h in horizons if h != math.inf]
     grid = finite_moments(spec, rmax, max(finite)) if finite else None
     table = infinite_moments(spec, rmax) if math.inf in horizons else None
-    return [schedule(table, c) if h == math.inf else schedule(grid, c, horizon=h)
-            for h in horizons]
+    return [schedule(table if h == math.inf else grid, c, h) for h in horizons]
 
 
 def evaluate_bound(sched: BoundSchedule, x: float) -> BoundResult:

@@ -46,7 +46,8 @@ from pathlib import Path
 
 from . import __version__
 from ._defaults import DEFAULT_REPLICATES, DEFAULT_SEED
-from .errors import ConfigError, DomainError
+from .errors import (ConfigError, DomainError, _require_consumption, _require_horizon,
+                     _require_integer)
 
 
 class ExperimentConfig:
@@ -71,21 +72,22 @@ class ExperimentConfig:
         self.specs = []  # [(name, ShockSpec)]
 
     def validate(self) -> None:
+        """Check every setting, with the library's rules where they have one."""
+        from .montecarlo import SimConfig
+
         if not self.specs:
             raise ConfigError("no shock specs configured; add a [spec:NAME] section")
-        if not 0 < self.c < math.inf:
-            raise ConfigError(f"c must be positive and finite, got {self.c}")
+        _require_consumption(self.c)
         if not all(x > 0 for x in self.x_grid):
             raise ConfigError(f"x grid values must be positive, got {self.x_grid}")
-        if self.rmax < 1:
-            raise ConfigError(f"rmax must be >= 1, got {self.rmax}")
+        _require_integer("rmax", self.rmax, 1)
         for h in self.horizons:
-            if h != math.inf and (int(h) != h or h < 1):
-                raise ConfigError(f"horizons must be positive integers or inf, got {h}")
+            _require_horizon(h)
         if len(set(self.horizons)) != len(self.horizons):
             raise ConfigError(f"horizons must not repeat, got {self.horizons}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        SimConfig(self.replicates, self.truncation, self.seed)
 
 
 def _parse_floats(text: str) -> tuple:
@@ -344,11 +346,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    from .reference import TABLE_IDS, build_table
+    from .reference import build_table
     from .tableio import write_csv_table, write_json
 
-    if args.table not in TABLE_IDS:
-        raise ConfigError(f"--table must be one of {TABLE_IDS}, got {args.table}")
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     replicates = args.replicates if args.replicates is not None else DEFAULT_REPLICATES
     result = build_table(args.table, seed=seed, replicates=replicates)

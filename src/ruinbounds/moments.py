@@ -155,13 +155,10 @@ def infinite_moments(spec: ShockSpec, rmax: int) -> MomentTable:
         )
     log_gamma = _log_gammas(spec, rmax)
     log_binom = _log_binomial_rows(rmax)
-    first_infinite = None
+    first_infinite = first_infinite_order(spec, rmax)
     log_beta = np.full(rmax + 1, np.inf)
     log_beta[0] = 0.0
-    for r, (num, den) in zip(range(1, rmax + 1), spec._exact_gaps()):
-        if num <= 0:
-            first_infinite = r
-            break
+    for r, (num, den) in zip(range(1, first_infinite or rmax + 1), spec._exact_gaps()):
         lg = log_gamma[r]
         # log(1 - gamma_r); expm1 keeps 1 - gamma_r exact near 1.  Where the
         # rounded log is not negative, the exact gap stands in.

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._defaults import DEFAULT_REPLICATES
-from .errors import DomainError, _require_consumption, _require_integer
+from .errors import DomainError, _require_consumption, _require_integer, _require_seed
 from .shocks import ShockSpec
 
 __all__ = [
@@ -93,6 +93,7 @@ _XSHIFT = 16
 
 def replicate_stream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one replicate, order-insensitive in ``index``."""
+    _require_seed(seed)
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -106,9 +107,7 @@ def _philox_keys(seed: int, count: int) -> np.ndarray:
     seed's 32-bit words, zero-padded to the pool size, then the index word;
     only the index word and the output hash differ between replicates.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = operator.index(seed)  # a numpy integer has no bit_length
     words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (_POOL_SIZE - len(words))
     entropy = [np.array([w], dtype=np.uint32) for w in words]
@@ -173,17 +172,9 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         _require_integer("replicates", self.replicates, 1)
-        _require_integer("seed", self.seed)
-        if isinstance(self.truncation, str):
-            if self.truncation != "adaptive":
-                raise ValueError(
-                    f"truncation must be a positive integer or 'adaptive', "
-                    f"got {self.truncation!r}"
-                )
-        else:
+        _require_seed(self.seed)
+        if self.truncation != "adaptive":
             _require_integer("truncation", self.truncation, 1)
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must be an unsigned 64-bit value, got {self.seed}")
 
     @property
     def adaptive(self) -> bool:
@@ -418,6 +409,7 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
         raise ValueError(f"requires x > c, got x={x}, c={c}")
     _require_integer("horizon", horizon, 1)
     _require_integer("paths", paths, 1)
+    _require_seed(seed)
     inverse = np.empty((paths, horizon))
     partial_sum = np.empty(paths)
     for start, rows in _row_blocks(spec, seed, paths, horizon):

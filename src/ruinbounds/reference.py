@@ -43,7 +43,7 @@ import numpy as np
 
 from ._defaults import DEFAULT_REPLICATES, DEFAULT_SEED
 from .bounds import boundary_table, schedule, schedules, survival_lower_bound
-from .errors import _require_integer
+from .errors import _require_integer, _require_seed
 from .moments import first_infinite_order, infinite_moments
 from .montecarlo import GENERATOR_NAME, SimConfig, ecdf_survival, sample_Z
 from .shocks import Pareto, ShockSpec, match_inverse_moments
@@ -82,6 +82,7 @@ _TRIO_HORIZONS = (3, 5, 10, 20)
 
 def derive_seed(master: int, *path: int) -> int:
     """Deterministic 64-bit sub-seed for a named branch of a master seed."""
+    _require_seed(master)
     seq = np.random.SeedSequence(entropy=master, spawn_key=tuple(path))
     return int(seq.generate_state(1, np.uint64)[0])
 
@@ -356,11 +357,11 @@ def build_table(table_id: int, seed: int = DEFAULT_SEED,
                 replicates: int = DEFAULT_REPLICATES) -> TableResult:
     """Recompute one reference table; deterministic given (table_id, seed).
 
-    ``seed`` must be an integer >= 0 and ``replicates`` an integer >= 1, also
-    for the analytic tables 1-2 and 4-6, which use neither.
+    ``seed`` must be an unsigned 64-bit integer and ``replicates`` an integer
+    >= 1, also for the analytic tables 1-2 and 4-6, which use neither.
     """
     ref = reference_table(table_id)
-    _require_integer("seed", seed, 0)
+    _require_seed(seed)
     _require_integer("replicates", replicates, 1)
     if table_id == 1:
         return _build_moment_table(ref, LOGNORMAL_HEAVY, {

@@ -27,7 +27,7 @@ import enum
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import _require_consumption
+from .errors import _require_consumption, _require_positive_finite
 from .shocks import ShockSpec
 
 # Horizons checked against the exact partial sums; r**N has about 53*N bits.
@@ -125,8 +125,7 @@ def deterministic_horizon(r: float, x: float, c: float) -> float:
     float cannot hold exactly, raises ``ValueError``.
     """
     _require_consumption(c)
-    if not 0 < r < math.inf:
-        raise ValueError(f"productivity must be positive and finite, got r={r}")
+    _require_positive_finite("productivity", "r", r)
     if x != x:
         raise ValueError(f"x must not be NaN, got x={x}")
     if x <= c:
@@ -166,8 +165,7 @@ def deterministic_horizon(r: float, x: float, c: float) -> float:
 def classify(spec: ShockSpec) -> Regime:
     """Classify a shock distribution into its survival regime."""
     elog = spec.expected_log()
-    support = spec.support_bounds()
-    m, M = support.m, support.M
+    m, M = spec.support_bounds()
     d1 = 1.0 / (M - 1.0) if M > 1.0 else math.inf
     d2 = 1.0 / (m - 1.0) if m > 1.0 else math.inf
     if elog <= 0.0:

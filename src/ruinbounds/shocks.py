@@ -60,22 +60,9 @@ __all__ = [
     "Gamma",
     "Constant",
     "ShockSpec",
-    "SupportBounds",
     "match_inverse_moments",
     "spec_from_record",
 ]
-
-
-@dataclass(frozen=True)
-class SupportBounds:
-    """Essential infimum ``m`` and supremum ``M`` of the shock."""
-
-    m: float
-    M: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.m <= self.M):
-            raise ValueError(f"require 0 <= m <= M, got m={self.m}, M={self.M}")
 
 
 class ShockSpec:
@@ -83,11 +70,12 @@ class ShockSpec:
 
     A family is a frozen dataclass whose fields are its parameters, with a
     ``family`` name and the per-family formulas ``log_inverse_moment``,
-    ``expected_log``, ``support_bounds``, ``_draw``, ``_transform`` and
-    ``_exact_gaps``.  The last yields, for r = 1, 2, ..., an integer pair
-    ``(num, den)`` with ``den > 0`` whose ``num`` is positive exactly when
-    ``E[shock^-r] < 1`` for the stored parameters; ``_log_gap`` turns a
-    pair into ``log(1 - E[shock^-r])``.
+    ``expected_log``, ``support_bounds`` (the essential infimum and supremum
+    ``(m, M)``), ``_draw``, ``_transform`` and ``_exact_gaps``.  The last
+    yields, for r = 1, 2, ..., an integer pair ``(num, den)`` with
+    ``den > 0`` whose ``num`` is positive exactly when ``E[shock^-r] < 1``
+    for the stored parameters; ``_log_gap`` turns a pair into
+    ``log(1 - E[shock^-r])``.
     """
 
     family: ClassVar[str]
@@ -161,8 +149,8 @@ class Lognormal(ShockSpec):
             return 0.0
         return math.log(-math.expm1(-x)) if x >= _FLOAT_MIN else _log_ratio(num, den)
 
-    def support_bounds(self) -> SupportBounds:
-        return SupportBounds(0.0, math.inf)
+    def support_bounds(self) -> tuple[float, float]:
+        return 0.0, math.inf
 
     def _draw(self, rng, out):
         return rng.standard_normal(out=out)
@@ -209,8 +197,8 @@ class Pareto(ShockSpec):
             den = s_r * (p + r * q)
             yield den - p * t_r, den
 
-    def support_bounds(self) -> SupportBounds:
-        return SupportBounds(self.k, math.inf)
+    def support_bounds(self) -> tuple[float, float]:
+        return self.k, math.inf
 
     def _draw(self, rng, out):
         return rng.random(out=out)
@@ -270,8 +258,8 @@ class Gamma(ShockSpec):
             bottom *= b * (c - r * d)
             yield bottom - top, bottom
 
-    def support_bounds(self) -> SupportBounds:
-        return SupportBounds(0.0, math.inf)
+    def support_bounds(self) -> tuple[float, float]:
+        return 0.0, math.inf
 
     def _draw(self, rng, out):
         return rng.standard_gamma(self.alpha, out=out)
@@ -317,8 +305,8 @@ class Constant(ShockSpec):
             v_r *= v
             yield u_r - v_r, u_r
 
-    def support_bounds(self) -> SupportBounds:
-        return SupportBounds(self.a, self.a)
+    def support_bounds(self) -> tuple[float, float]:
+        return self.a, self.a
 
     def _draw(self, rng, out):
         return out  # a degenerate shock consumes no random numbers

@@ -6,11 +6,15 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ruinbounds
 from fresh import is_numpy, loaded_modules
+from ruinbounds import reference
 
 PUBLIC = {
     "bounds": ["BoundResult", "BoundSchedule", "BoundaryTable", "boundary_table",
@@ -22,7 +26,7 @@ PUBLIC = {
                    "ecdf_survival", "replicate_stream", "sample_Z", "simulate_path"],
     "regimes": ["Regime", "Trichotomy", "classify", "deterministic_horizon",
                 "deterministic_min_stock", "trichotomy"],
-    "shocks": ["Constant", "Gamma", "Lognormal", "Pareto", "ShockSpec", "SupportBounds",
+    "shocks": ["Constant", "Gamma", "Lognormal", "Pareto", "ShockSpec",
                "match_inverse_moments", "spec_from_record"],
 }
 
@@ -38,7 +42,7 @@ def _package_modules(names):
 
 def test_public_surface():
     names = ruinbounds.__all__
-    assert len(names) == len(set(names)) == 38
+    assert len(names) == len(set(names)) == 37
     assert set(names) == {n for module_names in PUBLIC.values() for n in module_names}
     for module_name, module_names in PUBLIC.items():
         module = importlib.import_module(f"ruinbounds.{module_name}")
@@ -132,3 +136,46 @@ def test_consumption_must_be_positive_and_finite(entry, c):
     with pytest.raises(ValueError, match=f"consumption must be positive and finite, got c={c}"):
         call(c)
     call(1.5)
+
+
+def _seeded_calls():
+    """Each public function that takes a seed, called with it; equal results hold equal bits."""
+    rb = ruinbounds
+    spec = rb.Pareto(3.0, 0.9)
+    return {
+        "SimConfig": lambda seed: rb.sample_Z(
+            spec, rb.SimConfig(replicates=4, truncation=3, seed=seed)).samples.tobytes(),
+        "replicate_stream": lambda seed: rb.replicate_stream(seed, 0).random(4).tobytes(),
+        "crosscheck_equivalence": lambda seed: rb.crosscheck_equivalence(spec, 3.0, 1.0, 5, 3,
+                                                                         seed),
+        "build_table": lambda seed: repr(reference.build_table(7, seed, replicates=20).rows),
+        "derive_seed": lambda seed: reference.derive_seed(seed, 1),
+    }
+
+
+SEEDED = ["SimConfig", "replicate_stream", "crosscheck_equivalence", "build_table",
+          "derive_seed"]
+
+
+@pytest.mark.parametrize("seed", [True, -1, 2.5, 2 ** 64])
+@pytest.mark.parametrize("entry", SEEDED)
+def test_seed_must_be_an_unsigned_64_bit_integer(entry, seed):
+    with pytest.raises(ValueError, match="^seed must be "):
+        _seeded_calls()[entry](seed)
+
+
+@pytest.mark.parametrize("entry", SEEDED)
+def test_numpy_seed_gives_the_bits_of_the_equal_int(entry):
+    call = _seeded_calls()[entry]
+    assert call(np.uint64(2 ** 64 - 1)) == call(2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("rule", [r"horizon must be an integer >= 1 or math\.inf",
+                                  r"must be positive and finite",
+                                  r"2\s*\*\*\s*64"])
+def test_each_input_rule_is_stated_once(rule):
+    """The horizon, positive-and-finite and seed rules are written in ``errors`` alone."""
+    package = Path(ruinbounds.__file__).parent
+    stating = [path.name for path in sorted(package.glob("*.py"))
+               if re.search(rule, path.read_text(encoding="utf-8"))]
+    assert stating == ["errors.py"]

@@ -84,6 +84,16 @@ class TestSchedule:
         with pytest.raises(ValueError, match="horizon must be an integer"):
             schedule(grid, 1.0, horizon=True)
 
+    def test_series_horizon_is_math_inf(self):
+        table = infinite_moments(PARETO_HEAVY, 6)
+        assert schedule(table, 1.0, horizon=math.inf) == schedule(table, 1.0)
+        assert schedule(table, 1.0).horizon == math.inf
+        for horizon in (3, None):
+            with pytest.raises(ValueError, match="horizon"):
+                schedule(table, 1.0, horizon=horizon)
+        with pytest.raises(ValueError, match="nmax 5, got inf"):
+            schedule(finite_moments(PARETO_HEAVY, 6, 5), 1.0)
+
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_or_nan_consumption(self, c):
         with pytest.raises(ValueError, match="consumption must be positive"):
@@ -101,7 +111,7 @@ class TestSchedule:
         spec = MATCHED_TRIO["pareto"]
         got = schedules(spec, 1.0, [10, math.inf, 3], 6)
         assert calls == [("finite_moments", (6, 10)), ("infinite_moments", (6,))]
-        assert [s.horizon for s in got] == [10, None, 3]
+        assert [s.horizon for s in got] == [10, math.inf, 3]
         calls.clear()
         schedules(spec, 1.0, [5, 2], 6)
         assert calls == [("finite_moments", (6, 5))]

@@ -295,6 +295,8 @@ class TestReproduceCommand:
             reference.build_table(table_id, **{name: value})
 
     @pytest.mark.parametrize("flag, value, message", [("--seed", "-5", "seed must be >= 0"),
+                                                      ("--seed", str(2 ** 64),
+                                                       "seed must be below 2 ** 64"),
                                                       ("--replicates", "0",
                                                        "replicates must be >= 1")])
     @pytest.mark.parametrize("table_id", ["1", "7"])
@@ -439,7 +441,32 @@ class TestErrorPaths:
         assert main(["bounds", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "c must be positive and finite" in captured.err
+        assert "consumption must be positive and finite" in captured.err
+
+    @pytest.mark.parametrize("flag, value, name", [("--seed", "-5", "seed"),
+                                                   ("--seed", str(2 ** 64), "seed"),
+                                                   ("--replicates", "0", "replicates"),
+                                                   ("--truncation", "0", "truncation")])
+    def test_bad_simulation_flag_exits_2_before_writing(self, config_path, tmp_path, capsys,
+                                                        flag, value, name):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", config_path, "--out", str(out), flag, value]) == 2
+        assert f"config error: {name} must be " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("seed", "-5"), ("seed", str(2 ** 64)),
+                                            ("replicates", "0"), ("truncation", "0")])
+    @pytest.mark.parametrize("command", ["classify", "moments", "bounds", "boundaries"])
+    def test_bad_run_setting_exits_2_on_every_command(self, tmp_path, capsys, command, key,
+                                                      value):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[spec:c]\nfamily = constant\na = 2\n[run]\nx = 3.5\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: {key} must be " in captured.err
+        assert not out.exists()
 
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "file.txt"

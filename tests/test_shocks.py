@@ -123,20 +123,20 @@ class TestExpectedLog:
 
 class TestSupportBounds:
     def test_pareto(self):
-        sb = Pareto(0.1, 0.9).support_bounds()
-        assert (sb.m, sb.M) == (0.9, math.inf)
+        m, M = Pareto(0.1, 0.9).support_bounds()
+        assert (m, M) == (0.9, math.inf)
 
     def test_lognormal(self):
-        sb = Lognormal(3.17, 1.75).support_bounds()
-        assert (sb.m, sb.M) == (0.0, math.inf)
+        m, M = Lognormal(3.17, 1.75).support_bounds()
+        assert (m, M) == (0.0, math.inf)
 
     def test_gamma(self):
-        sb = Gamma(17.0, 13.3333).support_bounds()
-        assert (sb.m, sb.M) == (0.0, math.inf)
+        m, M = Gamma(17.0, 13.3333).support_bounds()
+        assert (m, M) == (0.0, math.inf)
 
     def test_constant(self):
-        sb = Constant(2.0).support_bounds()
-        assert (sb.m, sb.M) == (2.0, 2.0)
+        m, M = Constant(2.0).support_bounds()
+        assert (m, M) == (2.0, 2.0)
 
 
 def _sample_inverse_oracle(spec, rng, size):
