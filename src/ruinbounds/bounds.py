@@ -50,8 +50,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import _require_consumption, _require_horizon, _require_integer
 from .moments import FiniteMomentGrid, MomentTable, finite_moments, infinite_moments
 from .shocks import _LOG_FLOAT_MAX, ShockSpec
@@ -232,15 +230,18 @@ def ruin_upper_bound(sched: BoundSchedule, x: float) -> float:
     return evaluate_bound(sched, x).ruin_upper
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BoundaryTable:
-    """Switch boundaries, one row per order, one column per horizon."""
+    """Switch boundaries: a tuple of Python floats per order, one per horizon.
+
+    Two tables compare and hash by value; ``np.asarray(values)`` is the matrix.
+    """
 
     spec: ShockSpec
     c: float
     horizons: tuple  # ints and/or math.inf, column order
     orders: tuple    # row order, 1..rmax-1
-    values: np.ndarray  # shape (len(orders), len(horizons)); +inf where unplaceable
+    values: tuple    # values[i][j]: order orders[i], horizon horizons[j]; +inf where unplaceable
 
 
 def boundary_table(spec: ShockSpec, c: float, horizons, rmax: int) -> BoundaryTable:
@@ -252,8 +253,7 @@ def boundary_table(spec: ShockSpec, c: float, horizons, rmax: int) -> BoundaryTa
     horizons = tuple(horizons)
     scheds = schedules(spec, c, horizons, rmax)  # checks rmax before range() does
     orders = tuple(range(1, rmax))
-    values = np.full((len(orders), len(horizons)), np.inf)
-    for col, sched in enumerate(scheds):
-        values[:len(sched.boundaries), col] = sched.boundaries
-    values.setflags(write=False)
+    # one row per order even with no horizon, where zip(*columns) would give none
+    values = tuple(tuple(s.boundaries[i] if i < len(s.boundaries) else math.inf for s in scheds)
+                   for i in range(len(orders)))
     return BoundaryTable(spec=spec, c=c, horizons=horizons, orders=orders, values=values)

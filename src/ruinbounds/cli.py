@@ -307,9 +307,8 @@ def cmd_boundaries(args: argparse.Namespace) -> int:
     records = []
     for name, spec in cfg.specs:
         bt = boundary_table(spec, cfg.c, cfg.horizons, cfg.rmax)
-        for i, r in enumerate(bt.orders):
-            records.append({"spec": name, "r": r,
-                            **{lab: float(v) for lab, v in zip(labels, bt.values[i])}})
+        for r, row in zip(bt.orders, bt.values):
+            records.append({"spec": name, "r": r, **dict(zip(labels, row))})
     _emit(cfg, columns, records, {**_base_metadata(cfg), "rmax": cfg.rmax}, "boundaries")
     return 0
 

@@ -385,7 +385,7 @@ class CrosscheckReport:
     paths: int
     seed: int
     discrepancy_indices: tuple
-    discrepancy_draws: tuple = field(repr=False, default=())
+    discrepancy_draws: tuple = field(repr=False, default=())  # per index, its draws as floats
 
     @property
     def agreements(self) -> int:
@@ -431,5 +431,5 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
     return CrosscheckReport(
         spec=spec, x=x, c=c, horizon=horizon, paths=paths, seed=seed,
         discrepancy_indices=tuple(int(i) for i in bad),
-        discrepancy_draws=tuple(inverse[i].copy() for i in bad),
+        discrepancy_draws=tuple(tuple(inverse[i].tolist()) for i in bad),
     )

@@ -36,7 +36,7 @@ the reference's ``None`` cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -104,7 +104,7 @@ class TableResult:
 
     reference: ReferenceTable
     rows: tuple          # computed cells, blanks where the reference is blank
-    metadata: dict
+    metadata: dict = field(hash=False)  # a dict has no hash; equality still compares it
 
     def deltas(self) -> list[dict]:
         out = []
@@ -346,11 +346,9 @@ def _build_survival_table(ref: ReferenceTable, specs, horizons, seed: int, repli
 def _build_boundary_table(ref: ReferenceTable, family: str) -> TableResult:
     spec = MATCHED_TRIO[family]
     bt = boundary_table(spec, 1.0, list(_TRIO_HORIZONS) + [math.inf], rmax=6)
-    rows = [("c",) + (1.0,) * 5]
-    for i, r in enumerate(bt.orders):
-        rows.append((r,) + tuple(float(v) for v in bt.values[i]))
+    rows = (("c",) + (1.0,) * 5,) + tuple((r,) + row for r, row in zip(bt.orders, bt.values))
     meta = {"family": family, **spec.to_record(), "c": 1.0, "rmax": 6}
-    return TableResult(ref, tuple(rows), meta)
+    return TableResult(ref, rows, meta)
 
 
 def build_table(table_id: int, seed: int = DEFAULT_SEED,

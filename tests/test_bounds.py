@@ -407,11 +407,12 @@ class TestMonotonicityAndOrdering:
 
 class TestBoundaryTable:
     def test_published_extreme_entries(self, matched_trio):
-        bt_ln = boundary_table(matched_trio["lognormal"], 1.0, [3, 5, 10, 20, math.inf], 6)
-        assert bt_ln.values[4, 4] == pytest.approx(52.1729, rel=1e-3)
-        bt_ga = boundary_table(matched_trio["gamma"], 1.0, [3, 5, 10, 20, math.inf], 6)
-        assert bt_ga.values[4, 4] == pytest.approx(256.6073, rel=1e-3)
-        assert bt_ga.values[0, 0] == pytest.approx(3.3137, rel=1e-3)
+        horizons = [3, 5, 10, 20, math.inf]
+        bt_ln = np.asarray(boundary_table(matched_trio["lognormal"], 1.0, horizons, 6).values)
+        assert bt_ln[4, 4] == pytest.approx(52.1729, rel=1e-3)
+        bt_ga = np.asarray(boundary_table(matched_trio["gamma"], 1.0, horizons, 6).values)
+        assert bt_ga[4, 4] == pytest.approx(256.6073, rel=1e-3)
+        assert bt_ga[0, 0] == pytest.approx(3.3137, rel=1e-3)
 
     def test_matched_first_row_is_family_independent(self, matched_trio):
         rows = []
@@ -422,17 +423,25 @@ class TestBoundaryTable:
         assert np.allclose(rows[0], rows[2], rtol=1e-9)
 
     def test_constant_rows(self):
-        bt = boundary_table(Constant(2.0), 1.0, [3, 8], 4)
+        values = np.asarray(boundary_table(Constant(2.0), 1.0, [3, 8], 4).values)
         for col, n in enumerate((3, 8)):
             want = 1.0 + (1.0 - 2.0 ** -n)
-            assert bt.values[:, col] == pytest.approx(want, rel=1e-12)
+            assert values[:, col] == pytest.approx(want, rel=1e-12)
+
+    def test_rows_of_python_floats_one_per_order(self):
+        bt = boundary_table(LOGNORMAL_HEAVY, 1.0, [3, math.inf], 6)
+        assert len(bt.values) == len(bt.orders) == 5
+        assert all(type(v) is float and len(row) == 2 for row in bt.values for v in row)
+        # with no horizon, one empty row per order still
+        empty = boundary_table(LOGNORMAL_HEAVY, 1.0, [], 6)
+        assert empty.values == ((),) * 5 and np.asarray(empty.values).shape == (5, 0)
 
     def test_unplaceable_rows_are_infinite(self):
-        bt = boundary_table(LOGNORMAL_HEAVY, 1.0, [math.inf], 6)
-        assert bt.values[0, 0] == pytest.approx(1.6808, abs=5e-4)
-        assert bt.values[1, 0] == pytest.approx(6.0288, abs=5e-4)
-        assert math.isinf(bt.values[2, 0])
-        assert math.isinf(bt.values[4, 0])
+        values = np.asarray(boundary_table(LOGNORMAL_HEAVY, 1.0, [math.inf], 6).values)
+        assert values[0, 0] == pytest.approx(1.6808, abs=5e-4)
+        assert values[1, 0] == pytest.approx(6.0288, abs=5e-4)
+        assert math.isinf(values[2, 0])
+        assert math.isinf(values[4, 0])
 
     @pytest.mark.parametrize("horizons", [[0], [-1], [2.5], [3, 0], [3, -1], [3, 2.5],
                                           [3, math.nan], ["3"], ["inf"], [True], [3, True]],
@@ -501,10 +510,11 @@ class TestLongHorizonOverflow:
     def test_boundary_table_matches_schedules(self, matched_trio, grids):
         for name, grid in grids.items():
             bt = boundary_table(matched_trio[name], 1.0, list(self.HORIZONS), 60)
+            values = np.asarray(bt.values)
             for col, n in enumerate(self.HORIZONS):
                 sched = schedule(grid, 1.0, horizon=n)
-                assert np.array_equal(bt.values[:sched.max_order, col], sched.boundaries)
-                assert np.all(np.isinf(bt.values[sched.max_order:, col]))
+                assert np.array_equal(values[:sched.max_order, col], sched.boundaries)
+                assert np.all(np.isinf(values[sched.max_order:, col]))
             for n, got in zip(self.HORIZONS, schedules(matched_trio[name], 1.0,
                                                        list(self.HORIZONS), 60)):
                 want = schedule(grid, 1.0, horizon=n)
