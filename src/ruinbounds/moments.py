@@ -55,6 +55,11 @@ from .shocks import _LOG_FLOAT_MAX, ShockSpec
 __all__ = ["MomentTable", "FiniteMomentGrid", "infinite_moments", "finite_moments"]
 
 
+# Below this |log gamma_r|, a finite beta_r takes log(1 - gamma_r) from the
+# spec's exact gap; above it, from expm1 of the rounded log.
+_NEAR_BOUNDARY = 2.0 ** -10
+
+
 def _log_binomial_rows(rmax: int) -> np.ndarray:
     """Matrix L with L[r, j] = log C(r, j) for j <= r, -inf above the diagonal."""
     log_fact = np.array([lgamma_int(k + 1) for k in range(rmax + 1)])
@@ -160,9 +165,9 @@ def infinite_moments(spec: ShockSpec, rmax: int) -> MomentTable:
     log_beta[0] = 0.0
     for r, (num, den) in zip(range(1, first_infinite or rmax + 1), spec._exact_gaps()):
         lg = log_gamma[r]
-        # log(1 - gamma_r); expm1 keeps 1 - gamma_r exact near 1.  Where the
-        # rounded log is not negative, the exact gap stands in.
-        log_gap = math.log(-math.expm1(lg)) if lg < 0.0 else spec._log_gap(num, den)
+        # log(1 - gamma_r).  Near the boundary the rounded log carries no
+        # digit of the gap, so the exact gap stands in there
+        log_gap = math.log(-math.expm1(lg)) if lg <= -_NEAR_BOUNDARY else spec._log_gap(num, den)
         prefactor = lg - log_gap  # log(gamma_r / (1 - gamma_r))
         log_beta[r] = prefactor + logsumexp(log_binom[r, :r] + log_beta[:r])
     log_gamma.setflags(write=False)

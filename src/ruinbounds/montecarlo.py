@@ -94,6 +94,7 @@ _XSHIFT = 16
 def replicate_stream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one replicate, order-insensitive in ``index``."""
     _require_seed(seed)
+    _require_integer("index", index, 0)
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(seq))
 

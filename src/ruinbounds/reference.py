@@ -83,6 +83,8 @@ _TRIO_HORIZONS = (3, 5, 10, 20)
 def derive_seed(master: int, *path: int) -> int:
     """Deterministic 64-bit sub-seed for a named branch of a master seed."""
     _require_seed(master)
+    for index in path:
+        _require_integer("index", index, 0)
     seq = np.random.SeedSequence(entropy=master, spawn_key=tuple(path))
     return int(seq.generate_state(1, np.uint64)[0])
 

@@ -53,6 +53,7 @@ from .errors import ConfigError, FeasibilityError, _require_integer
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp stays finite up to here
 _FLOAT_MIN = sys.float_info.min  # smallest normal double
+_LARGE_SHAPE = 2.0 ** 10  # from here on, a gamma moment takes the product form
 
 __all__ = [
     "Lognormal",
@@ -230,16 +231,16 @@ class Gamma(ShockSpec):
 
     def log_inverse_moment(self, r: int) -> float:
         _require_integer("moment order", r, 1)
-        if r >= self.alpha:
+        alpha = self.alpha
+        if r >= alpha:
             return math.inf
-        try:
-            return (
-                r * math.log(self.theta)
-                + math.lgamma(self.alpha - r)
-                - math.lgamma(self.alpha)
-            )
-        except OverflowError:  # lgamma leaves the float range above alpha ~ 2.5e305
-            return r * math.log(self.theta) - sum(math.log(self.alpha - j) for j in range(1, r + 1))
+        if alpha < _LARGE_SHAPE:
+            return r * math.log(self.theta) + math.lgamma(alpha - r) - math.lgamma(alpha)
+        # Gamma(alpha) / Gamma(alpha - r) = alpha**r * prod_{j<=r} (1 - j/alpha): the
+        # lgamma difference would cancel to nothing here, and lgamma overflows
+        # above alpha ~ 2.5e305
+        return (r * _log_ratio(self.theta, alpha)
+                - math.fsum(math.log1p(-j / alpha) for j in range(1, r + 1)))
 
     def expected_log(self) -> float:
         return digamma(self.alpha) - math.log(self.theta)
@@ -316,11 +317,11 @@ class Constant(ShockSpec):
         return values
 
 
-def _log_ratio(num: int, den: int) -> float:
-    """log(num/den) for positive integers with num <= den.
+def _log_ratio(num, den) -> float:
+    """log(num/den) for positive integers with num <= den, or positive floats.
 
-    The integer division rounds correctly; a ratio below the normal float
-    range takes the two logs apart, so no bits are lost to underflow.
+    The division rounds correctly; a ratio below the normal float range
+    takes the two logs apart, so no bits are lost to underflow.
     """
     ratio = num / den
     return math.log(ratio) if ratio >= _FLOAT_MIN else math.log(num) - math.log(den)

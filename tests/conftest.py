@@ -1,6 +1,14 @@
 import pytest
 
+from ruinbounds import Constant, Gamma, Lognormal
 from ruinbounds.reference import LOGNORMAL_HEAVY, MATCHED_TRIO, PARETO_HEAVY
+
+# the specs behind the golden outputs, the reference tables and the benchmark
+PUBLISHED_SPECS = [
+    PARETO_HEAVY, LOGNORMAL_HEAVY, *MATCHED_TRIO.values(),
+    Lognormal(0.21459085740810752, 0.06453852113757118),
+    Gamma(17.0, 13.333333333333334), Constant(1.5), Constant(1.25),
+]
 
 
 @pytest.fixture(scope="session")

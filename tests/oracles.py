@@ -121,14 +121,34 @@ def _mp_log_inverse_moment(spec, r):
     if spec.family == "lognormal":
         return -r * mpmath.mpf(spec.mu) + r * r * mpmath.mpf(spec.sigma2) / 2
     if spec.family == "gamma":
-        if r >= spec.alpha:
-            return mpmath.inf
-        alpha = mpmath.mpf(spec.alpha)
-        return r * mpmath.log(spec.theta) + mpmath.loggamma(alpha - r) - mpmath.loggamma(alpha)
+        return mpmath.inf if r >= spec.alpha else mpmath.fsum(_mp_gamma_terms(spec, r))
     if spec.family == "pareto":
         beta = mpmath.mpf(spec.beta)
         return mpmath.log(beta) - r * mpmath.log(spec.k) - mpmath.log(beta + r)
     raise ValueError(f"no mpmath moment for {spec.family}")
+
+
+def _mp_gamma_terms(spec, r):
+    """``r log(theta/alpha)`` and ``-sum_{j<=r} log(1 - j/alpha)``, whose sum is a gamma
+    spec's log E[shock^-r] for r < alpha.
+
+    The identity Gamma(alpha)/Gamma(alpha - r) = prod_{j<=r} (alpha - j) is exact;
+    ``loggamma(alpha - r) - loggamma(alpha)`` would cancel at 50 digits for a large shape.
+    """
+    alpha = mpmath.mpf(spec.alpha)
+    return (r * (mpmath.log(spec.theta) - mpmath.log(alpha)),
+            -mpmath.fsum(mpmath.log1p(-j / alpha) for j in range(1, r + 1)))
+
+
+def mp_gamma_log_inverse_moment(spec, r, dps=50):
+    """``(log E[shock^-r], scale)`` of a gamma spec with r < alpha in ``dps``-digit mpmath, rounded.
+
+    ``scale`` is the larger magnitude of the two terms of ``_mp_gamma_terms``,
+    the size of their rounding errors where the sum cancels.
+    """
+    with mpmath.workdps(dps):
+        terms = _mp_gamma_terms(spec, r)
+        return float(mpmath.fsum(terms)), max(abs(float(t)) for t in terms)
 
 
 def mp_log_inverse_moment(spec, r, dps=50):
@@ -303,6 +323,12 @@ def exact_series_betas(spec, rmax):
 
 def log_fraction(value):
     return math.log(value.numerator) - math.log(value.denominator)
+
+
+def mp_log_fraction(value, dps=50):
+    """log of a positive Fraction in ``dps``-digit mpmath, rounded."""
+    with mpmath.workdps(dps):
+        return float(mpmath.log(mpmath.mpf(value.numerator) / value.denominator))
 
 
 def quad_expected_log_pareto(beta, k):

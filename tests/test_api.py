@@ -205,6 +205,16 @@ def test_seed_must_be_an_unsigned_64_bit_integer(entry, seed):
         _seeded_calls()[entry](seed)
 
 
+@pytest.mark.parametrize("index", [True, -1, 2.5, "1", None])
+@pytest.mark.parametrize("call", [lambda i: ruinbounds.replicate_stream(0, i),
+                                  lambda i: reference.derive_seed(1, i),
+                                  lambda i: reference.derive_seed(1, 3, i)],
+                         ids=["replicate_stream", "derive_seed", "derive_seed_second"])
+def test_index_must_be_a_non_negative_integer(call, index):
+    with pytest.raises(ValueError, match="^index must be "):
+        call(index)
+
+
 @pytest.mark.parametrize("entry", SEEDED)
 def test_numpy_seed_gives_the_bits_of_the_equal_int(entry):
     call = _seeded_calls()[entry]

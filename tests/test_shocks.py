@@ -6,11 +6,13 @@ import pytest
 
 from oracles import (
     mp_expected_log,
+    mp_gamma_log_inverse_moment,
     mp_inverse_moments,
     mp_log_inverse_moment,
     quad_expected_log_gamma,
     quad_expected_log_pareto,
 )
+from conftest import PUBLISHED_SPECS
 from ruinbounds import (
     ConfigError,
     Constant,
@@ -23,7 +25,6 @@ from ruinbounds import (
     spec_from_record,
 )
 from ruinbounds._special import digamma
-from ruinbounds.reference import LOGNORMAL_HEAVY, MATCHED_TRIO, PARETO_HEAVY
 
 GAMMA1 = 5.0 / 6.0
 GAMMA2 = 20.0 / 27.0
@@ -250,13 +251,27 @@ class TestLogInverseMomentAudit:
             else:
                 assert abs(got - want) <= bound * math.ulp(want), (r, got, want)
 
+    # shapes from 2**10, where the product form takes over, to 1e300, with
+    # rates across the float range and equal to the shape
+    LARGE_SHAPES = [2.0 ** 10] + [10.0 ** e for e in (4, 5, 8, 10, 17, 30, 100, 200, 300)]
+    RATES = [10.0 ** e for e in (-300, -100, -10, -3, -1, 0, 1, 3, 10, 100, 300)]
 
-# the specs behind the golden outputs, the reference tables and the benchmark
-_PUBLISHED_SPECS = [
-    PARETO_HEAVY, LOGNORMAL_HEAVY, *MATCHED_TRIO.values(),
-    Lognormal(0.21459085740810752, 0.06453852113757118),
-    Gamma(17.0, 13.333333333333334), Constant(1.5), Constant(1.25),
-]
+    def test_large_shape_within_ulp_of_the_larger_term(self):
+        """``r log(theta/alpha) - sum_j log1p(-j/alpha)`` against the exact identity in mpmath.
+
+        Errors are in ulp of the larger of the two terms, since they cancel
+        where theta is near alpha.  Measured maximum 1.0 ulp (Gamma(1024,
+        1e-300), r = 5), and 2.6e-16 relative.  The lgamma difference gave
+        0.0 for Gamma(1e17, 1) and Gamma(1e300, 1e300).
+        """
+        specs = [Gamma(a, t) for a in self.LARGE_SHAPES for t in self.RATES + [a]]
+        for spec in specs + [Gamma(1025.0, 3.0)]:
+            for r in (1, 2, 3, 5, 8, 13, 21, 34, 55, 60):
+                want, scale = mp_gamma_log_inverse_moment(spec, r)
+                got = spec.log_inverse_moment(r)
+                assert abs(got - want) <= 4 * math.ulp(scale), (spec, r, got, want)
+
+
 # decades across each parameter's range, and a few values in between
 _GRID = [10.0 ** e for e in (-300, -100, -10, -3, -1, 0, 1, 3, 10, 100, 300)] + [0.5, 2.5, 17.0]
 _CANCELLING = [0.01, 0.1, 0.5, 1.0, 3.0, 17.0, 100.0, 1e4, 1e10]
@@ -277,7 +292,7 @@ class TestExpectedLogAudit:
 
     @pytest.mark.parametrize("family", ["lognormal", "pareto", "gamma", "constant"])
     def test_within_ulp_bound(self, family):
-        specs = [s for s in _PUBLISHED_SPECS if s.family == family]
+        specs = [s for s in PUBLISHED_SPECS if s.family == family]
         if family == "lognormal":
             specs += [Lognormal(sign * mu, 1.0) for mu in _GRID for sign in (1, -1)]
         elif family == "pareto":
