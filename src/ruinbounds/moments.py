@@ -23,8 +23,8 @@ only on demand.  ``first_infinite`` is not read off the sign of the rounded
 ``log gamma_r``: each family decides ``gamma_r >= 1`` in integer arithmetic
 on its stored float parameters (``ShockSpec._exact_gaps``), so a
 moment exactly at the boundary is infinite.  Where that exact test finds
-``gamma_r < 1`` but the rounded log is not negative, ``1 - gamma_r`` comes
-from the same exact integers.
+``gamma_r < 1`` and the rounded log is within 2**-10 of 0, ``1 - gamma_r``
+comes from the same exact integers.
 
 The log-binomial coefficients and the log-sum-exp come from the package's
 own kernels in ``_special`` (``lgamma_int``, ``logsumexp``,
@@ -55,8 +55,8 @@ from .shocks import _LOG_FLOAT_MAX, ShockSpec
 __all__ = ["MomentTable", "FiniteMomentGrid", "infinite_moments", "finite_moments"]
 
 
-# Below this |log gamma_r|, a finite beta_r takes log(1 - gamma_r) from the
-# spec's exact gap; above it, from expm1 of the rounded log.
+# Within this of 0, log gamma_r holds few digits of 1 - gamma_r, so a finite
+# beta_r takes log(1 - gamma_r) from the spec's exact gap
 _NEAR_BOUNDARY = 2.0 ** -10
 
 
@@ -165,8 +165,7 @@ def infinite_moments(spec: ShockSpec, rmax: int) -> MomentTable:
     log_beta[0] = 0.0
     for r, (num, den) in zip(range(1, first_infinite or rmax + 1), spec._exact_gaps()):
         lg = log_gamma[r]
-        # log(1 - gamma_r).  Near the boundary the rounded log carries no
-        # digit of the gap, so the exact gap stands in there
+        # log(1 - gamma_r); expm1 keeps 1 - gamma_r accurate away from the boundary
         log_gap = math.log(-math.expm1(lg)) if lg <= -_NEAR_BOUNDARY else spec._log_gap(num, den)
         prefactor = lg - log_gap  # log(gamma_r / (1 - gamma_r))
         log_beta[r] = prefactor + logsumexp(log_binom[r, :r] + log_beta[:r])

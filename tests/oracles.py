@@ -141,7 +141,7 @@ def _mp_gamma_terms(spec, r):
 
 
 def mp_gamma_log_inverse_moment(spec, r, dps=50):
-    """``(log E[shock^-r], scale)`` of a gamma spec with r < alpha in ``dps``-digit mpmath, rounded.
+    """``(log E[shock^-r], scale)`` of a gamma spec, r < alpha, in ``dps``-digit mpmath, rounded.
 
     ``scale`` is the larger magnitude of the two terms of ``_mp_gamma_terms``,
     the size of their rounding errors where the sum cancels.

@@ -101,13 +101,14 @@ def _builders():
     """One builder per package dataclass; each call builds a new instance from the same inputs."""
     rb = ruinbounds
     spec = rb.Constant(2.0)
+    config = rb.SimConfig(replicates=4, truncation=3, seed=0)
     return {
         "BoundSchedule": lambda: rb.schedule(rb.infinite_moments(spec, 4), 1.0),
         "BoundaryTable": lambda: rb.boundary_table(spec, 1.0, [3, math.inf], 4),
         "MomentTable": lambda: rb.infinite_moments(spec, 3),
         "FiniteMomentGrid": lambda: rb.finite_moments(spec, 3, 4),
         "SimConfig": lambda: rb.SimConfig(replicates=4, truncation=3, seed=0),
-        "EcdfEstimate": lambda: rb.sample_Z(spec, rb.SimConfig(replicates=4, truncation=3, seed=0)),
+        "EcdfEstimate": lambda: rb.sample_Z(spec, config),
         # the stock lies on the rounding boundary of the 2-term sum: path 0 disagrees
         "CrosscheckReport": lambda: rb.crosscheck_equivalence(
             rb.Constant(1.1), 2.7355371900826446, 1.0, 2, 1, seed=0),

@@ -9,8 +9,10 @@ Outputs and samples are bit-identical for one numpy build and one SIMD
 dispatch level.  numpy's AVX-512 and AVX2 kernels of ``exp``, ``log1p``,
 ``log`` and ``power`` round differently on a few percent of inputs, and the
 package calls them in ``_special.logsumexp`` and ``logsumexp_rows``
-(``np.exp``, ``np.log1p``, ``np.log``), ``Lognormal._transform``
-(``np.exp``) and ``Pareto._transform`` (``**=``).  So two digest sets are
+(``np.exp``, ``np.log1p``, ``np.log``), ``moments._exp`` (a scalar
+``np.exp``, which feeds ``MomentTable.gamma`` and ``beta`` and
+``FiniteMomentGrid.beta``), ``Lognormal._transform`` (``np.exp``) and
+``Pareto._transform`` (``**=``).  So two digest sets are
 recorded, on x86-64 Linux with numpy 2.4.6: ``GOLDEN`` where numpy
 dispatches its AVX-512 kernels, and ``GOLDEN_WITHOUT_AVX512`` with
 ``NPY_DISABLE_CPU_FEATURES`` set to ``AVX512_FEATURES``, the path of a CPU

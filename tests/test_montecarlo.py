@@ -370,7 +370,8 @@ class TestBitIdentity:
         assert not report.passed
         # the reported draws are the raw draws, not the products summed in place
         for i, draws in zip(report.discrepancy_indices, report.discrepancy_draws):
-            assert np.array(draws).tobytes() == spec.sample_inverse(replicate_stream(17, i), 10).tobytes()
+            want = spec.sample_inverse(replicate_stream(17, i), 10)
+            assert np.array(draws).tobytes() == want.tobytes()
 
 
 class TestFastPath:
