@@ -321,11 +321,7 @@ def exact_series_betas(spec, rmax):
     return betas
 
 
-def log_fraction(value):
-    return math.log(value.numerator) - math.log(value.denominator)
-
-
-def mp_log_fraction(value, dps=50):
+def log_fraction(value, dps=50):
     """log of a positive Fraction in ``dps``-digit mpmath, rounded."""
     with mpmath.workdps(dps):
         return float(mpmath.log(mpmath.mpf(value.numerator) / value.denominator))

@@ -11,7 +11,6 @@ from oracles import (
     log_fraction,
     mp_finite_log_betas,
     mp_infinite_log_betas,
-    mp_log_fraction,
     naive_finite_betas,
     naive_infinite_betas,
     per_cell_finite_moments,
@@ -141,7 +140,7 @@ class TestExactFirstInfinite:
             for r, exact in enumerate(exact_series_betas(spec, 3)[1:], start=1):
                 if exact is not None:
                     finite += 1
-                    want = mp_log_fraction(exact)
+                    want = log_fraction(exact)
                     assert abs(table.log_beta(r) - want) <= 2 * math.ulp(want), (spec, r)
         assert finite == 96
 
