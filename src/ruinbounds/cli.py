@@ -331,7 +331,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         meta["master_seed"] = cfg.seed
         meta["version"] = __version__
         samples_path = out_dir / f"samples_{name}.csv"
-        write_csv_table(samples_path, ("sample",), [(v,) for v in est.samples], meta)
+        write_csv_table(samples_path, ("sample",), zip(est.samples), meta)  # rows made lazily
         estimate = {
             "metadata": meta,
             "c": cfg.c,

@@ -9,16 +9,19 @@ sets.  The generator name is recorded in output metadata.
 
 A Philox stream is nothing but its 128-bit key, which is
 ``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``.  The
-sampling loops compute the keys of all replicates in bulk with a port of
-the SeedSequence hash (``_philox_keys``) and re-key one reused generator
-per replicate; the draws equal those of ``replicate_stream``, the
-documented reference derivation, bit for bit.
+sampling loops hash the seed once with a port of the SeedSequence hash,
+compute the keys of ``_KEY_BLOCK`` replicates at a time from it
+(``_philox_keys``) and re-key one reused generator per replicate; the
+draws equal those of ``replicate_stream``, the documented reference
+derivation, bit for bit.
 
 Replicates are drawn a bounded block of rows at a time (``_row_blocks``):
 each row takes one raw uniform, normal or gamma draw from its replicate's
 stream, and the family transform then runs once over the block, so every
 row equals ``spec.sample_inverse`` on that stream.  Fixed truncation and
-``crosscheck_equivalence`` share this row draw and its partial sum.
+``crosscheck_equivalence`` share this row draw and its partial sum, and
+the cross-check runs a block at a time.  So the working memory of a run is
+its output plus one block, whatever the number of replicates or paths.
 
 Two sampling modes produce survival-probability estimates:
 
@@ -78,6 +81,8 @@ _MAX_TERMS = 1_000_000
 _NAN_MESSAGE = "0 times +inf in a product of reciprocal shocks of {!r}; it has no float value"
 # Doubles drawn per block of replicate rows (at least one row).
 _ROW_BLOCK_DOUBLES = 8192
+# Replicate keys derived and held at a time.
+_KEY_BLOCK = 1024
 
 # numpy's SeedSequence hash: pool size and 32-bit constants.
 _POOL_SIZE = 4
@@ -99,49 +104,83 @@ def replicate_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _philox_keys(seed: int, count: int) -> np.ndarray:
-    """Philox keys of replicates ``0..count-1`` as a ``(count, 2)`` uint64 array.
+def _hash_constants(start: int, mult: int) -> tuple:
+    """The constants ``(xor, mult)`` of ``_POOL_SIZE`` hash steps from ``start``, as uint32 rows."""
+    consts = [start]
+    for _ in range(_POOL_SIZE):
+        consts.append(consts[-1] * mult & _MASK32)
+    return (np.array(consts[:-1], dtype=np.uint32)[:, None],
+            np.array(consts[1:], dtype=np.uint32)[:, None])
 
-    Row ``i`` equals ``SeedSequence(seed, spawn_key=(i,)).generate_state(2,
-    np.uint64)``, the key of ``replicate_stream(seed, i)``.  The hash runs on
-    uint32 arrays, so it wraps without overflow warnings.  Its entropy is the
-    seed's 32-bit words, zero-padded to the pool size, then the index word;
-    only the index word and the output hash differ between replicates.
+
+# the output hash of generate_state, the same for every key
+_OUTPUT_XOR, _OUTPUT_MULT = _hash_constants(_INIT_B, _MULT_B)
+
+
+def _seed_pool(seed: int) -> tuple:
+    """SeedSequence's pool after the seed's words, and the hash constant it reached.
+
+    The entropy is the seed's 32-bit words, zero-padded to the pool size,
+    then the replicate's index word.  Only the index word and the output
+    hash differ between replicates, so the seed part is hashed once, on
+    Python ints masked to 32 bits.  Returns ``(pool * _MIX_MULT_L, xor,
+    mult)``: the pool as ``mix`` takes it and the index word's hash constants.
     """
     seed = operator.index(seed)  # a numpy integer has no bit_length
     words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.array([w], dtype=np.uint32) for w in words]
-    entropy.append(np.arange(count, dtype=np.uint32))
     hash_const = _INIT_A
 
     def hashmix(value):
         nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
         return value ^ (value >> _XSHIFT)
 
     def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
         return result ^ (result >> _XSHIFT)
 
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
+    for word in words[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = _INIT_B
-    state = np.empty((count, _POOL_SIZE), dtype=np.uint32)
-    for i, word in enumerate(pool):
-        value = word ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * hash_const
-        state[:, i] = value ^ (value >> _XSHIFT)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    mixed = np.array([[word * _MIX_MULT_L & _MASK32] for word in pool], dtype=np.uint32)
+    return (mixed, *_hash_constants(hash_const, _MULT_A))
+
+
+def _index_keys(seeded: tuple, start: int, count: int) -> np.ndarray:
+    """Philox keys of replicates ``start..start+count-1`` from ``_seed_pool``'s result.
+
+    The hash runs on uint32 arrays, one row per pool word, so it wraps
+    without overflow warnings.
+    """
+    mixed, xor, mult = seeded
+    value = np.arange(start, start + count, dtype=np.uint32) ^ xor
+    value *= mult
+    value ^= value >> _XSHIFT
+    value *= _MIX_MULT_R
+    value = mixed - value
+    value ^= value >> _XSHIFT
+    value ^= _OUTPUT_XOR
+    value *= _OUTPUT_MULT
+    value ^= value >> _XSHIFT
+    return value.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+def _philox_keys(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Philox keys of replicates ``start..start+count-1`` as a ``(count, 2)`` uint64 array.
+
+    Row ``i`` equals ``SeedSequence(seed, spawn_key=(start + i,))
+    .generate_state(2, np.uint64)``, the key of ``replicate_stream(seed,
+    start + i)``.  Indices stay below 2**32, one 32-bit word each.
+    """
+    return _index_keys(_seed_pool(seed), start, count)
 
 
 def _replicate_generators(seed: int, count: int):
@@ -150,17 +189,19 @@ def _replicate_generators(seed: int, count: int):
     One Philox generator is re-keyed in place for every replicate: counter,
     key and output buffer are all reset, so each yield draws exactly what
     ``replicate_stream(seed, i)`` would.  Finish with one before the next.
+    Keys are derived ``_KEY_BLOCK`` replicates at a time.
     """
-    keys = _philox_keys(seed, count).tolist()
+    seeded = _seed_pool(seed)
     bit_generator = np.random.Philox(0)  # every replicate overwrites this key
     rng = np.random.Generator(bit_generator)
     inner = {"counter": (0, 0, 0, 0), "key": None}
     state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key in keys:
-        inner["key"] = key
-        bit_generator.state = state
-        yield rng
+    for start in range(0, count, _KEY_BLOCK):
+        for key in _index_keys(seeded, start, min(_KEY_BLOCK, count - start)).tolist():
+            inner["key"] = key
+            bit_generator.state = state
+            yield rng
 
 
 @dataclass(frozen=True)
@@ -411,26 +452,28 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
     _require_integer("horizon", horizon, 1)
     _require_integer("paths", paths, 1)
     _require_seed(seed)
-    inverse = np.empty((paths, horizon))
-    partial_sum = np.empty(paths)
+    indices, draws = [], []
     for start, rows in _row_blocks(spec, seed, paths, horizon):
-        inverse[start:start + len(rows)] = rows
-        _row_partial_sums(rows, partial_sum[start:start + len(rows)])  # series side
-    if np.isnan(partial_sum).any():
-        raise DomainError(_NAN_MESSAGE.format(spec))
-    series_alive = partial_sum < x / c - 1.0
-    # Wealth-map side, absorbing at zero.
-    wealth = np.full(paths, float(x))
-    alive = np.ones(paths, dtype=bool)
-    # a zero draw (an infinite shock) gives +inf wealth, as in simulate_path,
-    # or NaN on a path already ruined, which stays ruined
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for step in range(horizon):
-            wealth = np.maximum(wealth - c, 0.0) / inverse[:, step]
-            alive &= wealth > c
-    bad = np.nonzero(alive != series_alive)[0]
+        periods = rows.T.copy()  # each period's draws, kept: the partial sum overwrites rows
+        partial_sum = np.empty(len(rows))
+        _row_partial_sums(rows, partial_sum)  # series side
+        if np.isnan(partial_sum).any():
+            raise DomainError(_NAN_MESSAGE.format(spec))
+        series_alive = partial_sum < x / c - 1.0
+        # Wealth-map side, absorbing at zero: wealth at most c (or NaN) is 0
+        # or NaN from the next period on, so the last period's wealth decides.
+        wealth = np.full(len(rows), float(x))
+        # a zero draw (an infinite shock) gives +inf wealth, as in simulate_path,
+        # or NaN on a path already ruined, which stays ruined
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for draw in periods:
+                wealth -= c
+                np.maximum(wealth, 0.0, out=wealth)
+                wealth /= draw
+        for i in np.flatnonzero((wealth > c) != series_alive).tolist():
+            indices.append(start + i)
+            draws.append(tuple(periods[:, i].tolist()))
     return CrosscheckReport(
         spec=spec, x=x, c=c, horizon=horizon, paths=paths, seed=seed,
-        discrepancy_indices=tuple(int(i) for i in bad),
-        discrepancy_draws=tuple(tuple(inverse[i].tolist()) for i in bad),
+        discrepancy_indices=tuple(indices), discrepancy_draws=tuple(draws),
     )

@@ -238,9 +238,12 @@ class Gamma(ShockSpec):
             return r * math.log(self.theta) + math.lgamma(alpha - r) - math.lgamma(alpha)
         # Gamma(alpha) / Gamma(alpha - r) = alpha**r * prod_{j<=r} (1 - j/alpha): the
         # lgamma difference would cancel to nothing here, and lgamma overflows
-        # above alpha ~ 2.5e305
-        return (r * _log_ratio(self.theta, alpha)
-                - math.fsum(math.log1p(-j / alpha) for j in range(1, r + 1)))
+        # above alpha ~ 2.5e305.  Near alpha, theta - alpha is exact (Sterbenz),
+        # so log1p keeps the bits that the rounding of theta/alpha would lose.
+        theta = self.theta
+        log_ratio = (math.log1p((theta - alpha) / alpha) if alpha / 2 <= theta <= 2 * alpha
+                     else _log_ratio(theta, alpha))
+        return r * log_ratio - math.fsum(math.log1p(-j / alpha) for j in range(1, r + 1))
 
     def expected_log(self) -> float:
         return digamma(self.alpha) - math.log(self.theta)

@@ -17,9 +17,12 @@ integer 3.  A read cuts the file only at ``\n``, ``\r`` and ``\r\n``,
 keeping the line ends, as the csv reader expects, so a quoted cell keeps
 its line breaks.
 
-Tables whose cells are all floats are formatted and parsed a column at a
-time; the bytes written and the values read are those of the per-cell
-rules above.
+Tables are written and read ``_CHUNK_ROWS`` rows at a time, so the working
+memory of a write is one chunk and that of a read one chunk beside the
+rows it returns; a write goes to a file next to the target, which replaces
+the target once it is complete.  Chunks whose cells are all floats are
+formatted and parsed a column at a time; the bytes written and the values
+read are those of the per-cell rules above.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import csv
 import io
 import json
 import math
+import os
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -42,6 +47,9 @@ __all__ = [
     "write_csv_table",
     "write_json",
 ]
+
+# Rows formatted or parsed at a time.
+_CHUNK_ROWS = 1024
 
 
 def format_cell(value) -> str:
@@ -129,7 +137,13 @@ def _write_row(buf, writer, cells) -> None:
         writer.writerow(cells)
 
 
-def render_csv(columns, rows, metadata: dict | None = None) -> str:
+def _csv_pieces(columns, rows, metadata: dict | None):
+    """Yield the text of a CSV table: the metadata and header, then one piece per chunk of rows.
+
+    Each chunk of ``_CHUNK_ROWS`` rows is formatted a column at a time when
+    every cell is a float, else cell by cell; both write the same bytes.
+    A metadata line break raises before the first piece.
+    """
     buf = io.StringIO()
     for key, value in (metadata or {}).items():
         line = f"# {key} = {format_cell(value)}"
@@ -140,24 +154,47 @@ def render_csv(columns, rows, metadata: dict | None = None) -> str:
         buf.write(line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     _write_row(buf, writer, columns)
-    if not isinstance(rows, (list, tuple)):
-        rows = list(rows)
-    float_columns = _float_columns(rows, len(columns))
-    if float_columns is None:
-        for row in rows:
-            _write_row(buf, writer, [format_cell(v) for v in row])
-    else:
-        # float texts hold no comma, quote or line break, so need no csv quoting
-        texts = [_float_texts(column) for column in float_columns]
-        buf.write("\n".join(map(",".join, zip(*texts))))
-        buf.write("\n")
-    return buf.getvalue()
+    yield buf.getvalue()
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        float_columns = _float_columns(chunk, len(columns))
+        if float_columns is None:
+            buf.seek(0)
+            buf.truncate()
+            for row in chunk:
+                _write_row(buf, writer, [format_cell(v) for v in row])
+            yield buf.getvalue()
+        else:
+            # float texts hold no comma, quote or line break, so need no csv quoting
+            texts = [_float_texts(column) for column in float_columns]
+            yield "\n".join(map(",".join, zip(*texts))) + "\n"
+
+
+def render_csv(columns, rows, metadata: dict | None = None) -> str:
+    return "".join(_csv_pieces(columns, rows, metadata))
 
 
 def write_csv_table(path, columns, rows, metadata: dict | None = None) -> Path:
+    """Write the table to ``path`` a chunk of rows at a time, whole or not at all.
+
+    ``rows`` may be any iterable, consumed once.  The text goes to a file
+    next to ``path``, which replaces ``path`` once complete; a cell that
+    fails to format leaves neither file behind.
+    """
     path = Path(path)
+    pieces = _csv_pieces(columns, rows, metadata)
+    head = next(pieces)  # a metadata line break raises before any file is made
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_csv(columns, rows, metadata), encoding="utf-8")
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as f:
+            f.write(head)
+            for piece in pieces:
+                f.write(piece)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -180,33 +217,34 @@ def read_csv_table(path):
     """Parse a CSV written by :func:`write_csv_table`.
 
     Returns ``(metadata, columns, rows)`` with cells through
-    :func:`parse_cell`, each row a tuple.
+    :func:`parse_cell`, each row a tuple.  Rows are parsed ``_CHUNK_ROWS`` at
+    a time, a column at a time where a chunk is as wide as the header.
     """
     metadata: dict = {}
     # cut only where csv itself would (newline=""), keeping the line ends, so
     # that a quoted cell keeps its line breaks
     with open(path, encoding="utf-8", newline="") as f:
-        lines = f.readlines()
-    body_start = 0
-    for i, line in enumerate(lines):
-        if line.startswith("#"):
+        for line in f:
+            if not line.startswith("#"):
+                break
             key, _, value = line[1:].partition("=")
             metadata[key.strip()] = parse_cell(value)
-            body_start = i + 1
         else:
-            break
-    reader = csv.reader(lines[body_start:])
-    try:
-        columns = tuple(next(reader))
-    except StopIteration:
-        return metadata, (), []
-    # tuples of str, unlike csv's row lists, leave the garbage collector's view at its first pass
-    rows = list(filter(None, map(tuple, reader)))
-    if set(map(len, rows)) <= {len(columns)}:  # no row, or every row as wide as the header
-        cells = [list(map(itemgetter(j), rows)) for j in range(len(columns))]
-        del rows
-        return metadata, columns, list(zip(*map(_read_column, cells)))
-    return metadata, columns, [tuple(map(parse_cell, row)) for row in rows]
+            return metadata, (), []
+        reader = csv.reader(chain([line], f))
+        try:
+            columns = tuple(next(reader))
+        except StopIteration:
+            return metadata, (), []
+        rows: list = []
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            chunk = [row for row in chunk if row]
+            if set(map(len, chunk)) <= {len(columns)}:  # every row as wide as the header
+                cells = [list(map(itemgetter(j), chunk)) for j in range(len(columns))]
+                rows += zip(*map(_read_column, cells))
+            else:
+                rows += [tuple(map(parse_cell, row)) for row in chunk]
+    return metadata, columns, rows
 
 
 def _to_jsonable(obj):
