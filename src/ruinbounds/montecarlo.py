@@ -20,8 +20,8 @@ each row takes one raw uniform, normal or gamma draw from its replicate's
 stream, and the family transform then runs once over the block, so every
 row equals ``spec.sample_inverse`` on that stream.  Fixed truncation and
 ``crosscheck_equivalence`` share this row draw and its partial sum, and
-the cross-check runs a block at a time.  So the working memory of a run is
-its output plus one block, whatever the number of replicates or paths.
+the cross-check runs a block at a time.  So a run needs little memory
+beyond its output, whatever the number of replicates or paths.
 
 Two sampling modes produce survival-probability estimates:
 

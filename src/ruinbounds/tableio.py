@@ -178,20 +178,24 @@ def write_csv_table(path, columns, rows, metadata: dict | None = None) -> Path:
     """Write the table to ``path`` a chunk of rows at a time, whole or not at all.
 
     ``rows`` may be any iterable, consumed once.  The text goes to a file
-    next to ``path``, which replaces ``path`` once complete; a cell that
-    fails to format leaves neither file behind.
+    next to the file ``path`` names, which it replaces once complete; a
+    cell that fails to format leaves neither file behind.  A device or a
+    pipe, such as ``/dev/null``, is written through instead.
     """
     path = Path(path)
     pieces = _csv_pieces(columns, rows, metadata)
     head = next(pieces)  # a metadata line break raises before any file is made
     path.parent.mkdir(parents=True, exist_ok=True)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(chain([head], pieces))
+        return path
+    target = Path(os.path.realpath(path))  # through a symlink, the file it names
+    partial = target.with_name(f".{target.name}.{os.getpid()}.partial")
     try:
         with open(partial, "w", encoding="utf-8") as f:
-            f.write(head)
-            for piece in pieces:
-                f.write(piece)
-        os.replace(partial, path)
+            f.writelines(chain([head], pieces))
+        os.replace(partial, target)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
