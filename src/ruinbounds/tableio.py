@@ -190,7 +190,7 @@ def write_csv_table(path, columns, rows, metadata: dict | None = None) -> Path:
         with open(path, "w", encoding="utf-8") as f:
             f.writelines(chain([head], pieces))
         return path
-    target = Path(os.path.realpath(path))  # through a symlink, the file it names
+    target = path.resolve() if path.is_symlink() else path  # a link keeps naming its file
     partial = target.with_name(f".{target.name}.{os.getpid()}.partial")
     try:
         with open(partial, "w", encoding="utf-8") as f:
