@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from ruinbounds import Constant, Gamma, Lognormal
@@ -9,6 +11,21 @@ PUBLISHED_SPECS = [
     Lognormal(0.21459085740810752, 0.06453852113757118),
     Gamma(17.0, 13.333333333333334), Constant(1.5), Constant(1.25),
 ]
+
+
+def traced_peak(call):
+    """``(result, peak, kept)``: ``call()``, its peak traced bytes, and the bytes it kept.
+
+    tracemalloc counts numpy buffers as well as Python objects, and only what
+    the call itself allocates, so the numbers repeat from run to run.
+    """
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, kept
 
 
 @pytest.fixture(scope="session")

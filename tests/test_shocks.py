@@ -271,6 +271,23 @@ class TestLogInverseMomentAudit:
                 got = spec.log_inverse_moment(r)
                 assert abs(got - want) <= 4 * math.ulp(scale), (spec, r, got, want)
 
+    def test_large_shape_with_theta_near_alpha(self):
+        """theta = alpha (1 +- 10**-k), k = 1..15: log(theta/alpha) must not inherit the
+        rounding of theta/alpha, which gave 8.3e-8 relative error at Gamma(1e17,
+        1e17 (1 + 1e-10)) and 4.0e-2 at Gamma(1e300, 1e300 (1 - 1e-15)).
+
+        Errors are in ulp of the larger term, as above.  Measured maximum 2.0
+        ulp (Gamma(1e8, 1e8 (1 + 1e-6)), r = 60), 1.7e-16 relative.
+        """
+        for alpha in (2.0 ** 10, 1e8, 1e17, 1e300):
+            for k in range(1, 16):
+                for theta in (alpha * (1 + 10.0 ** -k), alpha * (1 - 10.0 ** -k)):
+                    spec = Gamma(alpha, theta)
+                    for r in (1, 2, 3, 5, 8, 13, 21, 34, 55, 60):
+                        want, scale = mp_gamma_log_inverse_moment(spec, r)
+                        got = spec.log_inverse_moment(r)
+                        assert abs(got - want) <= 4 * math.ulp(scale), (spec, r, got, want)
+
 
 # decades across each parameter's range, and a few values in between
 _GRID = [10.0 ** e for e in (-300, -100, -10, -3, -1, 0, 1, 3, 10, 100, 300)] + [0.5, 2.5, 17.0]
