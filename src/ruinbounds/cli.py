@@ -152,6 +152,8 @@ def load_config_file(path: str) -> ExperimentConfig:
     for section in parser.sections():
         if section.lower().startswith("spec"):
             name = section.split(":", 1)[1].strip() if ":" in section else section
+            if any(name == seen for seen, _ in cfg.specs):  # one spec would overwrite the other
+                raise ConfigError(f"{path} [{section}]: spec name {name!r} repeats")
             record = dict(parser.items(section))
             try:
                 cfg.specs.append((name, spec_from_record(record)))

@@ -9,11 +9,12 @@ sets.  The generator name is recorded in output metadata.
 
 A Philox stream is nothing but its 128-bit key, which is
 ``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``.  The
-sampling loops hash the seed once with a port of the SeedSequence hash,
-compute the keys of ``_KEY_BLOCK`` replicates at a time from it
-(``_philox_keys``) and re-key one reused generator per replicate; the
-draws equal those of ``replicate_stream``, the documented reference
-derivation, bit for bit.
+sampling loops derive keys one block of ``_KEY_BLOCK`` replicates at a
+time (``_philox_keys``): the seed's pool comes from numpy's
+``SeedSequence(seed)``, and the package runs only the index word and the
+output hash, over the whole block at once.  One reused generator is
+re-keyed per replicate; the draws equal those of ``replicate_stream``, the
+documented reference derivation, bit for bit.
 
 Replicates are drawn a bounded block of rows at a time (``_row_blocks``):
 each row takes one raw uniform, normal or gamma draw from its replicate's
@@ -43,9 +44,11 @@ functions raise ``DomainError`` where one would enter a result.
 
 The empirical CDF counts strictly, matching the survival event
 ``{series < x/c - 1}``; ``simulate_path`` iterates the wealth map itself,
-on Python floats, and ``crosscheck_equivalence`` verifies path by path, on
-shared draws, that the two formulations of the survival event coincide; its
-vectorised wealth map is a second copy because a shared one is slower.
+on Python floats, and ``crosscheck_equivalence`` compares path by path, on
+shared draws, the two formulations of the survival event; they round
+differently, so a path whose stock lies within rounding of the survival
+boundary can be reported.  Its vectorised wealth map is a second copy
+because a shared one is slower.
 """
 
 from __future__ import annotations
@@ -117,70 +120,33 @@ def _hash_constants(start: int, mult: int) -> tuple:
 _OUTPUT_XOR, _OUTPUT_MULT = _hash_constants(_INIT_B, _MULT_B)
 
 
-def _seed_pool(seed: int) -> tuple:
-    """SeedSequence's pool after the seed's words, and the hash constant it reached.
-
-    The entropy is the seed's 32-bit words, zero-padded to the pool size,
-    then the replicate's index word.  Only the index word and the output
-    hash differ between replicates, so the seed part is hashed once, on
-    Python ints masked to 32 bits.  Returns ``(pool * _MIX_MULT_L, xor,
-    mult)``: the pool as ``mix`` takes it and the index word's hash constants.
-    """
-    seed = operator.index(seed)  # a numpy integer has no bit_length
-    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
-        return result ^ (result >> _XSHIFT)
-
-    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    mixed = np.array([[word * _MIX_MULT_L & _MASK32] for word in pool], dtype=np.uint32)
-    return (mixed, *_hash_constants(hash_const, _MULT_A))
-
-
-def _index_keys(seeded: tuple, start: int, count: int) -> np.ndarray:
-    """Philox keys of replicates ``start..start+count-1`` from ``_seed_pool``'s result.
-
-    The hash runs on uint32 arrays, one row per pool word, so it wraps
-    without overflow warnings.
-    """
-    mixed, xor, mult = seeded
-    value = np.arange(start, start + count, dtype=np.uint32) ^ xor
-    value *= mult
-    value ^= value >> _XSHIFT
-    value *= _MIX_MULT_R
-    value = mixed - value
-    value ^= value >> _XSHIFT
-    value ^= _OUTPUT_XOR
-    value *= _OUTPUT_MULT
-    value ^= value >> _XSHIFT
-    return value.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
-
-
 def _philox_keys(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Philox keys of replicates ``start..start+count-1`` as a ``(count, 2)`` uint64 array.
 
     Row ``i`` equals ``SeedSequence(seed, spawn_key=(start + i,))
     .generate_state(2, np.uint64)``, the key of ``replicate_stream(seed,
     start + i)``.  Indices stay below 2**32, one 32-bit word each.
+
+    The entropy is the seed's 32-bit words, zero-padded to the pool size,
+    then the index word.  ``SeedSequence(seed).pool`` is the pool after the
+    seed's words, which took ``_POOL_SIZE`` hash steps per word and at least
+    ``_POOL_SIZE**2``; the index word and the output hash run here, on
+    uint32 arrays with one row per pool word, so they wrap without overflow
+    warnings.
     """
-    return _index_keys(_seed_pool(seed), start, count)
+    seed = operator.index(seed)  # a numpy integer has no bit_length
+    steps = _POOL_SIZE * max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    xor, mult = _hash_constants(_INIT_A * pow(_MULT_A, steps, _MASK32 + 1) & _MASK32, _MULT_A)
+    value = np.arange(start, start + count, dtype=np.uint32) ^ xor
+    value *= mult
+    value ^= value >> _XSHIFT
+    value *= _MIX_MULT_R
+    value = np.random.SeedSequence(seed).pool[:, None] * np.uint32(_MIX_MULT_L) - value
+    value ^= value >> _XSHIFT
+    value ^= _OUTPUT_XOR
+    value *= _OUTPUT_MULT
+    value ^= value >> _XSHIFT
+    return value.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
 
 
 def _replicate_generators(seed: int, count: int):
@@ -191,14 +157,13 @@ def _replicate_generators(seed: int, count: int):
     ``replicate_stream(seed, i)`` would.  Finish with one before the next.
     Keys are derived ``_KEY_BLOCK`` replicates at a time.
     """
-    seeded = _seed_pool(seed)
     bit_generator = np.random.Philox(0)  # every replicate overwrites this key
     rng = np.random.Generator(bit_generator)
     inner = {"counter": (0, 0, 0, 0), "key": None}
     state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for start in range(0, count, _KEY_BLOCK):
-        for key in _index_keys(seeded, start, min(_KEY_BLOCK, count - start)).tolist():
+        for key in _philox_keys(seed, min(_KEY_BLOCK, count - start), start).tolist():
             inner["key"] = key
             bit_generator.state = state
             yield rng
@@ -442,8 +407,9 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
                            paths: int, seed: int) -> CrosscheckReport:
     """Verify {wealth > c through n periods} == {partial sum < x/c - 1} per path.
 
-    Both indicators are computed from the same draws, so agreement is exact
-    unless the algebraic identity itself were broken; any discrepancy is
+    Both indicators are computed from the same draws, but the wealth map and
+    the partial sum round differently, so a path whose stock lies within
+    rounding of the survival boundary can disagree; any discrepancy is
     reported with the path's draws.
     """
     _require_consumption(c)

@@ -142,7 +142,8 @@ def _csv_pieces(columns, rows, metadata: dict | None):
 
     Each chunk of ``_CHUNK_ROWS`` rows is formatted a column at a time when
     every cell is a float, else cell by cell; both write the same bytes.
-    A metadata line break raises before the first piece.
+    A metadata line break, or a ``=`` in a metadata key, raises before the
+    first piece.
     """
     buf = io.StringIO()
     for key, value in (metadata or {}).items():
@@ -151,6 +152,8 @@ def _csv_pieces(columns, rows, metadata: dict | None):
             raise ValueError(
                 f"metadata {key!r} holds a line break, which a '# key = value' line cannot carry"
             )
+        if "=" in str(key):  # a read splits the line at its first '='
+            raise ValueError(f"metadata key {key!r} holds '=', which a read takes as its end")
         buf.write(line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     _write_row(buf, writer, columns)

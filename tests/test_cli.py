@@ -410,6 +410,28 @@ class TestErrorPaths:
         cfg.write_text("[spec:g]\nfamily = gamma\nalpha = inf\ntheta = 1\n")
         assert main(["classify", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "moments"])
+    def test_repeated_spec_name(self, tmp_path, capsys, command):
+        # both sections are named 'a': one spec's output would overwrite the other's
+        cfg = tmp_path / "twice.ini"
+        cfg.write_text("[spec:a]\nfamily = pareto\nk = 3\nbeta = 0.9\n"
+                       "[spec: a]\nfamily = constant\na = 2\n[run]\nreplicates = 10\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {cfg} [spec: a]: spec name 'a' repeats\n"
+        assert not out.exists()
+
+    def test_equals_in_a_metadata_key(self, tmp_path, capsys):
+        # the spec name enters the key first_infinite_a=b, which would read back as 'first_infinite_a'
+        cfg = tmp_path / "eq.ini"
+        cfg.write_text("[spec:a=b]\nfamily = pareto\nk = 3\nbeta = 0.9\n")
+        assert main(["moments", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "metadata key 'first_infinite_a=b' holds '='" in captured.err
+
     def test_no_specs(self, tmp_path):
         cfg = tmp_path / "empty.ini"
         cfg.write_text("[run]\nc = 1\n")

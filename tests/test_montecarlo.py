@@ -74,6 +74,8 @@ class TestPhiloxKeys:
     @pytest.mark.parametrize("seed", [
         0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
         derive_seed(DEFAULT_SEED, 3), derive_seed(7, 0, 2),
+        # 3, 4, 5 and 5 words: the seed's hash steps stop being 16 past 4 words
+        2 ** 64, 2 ** 96 + 5, 2 ** 128 - 1, 2 ** 128,
     ])
     def test_equals_seed_sequence(self, seed):
         count = 300
@@ -393,7 +395,11 @@ class TestBitIdentity:
 
 
 class TestFastPath:
-    """The sampling loops must not build a SeedSequence per replicate."""
+    """The sampling loops must not build a SeedSequence per replicate.
+
+    They take the seed's pool from one ``SeedSequence(seed)``, without a
+    spawn key, per block of ``_KEY_BLOCK`` keys.
+    """
 
     @pytest.fixture
     def seed_sequences(self, monkeypatch):
@@ -401,24 +407,31 @@ class TestFastPath:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args)
+            calls.append(kwargs)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "SeedSequence", counting)
         replicate_stream(0, 0)
-        assert len(calls) == 1  # the counter sees the reference derivation
+        assert calls == [{"entropy": 0, "spawn_key": (0,)}]  # the counter sees the reference
         calls.clear()
         return calls
+
+    @staticmethod
+    def assert_per_key_block(calls, count):
+        assert all("spawn_key" not in kwargs for kwargs in calls)
+        assert len(calls) <= -(-count // mc._KEY_BLOCK)
+        calls.clear()
 
     def test_sample_z(self, seed_sequences):
         spec = Lognormal(3.17, 1.75)
         sample_Z(spec, SimConfig(replicates=5000, truncation=20, seed=1))
+        self.assert_per_key_block(seed_sequences, 5000)
         sample_Z(spec, SimConfig(replicates=5000, seed=1))
-        assert len(seed_sequences) == 0
+        self.assert_per_key_block(seed_sequences, 5000)
 
     def test_crosscheck(self, seed_sequences):
         crosscheck_equivalence(Pareto(3.0, 0.9), 3.5, 1.0, 20, 1000, seed=2)
-        assert len(seed_sequences) == 0
+        self.assert_per_key_block(seed_sequences, 1000)
 
 
 class TestEcdf:

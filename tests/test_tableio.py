@@ -237,6 +237,15 @@ def test_metadata_line_break_is_rejected(tmp_path, metadata, key):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("key", ["a=b", "=", "x = y"])
+def test_metadata_key_holding_equals_is_rejected(tmp_path, key):
+    # '# a=b = 1' would read back as {'a': 'b = 1'}
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=re.escape(f"metadata key {key!r} holds '='")):
+        write_csv_table(path, ("a",), [(1.5,)], {key: 1})
+    assert not path.exists()
+
+
 def test_cell_that_fails_to_format_leaves_no_file(tmp_path, monkeypatch):
     # the failing cell is in the third chunk, after two were written
     monkeypatch.setattr(tableio, "_CHUNK_ROWS", 3)
