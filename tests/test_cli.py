@@ -424,7 +424,7 @@ class TestErrorPaths:
         assert not out.exists()
 
     def test_equals_in_a_metadata_key(self, tmp_path, capsys):
-        # the spec name enters the key first_infinite_a=b, which would read back as 'first_infinite_a'
+        # the key first_infinite_a=b would read back as first_infinite_a
         cfg = tmp_path / "eq.ini"
         cfg.write_text("[spec:a=b]\nfamily = pareto\nk = 3\nbeta = 0.9\n")
         assert main(["moments", "--config", str(cfg)]) == 2
