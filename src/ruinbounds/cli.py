@@ -47,7 +47,7 @@ from pathlib import Path
 from . import __version__
 from ._defaults import DEFAULT_REPLICATES, DEFAULT_SEED
 from .errors import (ConfigError, DomainError, _require_consumption, _require_horizon,
-                     _require_integer)
+                     _require_integer, _require_seed, _require_truncation)
 
 
 class ExperimentConfig:
@@ -73,8 +73,6 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Check every setting, with the library's rules where they have one."""
-        from .montecarlo import SimConfig
-
         if not self.specs:
             raise ConfigError("no shock specs configured; add a [spec:NAME] section")
         _require_consumption(self.c)
@@ -87,7 +85,9 @@ class ExperimentConfig:
             raise ConfigError(f"horizons must not repeat, got {self.horizons}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        SimConfig(self.replicates, self.truncation, self.seed)
+        _require_integer("replicates", self.replicates, 1)  # SimConfig's rules, in its order
+        _require_seed(self.seed)
+        _require_truncation(self.truncation)
 
 
 def _parse_floats(text: str) -> tuple:
@@ -316,8 +316,7 @@ def cmd_boundaries(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .montecarlo import SimConfig, ecdf_survival, sample_Z
-    from .reference import derive_seed
+    from .montecarlo import SimConfig, derive_seed, ecdf_survival, sample_Z
     from .tableio import write_csv_table, write_json
 
     cfg = _load_experiment(args)

@@ -58,3 +58,9 @@ def _require_seed(seed) -> None:
     _require_integer("seed", seed, 0)
     if seed >= 2 ** 64:
         raise ValueError(f"seed must be below 2 ** 64, got {seed}")
+
+
+def _require_truncation(truncation) -> None:
+    """Raise ``ValueError`` unless ``truncation`` is ``"adaptive"`` or an integer >= 1."""
+    if truncation != "adaptive":
+        _require_integer("truncation", truncation, 1)

@@ -59,7 +59,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._defaults import DEFAULT_REPLICATES
-from .errors import DomainError, _require_consumption, _require_integer, _require_seed
+from .errors import (DomainError, _require_consumption, _require_integer, _require_seed,
+                     _require_truncation)
 from .shocks import ShockSpec
 
 __all__ = [
@@ -105,6 +106,15 @@ def replicate_stream(seed: int, index: int) -> np.random.Generator:
     _require_integer("index", index, 0)
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(seq))
+
+
+def derive_seed(master: int, *path: int) -> int:
+    """Deterministic 64-bit sub-seed for a named branch of a master seed."""
+    _require_seed(master)
+    for index in path:
+        _require_integer("index", index, 0)
+    seq = np.random.SeedSequence(entropy=master, spawn_key=tuple(path))
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def _hash_constants(start: int, mult: int) -> tuple:
@@ -180,8 +190,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         _require_integer("replicates", self.replicates, 1)
         _require_seed(self.seed)
-        if self.truncation != "adaptive":
-            _require_integer("truncation", self.truncation, 1)
+        _require_truncation(self.truncation)
 
     @property
     def adaptive(self) -> bool:

@@ -39,13 +39,10 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 
-import numpy as np
-
 from ._defaults import DEFAULT_REPLICATES, DEFAULT_SEED
 from .bounds import boundary_table, schedule, schedules, survival_lower_bound
 from .errors import _require_integer, _require_seed
 from .moments import first_infinite_order, infinite_moments
-from .montecarlo import GENERATOR_NAME, SimConfig, ecdf_survival, sample_Z
 from .shocks import Pareto, ShockSpec, match_inverse_moments
 
 __all__ = [
@@ -56,7 +53,6 @@ __all__ = [
     "ReferenceTable",
     "TableResult",
     "build_table",
-    "derive_seed",
     "reference_table",
 ]
 
@@ -78,15 +74,6 @@ MATCHED_TRIO: dict[str, ShockSpec] = {
 }
 
 _TRIO_HORIZONS = (3, 5, 10, 20)
-
-
-def derive_seed(master: int, *path: int) -> int:
-    """Deterministic 64-bit sub-seed for a named branch of a master seed."""
-    _require_seed(master)
-    for index in path:
-        _require_integer("index", index, 0)
-    seq = np.random.SeedSequence(entropy=master, spawn_key=tuple(path))
-    return int(seq.generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -328,6 +315,8 @@ def _build_survival_table(ref: ReferenceTable, specs, horizons, seed: int, repli
     at c = 1: the bound uses the restricted-order schedule, the simulation the
     series truncated at the horizon (adaptively for ``math.inf``).
     """
+    from .montecarlo import GENERATOR_NAME, SimConfig, derive_seed, ecdf_survival, sample_Z
+
     pairs = [(spec, horizon, sched) for spec in specs
              for horizon, sched in zip(horizons, schedules(spec, 1.0, horizons,
                                                            _restricted_rmax(spec)))]
@@ -342,7 +331,7 @@ def _build_survival_table(ref: ReferenceTable, specs, horizons, seed: int, repli
     rows = tuple((x,) + tuple(None if want is None else cell(x)
                               for cell, want in zip(cells, wants))
                  for x, *wants in ref.rows)
-    return TableResult(ref, rows, meta)
+    return TableResult(ref, rows, {**meta, "generator": GENERATOR_NAME})
 
 
 def _build_boundary_table(ref: ReferenceTable, family: str) -> TableResult:
@@ -378,7 +367,6 @@ def build_table(table_id: int, seed: int = DEFAULT_SEED,
             "lognormal_mu": LOGNORMAL_HEAVY.mu, "lognormal_sigma2": LOGNORMAL_HEAVY.sigma2,
             "pareto_beta": 0.1, "pareto_k": 0.9,
             "c": 1.0, "seed": seed, "replicates": replicates, "truncation": "adaptive",
-            "generator": GENERATOR_NAME,
         })
     if table_id in (4, 5, 6):
         family = {4: "lognormal", 5: "pareto", 6: "gamma"}[table_id]
@@ -388,5 +376,4 @@ def build_table(table_id: int, seed: int = DEFAULT_SEED,
     return _build_survival_table(ref, (spec,), _TRIO_HORIZONS, seed, replicates, {
         "family": family, **spec.to_record(),
         "c": 1.0, "rmax": _restricted_rmax(spec), "seed": seed, "replicates": replicates,
-        "generator": GENERATOR_NAME,
     })

@@ -32,11 +32,10 @@ import io
 import json
 import math
 import os
+import sys
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-
-import numpy as np
 
 __all__ = [
     "format_cell",
@@ -52,14 +51,21 @@ __all__ = [
 _CHUNK_ROWS = 1024
 
 
+def _python(value):
+    """A numpy scalar or array as Python values, by its ``.tolist()``; any other value as is."""
+    np = sys.modules.get("numpy")  # never imported: no numpy value exists before it is
+    return value.tolist() if np and isinstance(value, (np.generic, np.ndarray)) else value
+
+
 def format_cell(value) -> str:
+    value = _python(value)
     if value is None:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
     v = float(value)
     if math.isinf(v):
@@ -255,24 +261,14 @@ def read_csv_table(path):
 
 
 def _to_jsonable(obj):
+    obj = _python(obj)
     if isinstance(obj, dict):
         return {str(k): _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
-            return "nan"
-        return v
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    return obj
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return format_cell(obj)  # "inf", "-inf" or "nan"
+    return obj  # json writes an int or float subclass as its plain value
 
 
 def write_json(path, obj) -> Path:

@@ -33,12 +33,11 @@ from ruinbounds import (
     schedule,
     survival_lower_bound,
 )
-from ruinbounds.montecarlo import ADAPTIVE_FLOOR
+from ruinbounds.montecarlo import ADAPTIVE_FLOOR, derive_seed
 from ruinbounds.reference import (
     DEFAULT_SEED,
     MATCHED_TRIO,
     build_table,
-    derive_seed,
     reference_table,
 )
 

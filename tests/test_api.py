@@ -15,6 +15,7 @@ import pytest
 import ruinbounds
 from fresh import is_numpy, loaded_modules
 from ruinbounds import reference
+from ruinbounds.montecarlo import derive_seed
 
 PUBLIC = {
     "bounds": ["BoundResult", "BoundSchedule", "BoundaryTable", "boundary_table",
@@ -191,7 +192,7 @@ def _seeded_calls():
         "crosscheck_equivalence": lambda seed: rb.crosscheck_equivalence(spec, 3.0, 1.0, 5, 3,
                                                                          seed),
         "build_table": lambda seed: repr(reference.build_table(7, seed, replicates=20).rows),
-        "derive_seed": lambda seed: reference.derive_seed(seed, 1),
+        "derive_seed": lambda seed: derive_seed(seed, 1),
     }
 
 
@@ -208,8 +209,8 @@ def test_seed_must_be_an_unsigned_64_bit_integer(entry, seed):
 
 @pytest.mark.parametrize("index", [True, -1, 2.5, "1", None])
 @pytest.mark.parametrize("call", [lambda i: ruinbounds.replicate_stream(0, i),
-                                  lambda i: reference.derive_seed(1, i),
-                                  lambda i: reference.derive_seed(1, 3, i)],
+                                  lambda i: derive_seed(1, i),
+                                  lambda i: derive_seed(1, 3, i)],
                          ids=["replicate_stream", "derive_seed", "derive_seed_second"])
 def test_index_must_be_a_non_negative_integer(call, index):
     with pytest.raises(ValueError, match="^index must be "):

@@ -15,8 +15,8 @@ import pytest
 from fresh import SRC
 from ruinbounds import classify, cli, ecdf_survival, reference, sample_Z, SimConfig
 from ruinbounds.cli import main
-from ruinbounds.montecarlo import GENERATOR_NAME
-from ruinbounds.reference import derive_seed, PARETO_HEAVY
+from ruinbounds.montecarlo import GENERATOR_NAME, derive_seed
+from ruinbounds.reference import PARETO_HEAVY
 from ruinbounds.tableio import read_csv_table, read_json
 
 BASE_CONFIG = """\

@@ -18,14 +18,13 @@ from ruinbounds import (
     sample_Z,
     simulate_path,
 )
-from ruinbounds.montecarlo import ADAPTIVE_FLOOR, GENERATOR_NAME
+from ruinbounds.montecarlo import ADAPTIVE_FLOOR, GENERATOR_NAME, derive_seed
 from ruinbounds.reference import (
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
     LOGNORMAL_HEAVY,
     MATCHED_TRIO,
     PARETO_HEAVY,
-    derive_seed,
 )
 
 # One spec per family, each with E[log shock] > 0 so adaptive mode applies.
