@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise ConfigError(f"horizons must not repeat, got {self.horizons}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        if self.fmt == "json" and self.out is None:  # moments may write two tables
+            raise ConfigError("format json writes files only; set --out or [run] out")
         _require_integer("replicates", self.replicates, 1)  # SimConfig's rules, in its order
         _require_seed(self.seed)
         _require_truncation(self.truncation)
@@ -152,6 +154,9 @@ def load_config_file(path: str) -> ExperimentConfig:
     for section in parser.sections():
         if section.lower().startswith("spec"):
             name = section.split(":", 1)[1].strip() if ":" in section else section
+            if not name or "/" in name or "\\" in name:  # the name is part of output file names
+                raise ConfigError(f"{path} [{section}]: spec name {name!r} is empty or holds "
+                                  "'/' or '\\'")
             if any(name == seen for seen, _ in cfg.specs):  # one spec would overwrite the other
                 raise ConfigError(f"{path} [{section}]: spec name {name!r} repeats")
             record = dict(parser.items(section))

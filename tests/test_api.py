@@ -225,10 +225,22 @@ def test_numpy_seed_gives_the_bits_of_the_equal_int(entry):
 
 @pytest.mark.parametrize("rule", [r"horizon must be an integer >= 1 or math\.inf",
                                   r"must be positive and finite",
-                                  r"2\s*\*\*\s*64"])
+                                  r"2\s*\*\*\s*64",
+                                  r"truncation\s*!=\s*\"adaptive\""])
 def test_each_input_rule_is_stated_once(rule):
-    """The horizon, positive-and-finite and seed rules are written in ``errors`` alone."""
+    """The horizon, positive-and-finite, seed and truncation rules are in ``errors`` alone."""
     package = Path(ruinbounds.__file__).parent
     stating = [path.name for path in sorted(package.glob("*.py"))
                if re.search(rule, path.read_text(encoding="utf-8"))]
     assert stating == ["errors.py"]
+
+
+def test_numpy_and_seed_derivation_stay_in_their_modules():
+    """Only the computing kernels import numpy, and only ``montecarlo`` derives seeds."""
+    package = Path(ruinbounds.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    importing = [name for name, text in sources.items()
+                 if re.search(r"^\s*(import|from)\s+numpy\b", text, re.MULTILINE)]
+    assert importing == ["_special", "moments", "montecarlo", "shocks"]
+    assert [name for name, text in sources.items() if "SeedSequence" in text] == ["montecarlo"]

@@ -423,6 +423,50 @@ class TestErrorPaths:
         assert captured.err == f"config error: {cfg} [spec: a]: spec name 'a' repeats\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "moments"])
+    @pytest.mark.parametrize("name", ["", " ", "/../../escaped", "x/y", "a\\b", "..\\up"])
+    def test_spec_name_unfit_for_a_file_name(self, tmp_path, capsys, command, name):
+        # the name becomes part of output file names: '/' or '\\' could leave --out
+        cfg = tmp_path / "name.ini"
+        cfg.write_text(f"[spec:{name}]\nfamily = pareto\nk = 3\nbeta = 0.9\n"
+                       "[run]\nreplicates = 10\n")
+        out = tmp_path / "out" / "inner"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {cfg} [spec:{name}]: spec name "
+                                f"{name.strip()!r} is empty or holds '/' or '\\'\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command", ["simulate", "moments"])
+    def test_non_ascii_spec_name_passes(self, tmp_path, command):
+        cfg = tmp_path / "name.ini"
+        cfg.write_text("[spec:σ-名]\nfamily = pareto\nk = 3\nbeta = 0.9\n"
+                       "[run]\nreplicates = 10\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", f"{out}{os.sep}"]) == 0
+        if command == "simulate":
+            assert {path.name for path in out.iterdir()} == {"samples_σ-名.csv",
+                                                             "estimate_σ-名.json"}
+        else:
+            metadata, _, rows = read_csv_table(out / "moments_series.csv")
+            assert "first_infinite_σ-名" in metadata and rows[0][0] == "σ-名"
+
+    @pytest.mark.parametrize("command", ["classify", "moments", "bounds", "boundaries"])
+    @pytest.mark.parametrize("source", ["flag", "run"])
+    def test_json_needs_an_output_path(self, tmp_path, capsys, command, source):
+        # JSON goes to files only: moments can emit two tables
+        cfg = tmp_path / "json.ini"
+        run = "format = json\n" if source == "run" else ""
+        cfg.write_text(f"[spec:a]\nfamily = pareto\nk = 3\nbeta = 0.9\n[run]\nx = 2\n{run}")
+        flags = ["--format", "json"] if source == "flag" else []
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: format json writes files only; "
+                                "set --out or [run] out\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_equals_in_a_metadata_key(self, tmp_path, capsys):
         # the key first_infinite_a=b would read back as first_infinite_a
         cfg = tmp_path / "eq.ini"

@@ -4,6 +4,7 @@ scipy is only a test dependency: these tests use it as the oracle, and the
 import guard checks that the package itself never loads it.
 """
 
+import os
 import warnings
 
 import numpy as np
@@ -169,9 +170,35 @@ class TestImportGuard:
         assert "dataclasses" not in names and "inspect" not in names
 
     def test_reproduce_loads_only_what_it_uses(self, tmp_path):
-        names = loaded_modules("-m", "ruinbounds.cli", "reproduce", "--table", "1",
-                               "--out", str(tmp_path))
-        assert "numpy" in names and "ruinbounds.reference" in names
-        for unused in ("ruinbounds.regimes", "configparser", "fractions", "decimal"):
-            assert unused not in names
-        assert (tmp_path / "table_1.csv").is_file()
+        # tables 3 and 7-9 simulate; the moment and boundary tables are recursions alone
+        for table in range(1, 10):
+            names = loaded_modules("-m", "ruinbounds.cli", "reproduce", "--table", str(table),
+                                   "--out", str(tmp_path))
+            assert "numpy" in names and "ruinbounds.reference" in names
+            for unused in ("ruinbounds.regimes", "configparser", "fractions", "decimal"):
+                assert unused not in names, (table, unused)
+            assert ("ruinbounds.montecarlo" in names) == (table in (3, 7, 8, 9)), table
+            assert (tmp_path / f"table_{table}.csv").is_file()
+
+    @pytest.mark.parametrize("command, used, unused", [
+        ("classify", "regimes", ("montecarlo", "reference")),
+        ("moments", "moments", ("montecarlo", "reference")),
+        ("bounds", "bounds", ("montecarlo", "reference")),
+        ("boundaries", "bounds", ("montecarlo", "reference")),
+        ("simulate", "montecarlo", ("reference", "bounds", "moments")),
+    ])
+    def test_command_loads_only_what_it_uses(self, tmp_path, command, used, unused):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[spec:p]\nfamily = pareto\nk = 3\nbeta = 0.9\n"
+                       "[run]\nx = 2\nhorizons = 5 inf\nreplicates = 10\n")
+        out = tmp_path / "out"
+        names = loaded_modules("-m", "ruinbounds.cli", command, "--config", str(cfg),
+                               "--out", f"{out}{os.sep}")
+        assert f"ruinbounds.{used}" in names
+        assert [n for n in names if n in {f"ruinbounds.{m}" for m in unused}] == []
+        assert any(out.iterdir())
+
+    def test_tableio_loads_no_numpy(self):
+        names = loaded_modules("-c", "import ruinbounds.tableio")
+        assert "ruinbounds.tableio" in names
+        assert [n for n in names if is_numpy(n)] == []
