@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one statement of each input rule.
 
-Each rule below (integer, positive and finite, horizon, seed) names its argument.
+Each rule below (integer, positive and finite, horizon, seed, truncation) names
+its argument.
 
 The CLI maps these onto distinct exit codes: configuration problems exit
 with 2, domain errors (a computation requested outside its region of

@@ -5,7 +5,9 @@ the replicate index through ``SeedSequence(entropy=seed, spawn_key=(i,))``
 feeding a Philox counter-based generator.  Streams are therefore
 independent, order-insensitive, and identical no matter how replicates are
 scheduled: the same (seed, config, spec) always yields bit-identical sample
-sets.  The generator name is recorded in output metadata.
+sets.  The generator name is recorded in output metadata.  ``derive_seed``
+takes the sub-seed of a branch of a master seed, such as a CLI spec or a
+table column, from ``SeedSequence`` too.  No other module calls ``SeedSequence``.
 
 A Philox stream is nothing but its 128-bit key, which is
 ``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``.  The

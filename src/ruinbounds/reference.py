@@ -30,7 +30,8 @@ Two fixture conventions worth knowing:
 The survival tables (3 and 7-9) share one builder, which takes its layout
 from the reference rows: the x values from the row keys, the order of each
 (bound, simulation) column pair from ``kinds``, and the blank cells from
-the reference's ``None`` cells.
+the reference's ``None`` cells.  It alone simulates, and it imports
+``montecarlo`` when called, so building tables 1-2 and 4-6 never loads it.
 """
 
 from __future__ import annotations

@@ -23,6 +23,10 @@ rows it returns; a write goes to a file next to the target, which replaces
 the target once it is complete.  Chunks whose cells are all floats are
 formatted and parsed a column at a time; the bytes written and the values
 read are those of the per-cell rules above.
+
+The module does not import numpy.  A numpy scalar or array, which exists
+only once numpy is loaded, is found through ``sys.modules`` and written as
+its ``.tolist()``, so it gives the bytes of the equal Python value.
 """
 
 from __future__ import annotations
