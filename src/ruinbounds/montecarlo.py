@@ -10,13 +10,14 @@ takes the sub-seed of a branch of a master seed, such as a CLI spec or a
 table column, from ``SeedSequence`` too.  No other module calls ``SeedSequence``.
 
 A Philox stream is nothing but its 128-bit key, which is
-``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``.  The
-sampling loops derive keys one block of ``_KEY_BLOCK`` replicates at a
-time (``_philox_keys``): the seed's pool comes from numpy's
-``SeedSequence(seed)``, and the package runs only the index word and the
-output hash, over the whole block at once.  One reused generator is
-re-keyed per replicate; the draws equal those of ``replicate_stream``, the
-documented reference derivation, bit for bit.
+``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``.
+``_row_blocks``, the one loop that draws replicate rows, derives keys one
+block of ``_KEY_BLOCK`` replicates at a time (``_philox_keys``): the seed's
+pool comes from numpy's ``SeedSequence(seed)``, and the package runs only
+the index word and the output hash, over the whole block at once.  The
+loop re-keys its one generator right before each row's draw, so no other
+code holds a re-keyed generator; the draws equal those of
+``replicate_stream``, the documented reference derivation, bit for bit.
 
 Replicates are drawn a bounded block of rows at a time (``_row_blocks``):
 each row takes one raw uniform, normal or gamma draw from its replicate's
@@ -161,26 +162,6 @@ def _philox_keys(seed: int, count: int, start: int = 0) -> np.ndarray:
     return value.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
 
 
-def _replicate_generators(seed: int, count: int):
-    """Yield the generator of each replicate ``0..count-1`` in turn.
-
-    One Philox generator is re-keyed in place for every replicate: counter,
-    key and output buffer are all reset, so each yield draws exactly what
-    ``replicate_stream(seed, i)`` would.  Finish with one before the next.
-    Keys are derived ``_KEY_BLOCK`` replicates at a time.
-    """
-    bit_generator = np.random.Philox(0)  # every replicate overwrites this key
-    rng = np.random.Generator(bit_generator)
-    inner = {"counter": (0, 0, 0, 0), "key": None}
-    state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for start in range(0, count, _KEY_BLOCK):
-        for key in _philox_keys(seed, min(_KEY_BLOCK, count - start), start).tolist():
-            inner["key"] = key
-            bit_generator.state = state
-            yield rng
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation settings: replicate count, truncation mode, seed."""
@@ -233,18 +214,29 @@ class EcdfEstimate:
 def _row_blocks(spec: ShockSpec, seed: int, count: int, width: int):
     """Yield ``(start, rows)``: replicates ``start, start+1, ...`` drawn ``width`` terms each.
 
-    Every row takes one raw draw from its replicate's generator, then the
-    family transform runs once over the block; row i equals
+    One Philox generator is re-keyed in place for every row: counter, key
+    and output buffer are all reset, so the row takes one raw draw from what
+    is exactly ``replicate_stream(seed, start + i)``.  The family transform
+    then runs once over the block; row i equals
     ``spec.sample_inverse(replicate_stream(seed, start + i), width)`` bit for
-    bit.  Blocks hold about ``_ROW_BLOCK_DOUBLES`` doubles (at least one row)
-    and reuse one buffer, so finish with a block before taking the next.
+    bit.  Keys are derived ``_KEY_BLOCK`` replicates at a time.  Blocks hold
+    about ``_ROW_BLOCK_DOUBLES`` doubles (at least one row) and reuse one
+    buffer, so finish with a block before taking the next.
     """
     per_block = max(1, _ROW_BLOCK_DOUBLES // width)
     buffer = np.empty((min(per_block, count), width))
-    streams = _replicate_generators(seed, count)
+    bit_generator = np.random.Philox(0)  # every row overwrites this key
+    rng = np.random.Generator(bit_generator)
+    inner = {"counter": (0, 0, 0, 0), "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    keys = (key for s in range(0, count, _KEY_BLOCK)
+            for key in _philox_keys(seed, min(_KEY_BLOCK, count - s), s).tolist())
     for start in range(0, count, per_block):
         rows = buffer[: min(per_block, count - start)]
-        for row, rng in zip(rows, streams):
+        for row, key in zip(rows, keys):
+            inner["key"] = key
+            bit_generator.state = state
             spec._draw(rng, row)
         spec._transform(rows)
         yield start, rows

@@ -2,6 +2,7 @@
 one lives, which modules ``import ruinbounds`` and its first use load, and the
 rules its types and entry points share."""
 
+import ast
 import dataclasses
 import importlib
 import math
@@ -244,3 +245,13 @@ def test_numpy_and_seed_derivation_stay_in_their_modules():
                  if re.search(r"^\s*(import|from)\s+numpy\b", text, re.MULTILINE)]
     assert importing == ["_special", "moments", "montecarlo", "shocks"]
     assert [name for name, text in sources.items() if "SeedSequence" in text] == ["montecarlo"]
+
+
+def test_philox_is_built_in_the_reference_and_the_row_loop_alone():
+    """``replicate_stream`` builds the reference stream; ``_row_blocks`` re-keys its own."""
+    text = (Path(ruinbounds.__file__).parent / "montecarlo.py").read_text(encoding="utf-8")
+    assert text.count("np.random.Philox(") == 2
+    building = [node.name for node in ast.parse(text).body
+                if isinstance(node, ast.FunctionDef)
+                and "np.random.Philox(" in ast.get_source_segment(text, node)]
+    assert building == ["replicate_stream", "_row_blocks"]

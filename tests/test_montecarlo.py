@@ -19,6 +19,7 @@ from ruinbounds import (
     simulate_path,
 )
 from ruinbounds.montecarlo import ADAPTIVE_FLOOR, GENERATOR_NAME, derive_seed
+from ruinbounds.shocks import ShockSpec
 from ruinbounds.reference import (
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
@@ -111,34 +112,64 @@ class TestPhiloxKeys:
         assert np.array_equal(keys[-1], want)
 
 
+class _Recorder(ShockSpec):
+    """A fake family: ``_draw`` records each row's generator state, then draws from it.
+
+    The draws of row i (odd counts and a 32-bit draw, which leave half-used
+    buffers behind) are those of ``_recorded_draws(rng, i)``.
+    """
+
+    family = "recorder"
+
+    def __init__(self):
+        self.states, self.draws = [], []
+
+    def _draw(self, rng, out):
+        self.states.append(rng.bit_generator.state)
+        self.draws.append(_recorded_draws(rng, len(self.draws)))
+        return out
+
+    def _transform(self, values):
+        return values
+
+
+def _recorded_draws(rng, i):
+    return (rng.random(2 * i + 1),
+            rng.integers(0, 2 ** 32, size=1, dtype=np.uint32),
+            rng.standard_normal(i + 1))
+
+
 class TestReusedGenerator:
+    """``_row_blocks`` re-keys one generator per row; each row sees a fresh stream."""
+
     @pytest.fixture(autouse=True)
-    def small_key_blocks(self, monkeypatch):
-        # keys three at a time: several key blocks and a ragged last one
+    def small_blocks(self, monkeypatch):
+        # keys three at a time and rows of width 2 two at a time: key blocks
+        # and row blocks cross, and both end ragged
         monkeypatch.setattr(mc, "_KEY_BLOCK", 3)
+        monkeypatch.setattr(mc, "_ROW_BLOCK_DOUBLES", 4)
+
+    @staticmethod
+    def run(seed, count):
+        spec = _Recorder()
+        for _ in mc._row_blocks(spec, seed, count, 2):
+            pass
+        assert len(spec.states) == len(spec.draws) == count
+        return spec
 
     def test_state_equals_fresh_stream(self):
-        for i, rng in enumerate(mc._replicate_generators(11, 5)):
+        for i, got in enumerate(self.run(11, 7).states):
             want = replicate_stream(11, i).bit_generator.state
-            got = rng.bit_generator.state
             assert np.array_equal(got["state"]["key"], want["state"]["key"])
             assert np.array_equal(got["state"]["counter"], want["state"]["counter"])
             assert np.array_equal(got["buffer"], want["buffer"])
             assert (got["buffer_pos"], got["has_uint32"], got["uinteger"]) == (
                 want["buffer_pos"], want["has_uint32"], want["uinteger"])
-            rng.random(3)
 
     def test_rekey_leaves_no_buffered_word(self):
-        # odd draw counts and a 32-bit draw leave half-used buffers behind;
-        # every next replicate must still start from a clean state
-        def draw(rng, i):
-            return (rng.random(2 * i + 1),
-                    rng.integers(0, 2 ** 32, size=1, dtype=np.uint32),
-                    rng.standard_normal(i + 1))
-
-        for i, rng in enumerate(mc._replicate_generators(5, 6)):
-            got = draw(rng, i)
-            want = draw(replicate_stream(5, i), i)
+        # every row after one that left a half-used buffer still starts clean
+        for i, got in enumerate(self.run(5, 8).draws):
+            want = _recorded_draws(replicate_stream(5, i), i)
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes(), i
 
