@@ -198,6 +198,11 @@ def _load_experiment(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _names_a_directory(out: str) -> bool:
+    """Whether ``out`` is a directory, where each table takes its default file name."""
+    return Path(out).is_dir() or str(out).endswith(("/", "\\"))
+
+
 def _emit(cfg: ExperimentConfig, columns, records, metadata, default_name: str) -> None:
     """Write records as CSV or JSON to cfg.out, or CSV text to stdout.
 
@@ -216,7 +221,7 @@ def _emit(cfg: ExperimentConfig, columns, records, metadata, default_name: str) 
             stdout.write(text.encode("utf-8"))
         return
     path = Path(cfg.out)
-    if path.is_dir() or str(cfg.out).endswith(("/", "\\")):
+    if _names_a_directory(cfg.out):
         path = path / f"{default_name}.{cfg.fmt}"
     if cfg.fmt == "json":
         write_json(path, {"metadata": metadata, "rows": records})
@@ -252,6 +257,10 @@ def cmd_moments(args: argparse.Namespace) -> int:
     cfg = _load_experiment(args)
     finite_hs = sorted(int(h) for h in cfg.horizons if h != math.inf)
     want_series = math.inf in cfg.horizons
+    if want_series and finite_hs and cfg.out is not None and not _names_a_directory(cfg.out):
+        raise ConfigError(f"moments writes two tables, moments_series and moments_horizons, "
+                          f"but the output path {cfg.out!r} names one file; set --out or "
+                          "[run] out to a directory")
     outputs = []
     if want_series:
         records = []

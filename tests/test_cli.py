@@ -467,6 +467,37 @@ class TestErrorPaths:
                                 "set --out or [run] out\n")
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("source", ["flag", "run"])
+    def test_two_tables_need_a_directory(self, tmp_path, capsys, source, fmt):
+        # the horizon table would replace the series table in one file
+        out = tmp_path / f"m.{fmt}"
+        cfg = tmp_path / "two.ini"
+        run = f"out = {out}\nformat = {fmt}\n" if source == "run" else ""
+        cfg.write_text(f"[spec:a]\nfamily = pareto\nk = 3\nbeta = 0.9\n"
+                       f"[run]\nhorizons = 5 inf\n{run}")
+        flags = ["--out", str(out), "--format", fmt] if source == "flag" else []
+        assert main(["moments", "--config", str(cfg), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: moments writes two tables, moments_series and "
+                                f"moments_horizons, but the output path {str(out)!r} names "
+                                "one file; set --out or [run] out to a directory\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("horizons, name", [("inf", "moments_series"),
+                                                ("5", "moments_horizons")])
+    def test_one_table_goes_to_the_named_file(self, tmp_path, capsys, horizons, name):
+        out = tmp_path / "m.csv"
+        cfg = tmp_path / "one.ini"
+        cfg.write_text(f"[spec:a]\nfamily = pareto\nk = 3\nbeta = 0.9\n"
+                       f"[run]\nhorizons = {horizons}\n")
+        assert main(["moments", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        want = tmp_path / "want"
+        assert main(["moments", "--config", str(cfg), "--out", f"{want}{os.sep}"]) == 0
+        assert out.read_bytes() == (want / f"{name}.csv").read_bytes()
+
     def test_equals_in_a_metadata_key(self, tmp_path, capsys):
         # the key first_infinite_a=b would read back as first_infinite_a
         cfg = tmp_path / "eq.ini"
