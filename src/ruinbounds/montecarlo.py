@@ -11,13 +11,14 @@ table column, from ``SeedSequence`` too.  No other module calls ``SeedSequence``
 
 A Philox stream is nothing but its 128-bit key, which is
 ``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``.
-``_row_blocks``, the one loop that draws replicate rows, derives keys one
-block of ``_KEY_BLOCK`` replicates at a time (``_philox_keys``): the seed's
-pool comes from numpy's ``SeedSequence(seed)``, and the package runs only
-the index word and the output hash, over the whole block at once.  The
-loop re-keys its one generator right before each row's draw, so no other
-code holds a re-keyed generator; the draws equal those of
-``replicate_stream``, the documented reference derivation, bit for bit.
+``_row_blocks`` derives keys one block of ``_KEY_BLOCK`` replicates at a
+time (``_philox_keys``): the seed's pool comes from numpy's
+``SeedSequence(seed)``, and the package runs only the index word and the
+output hash, over the whole block at once.  It re-keys a generator of its
+own right before each row's draw, so no re-keyed generator leaves it; the
+draws equal those of ``replicate_stream``, the documented reference
+derivation, bit for bit.  Adaptive rows that run on past their first
+``_BLOCK`` terms take a ``replicate_stream`` each.
 
 Replicates are drawn a bounded block of rows at a time (``_row_blocks``):
 each row takes one raw uniform, normal or gamma draw from its replicate's
