@@ -19,7 +19,6 @@ from ruinbounds import (
     simulate_path,
 )
 from ruinbounds.montecarlo import ADAPTIVE_FLOOR, GENERATOR_NAME, derive_seed
-from ruinbounds.shocks import ShockSpec
 from ruinbounds.reference import (
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
@@ -27,6 +26,7 @@ from ruinbounds.reference import (
     MATCHED_TRIO,
     PARETO_HEAVY,
 )
+from ruinbounds.shocks import ShockSpec
 
 # One spec per family, each with E[log shock] > 0 so adaptive mode applies.
 FAMILIES = [
@@ -144,8 +144,8 @@ class TestReusedGenerator:
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        # keys three at a time and rows of width 2 two at a time: key blocks
-        # and row blocks cross, and both end ragged
+        # keys three at a time and rows of width 2 two at a time, so key
+        # blocks and row blocks cross
         monkeypatch.setattr(mc, "_KEY_BLOCK", 3)
         monkeypatch.setattr(mc, "_ROW_BLOCK_DOUBLES", 4)
 
