@@ -26,6 +26,9 @@ Conventions, fixed here and used by every caller:
   every finite x;
 * bounds that come out negative near ``x = c`` are clamped to zero and
   flagged as vacuous, with the raw ruin estimate kept alongside;
+* the raw ruin estimate is ``+inf`` once its log reaches
+  ``_LOG_RAW_CUTOFF`` = 700, that is for raw bounds from about 1.01e304,
+  although a double reaches 1.8e308; such a bound is vacuous anyway;
 * with fewer than two finite moments the schedule degenerates to the
   single order 1 and is flagged;
 * a NaN stock ``x`` raises ``ValueError`` (it has no order), as does a
@@ -40,7 +43,10 @@ log moments as tuples of Python floats, so one scalar evaluation is a
 of called, and builds its ``BoundResult`` with ``tuple.__new__``, skipping
 the Python-level ``__new__`` that ``NamedTuple`` generates.  The result is
 still an immutable ``BoundResult``, so it also equals the plain tuple of its
-eight values.
+five stored values: ``x``, ``c``, ``order``, ``survival_lower`` and
+``ruin_raw``.  Its ``ruin_upper``, ``vacuous`` and ``below_consumption`` are
+properties derived from those five, so a result kept in a long list costs
+five slots, not eight.
 """
 
 from __future__ import annotations
@@ -111,26 +117,44 @@ class BoundSchedule:
 
 
 class BoundResult(NamedTuple):
-    """One bound evaluation: clamped values plus the raw ruin estimate.
+    """One bound evaluation: clamped survival plus the raw ruin estimate.
 
-    An immutable ``NamedTuple``, so it also equals the plain tuple of its
-    eight values in field order.  There is none for a NaN ``x``:
-    ``evaluate_bound`` raises ``ValueError`` instead.
+    An immutable ``NamedTuple`` of five stored fields, so it also equals the
+    plain tuple of those five values in field order.  ``ruin_upper``,
+    ``vacuous`` and ``below_consumption`` are read-only properties derived
+    from them.  There is none for a NaN ``x``: ``evaluate_bound`` raises
+    ``ValueError`` instead.
     """
 
     x: float
     c: float
-    order: int
+    order: int               # 0 when x <= c
     survival_lower: float
-    ruin_upper: float
-    ruin_raw: float
-    vacuous: bool            # True when the raw bound was clamped
-    below_consumption: bool  # True when x <= c (ruin immediate or certain)
+    ruin_raw: float          # +inf when x <= c or log_raw >= _LOG_RAW_CUTOFF
+
+    @property
+    def ruin_upper(self) -> float:
+        """The raw ruin estimate clamped to 1."""
+        return min(self.ruin_raw, 1.0)
+
+    @property
+    def vacuous(self) -> bool:
+        """True when the survival bound was clamped to zero."""
+        return self.survival_lower == 0.0
+
+    @property
+    def below_consumption(self) -> bool:
+        """True when x <= c (ruin immediate or certain)."""
+        return self.order == 0
 
 
 # Builds the same BoundResult as BoundResult(...), without the call of the
 # Python-level __new__ that NamedTuple generates.
 _new_tuple = tuple.__new__
+
+# From this log on, the raw ruin estimate is reported as +inf (see the module
+# docstring); bench/workloads.py bound_oracle uses the same cutoff.
+_LOG_RAW_CUTOFF = 700.0
 
 
 def switch_boundary(log_beta, r: int, c: float) -> float:
@@ -206,18 +230,17 @@ def evaluate_bound(sched: BoundSchedule, x: float) -> BoundResult:
     if not x > c:
         if x != x:
             raise ValueError(f"x must not be NaN, got x={x}")
-        # x, c, order, survival_lower, ruin_upper, ruin_raw, vacuous, below_consumption
-        return _new_tuple(BoundResult, (x, c, 0, 0.0, 1.0, math.inf, True, True))
+        # x, c, order, survival_lower, ruin_raw
+        return _new_tuple(BoundResult, (x, c, 0, 0.0, math.inf))
     # sched.order_for(x) and sched.log_beta(r), without the two method calls
     r = bisect_left(sched.boundaries, x) + 1
     if r > sched.max_order:
         r = sched.max_order
     log_raw = sched.log_beta_values[r] - r * math.log(x / c - 1.0)
     if log_raw >= 0.0:
-        raw = math.exp(log_raw) if log_raw < 700.0 else math.inf
-        return _new_tuple(BoundResult, (x, c, r, 0.0, 1.0, raw, True, False))
-    raw = math.exp(log_raw)
-    return _new_tuple(BoundResult, (x, c, r, -math.expm1(log_raw), raw, raw, False, False))
+        raw = math.exp(log_raw) if log_raw < _LOG_RAW_CUTOFF else math.inf
+        return _new_tuple(BoundResult, (x, c, r, 0.0, raw))
+    return _new_tuple(BoundResult, (x, c, r, -math.expm1(log_raw), math.exp(log_raw)))
 
 
 def survival_lower_bound(sched: BoundSchedule, x: float) -> float:

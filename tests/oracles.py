@@ -7,7 +7,8 @@ deterministic ruin by iterating the wealth map or by summing its series in
 exact rationals, random ruin by the wealth map on numpy floats, the adaptively truncated
 shock series one replicate and one block at a time, series
 moments of Pareto and gamma shocks in exact rationals of their stored
-parameters, and log-moments of densities by quadrature.  CSV tables are rendered and read back one cell at a time,
+parameters, log-moments of densities by quadrature, and survival to
+horizon 1 from the reciprocal shock's closed-form CDF.  CSV tables are rendered and read back one cell at a time,
 through ``format_cell``/``parse_cell`` and the csv module.  The exception
 is ``per_cell_finite_moments``: the partial-sum recursion with one scalar
 ``logsumexp`` per cell, which pins the bits of the batched recursion.
@@ -21,6 +22,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammaincc, ndtr
 
 
 def naive_infinite_betas(spec, rmax):
@@ -207,6 +209,25 @@ def mp_bound_log_path(log_beta_r, r, x, c, dps=50):
         excess = mpmath.mpf(x) / mpmath.mpf(c) - 1
         raw = mpmath.exp(mpmath.mpf(float(log_beta_r)) - r * mpmath.log(excess))
         return float(raw), float(1 - raw)
+
+
+def exact_survival_horizon_1(spec, t):
+    """P(Z_1 < t) = P(Y < t), with Y the reciprocal shock, from its closed-form CDF.
+
+    Read from the spec's parameters alone: a lognormal shock exp(N), N normal
+    (mu, sigma2), gives Phi((log t + mu) / sigma); a Pareto shock on [k, inf)
+    with index beta gives min(1, (k t)**beta); a gamma shock of shape alpha
+    and rate theta gives Q(alpha, theta / t); a constant a gives 1 if 1/a < t.
+    """
+    if spec.family == "lognormal":
+        return float(ndtr((math.log(t) + spec.mu) / math.sqrt(spec.sigma2)))
+    if spec.family == "pareto":
+        return min(1.0, (spec.k * t) ** spec.beta)
+    if spec.family == "gamma":
+        return float(gammaincc(spec.alpha, spec.theta / t))
+    if spec.family == "constant":
+        return 1.0 if 1.0 / spec.a < t else 0.0
+    raise ValueError(f"no closed form for {spec!r}")
 
 
 def brute_force_best_order(betas, x, c):

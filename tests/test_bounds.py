@@ -1,8 +1,11 @@
+import collections
 import copy
 import math
+import operator
 import pickle
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -215,26 +218,47 @@ class TestBoundValues:
         assert 0.0 < res.ruin_upper < 1e-100
 
 
+# The eight attributes of a BoundResult, stored or derived
+_ATTRIBUTES = ("x", "c", "order", "survival_lower", "ruin_upper", "ruin_raw", "vacuous",
+               "below_consumption")
+_Expected = collections.namedtuple("_Expected", _ATTRIBUTES)
+_attribute_values = operator.attrgetter(*_ATTRIBUTES)
+
+
 def _reference_evaluate(sched, x):
     """Reference evaluation: ``np.searchsorted`` on the edge array and the
-    same ``math`` arithmetic, returning the eight fields in order."""
+    same ``math`` arithmetic, giving all eight attributes."""
     c = sched.c
     if x <= c:
-        return (x, c, 0, 0.0, 1.0, math.inf, True, True)
+        return _Expected(x, c, 0, 0.0, 1.0, math.inf, True, True)
     i = int(np.searchsorted(sched.boundaries, x, side="left"))
     r = i + 1 if i < sched.max_order else sched.max_order
     log_raw = float(sched.log_beta_values[r]) - r * math.log(x / c - 1.0)
     if log_raw >= 0.0:
         raw = math.exp(log_raw) if log_raw < 700.0 else math.inf
-        return (x, c, r, 0.0, 1.0, raw, True, False)
+        return _Expected(x, c, r, 0.0, 1.0, raw, True, False)
     raw = math.exp(log_raw)
-    return (x, c, r, -math.expm1(log_raw), raw, raw, False, False)
+    return _Expected(x, c, r, -math.expm1(log_raw), raw, raw, False, False)
 
 
 def _float_bits(rows):
-    """Bytes of the float fields (x, c, survival, ruin, raw) of every row."""
-    values = [v for row in rows for v in (row[0], row[1], row[3], row[4], row[5])]
+    """Bytes of the float attributes (x, c, survival, ruin, raw) of every row."""
+    values = [v for row in rows
+              for v in (row.x, row.c, row.survival_lower, row.ruin_upper, row.ruin_raw)]
     return struct.pack(f"<{len(values)}d", *values)
+
+
+def _types(rows):
+    """The type of each of the eight attributes of every row."""
+    return [tuple(map(type, _attribute_values(row))) for row in rows]
+
+
+def _assert_same_attributes(got, want, context):
+    """All eight attributes of every row alike: floats bit for bit, and every type."""
+    assert _float_bits(got) == _float_bits(want), context
+    assert ([(r.order, r.vacuous, r.below_consumption) for r in got]
+            == [(r.order, r.vacuous, r.below_consumption) for r in want]), context
+    assert _types(got) == _types(want), context
 
 
 class TestFastPath:
@@ -268,9 +292,7 @@ class TestFastPath:
                 xs = self._stocks(sched)
                 got = [evaluate_bound(sched, x) for x in xs]
                 want = [_reference_evaluate(sched, x) for x in xs]
-                assert _float_bits(got) == _float_bits(want), (name, c, sched.horizon)
-                assert ([(r.order, r.vacuous, r.below_consumption) for r in got]
-                        == [(r[2], r[6], r[7]) for r in want])
+                _assert_same_attributes(got, want, (name, c, sched.horizon))
                 assert all(type(r.order) is int and type(r.vacuous) is bool
                            and type(r.below_consumption) is bool for r in got)
                 # evaluate_bound inlines order_for's rule; both must pick the same order
@@ -291,14 +313,45 @@ class TestFastPath:
             evaluate_bound(sched, x)
         assert sched.order_for(1e6) == 59
 
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_seeded_sweep_matches_reference(self, name):
+        """All eight attributes, bit for bit and by type, on seeded stocks as the
+        benchmark draws them: c * (1 + 10**u), u uniform on (-2, 3)."""
+        spec = self.SPECS[name]
+        grid = finite_moments(spec, 60, 32)
+        schedules = [schedule(grid, 1.0, horizon=n) for n in range(4, 33, 4)]
+        schedules.append(schedule(infinite_moments(spec, 61), 1.0))
+        u = np.random.default_rng(20261020).uniform(-2.0, 3.0, 500)
+        xs = (1.0 + 10.0 ** u).tolist() + [0.5, 1.0]
+        for sched in schedules:
+            _assert_same_attributes([evaluate_bound(sched, x) for x in xs],
+                                    [_reference_evaluate(sched, x) for x in xs],
+                                    (name, sched.horizon))
+
     def test_result_is_an_immutable_tuple(self):
         sched = schedule(infinite_moments(LOGNORMAL_HEAVY, 4), 1.0)
         res = evaluate_bound(sched, 1.4)
         assert res == tuple(res)
-        assert res._fields == ("x", "c", "order", "survival_lower", "ruin_upper",
-                               "ruin_raw", "vacuous", "below_consumption")
-        with pytest.raises(AttributeError):
-            res.order = 3
+        assert res._fields == ("x", "c", "order", "survival_lower", "ruin_raw")
+        assert sys.getsizeof(res) == sys.getsizeof((0,) * 5)
+        for name in ("order", "ruin_upper", "vacuous", "below_consumption"):
+            with pytest.raises(AttributeError):
+                setattr(res, name, 3)
+
+    def test_raw_bound_is_infinite_from_the_cutoff(self):
+        """``ruin_raw`` is finite just below ``log_raw = 700`` and ``+inf`` from it on."""
+        assert ruinbounds.bounds._LOG_RAW_CUTOFF == 700.0
+        # order 1 everywhere, log beta_1 = 690: log_raw = 690 - log(x - 1)
+        sched = BoundSchedule(spec=Constant(2.0), c=1.0, horizon=math.inf,
+                              log_beta_values=(0.0, 690.0), boundaries=(), max_order=1)
+        below, above = (evaluate_bound(sched, 1.0 + math.exp(-10.0) * (1.0 + d))
+                        for d in (1e-9, -1e-9))
+        for res, log_raw in ((below, 700.0 - 1e-9), (above, 700.0 + 1e-9)):
+            assert 690.0 - math.log(res.x - 1.0) == pytest.approx(log_raw, abs=1e-11)
+            assert res.vacuous and res.order == 1 and not res.below_consumption
+            assert res.survival_lower == 0.0 and res.ruin_upper == 1.0
+        assert 1.0e304 < below.ruin_raw < 1.02e304
+        assert above.ruin_raw == math.inf
 
     @pytest.mark.parametrize("x", [0.5, 1.01, 1.4, 50.0, math.inf],
                              ids=["below_c", "vacuous", "order_1", "order_2", "inf"])
