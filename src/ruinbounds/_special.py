@@ -11,7 +11,7 @@ of the cephes code are ``math`` calls here, and the numpy calls of scipy's
 log-sum-exp stay numpy calls, because numpy's vectorised ``exp``/``log``
 may round differently from libm.  ``logsumexp_rows`` builds a kernel for
 the log-sum-exp of many ragged rows at once, with the bits of
-``logsumexp`` on each row.
+``logsumexp`` on each row, which numpy's ``sum`` adds in its 1-d order.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def logsumexp_rows(lengths: np.ndarray, width: int):
     Returns a function of ``a`` whose ``out[i]`` has the bits of
     ``logsumexp(a[i, :lengths[i]])`` for every row; entries past a row's
     length are ignored, and every length is at least 1.  The steps are
-    those of ``logsumexp`` done on all rows at once, and the sums of the
-    exponentials follow numpy's pairwise order (``_pairwise_row_sums``), so
+    those of ``logsumexp`` done on all rows at once, and numpy adds each
+    row's exponentials itself, in its 1-d order (``_pairwise_row_sums``), so
     no row rounds differently.  The masks that depend only on the lengths
     are built here once, for a recursion that sums the same rows each step.
     """
@@ -137,37 +137,26 @@ def _pairwise_row_sums(lengths: np.ndarray, width: int):
     """A function of ``e`` returning row sums with the bits of ``e[i, :lengths[i]].sum()``.
 
     ``e`` is a ``(len(lengths), width)`` array that is 0.0 past each length.
-    numpy sums a row of L <= 128 doubles with 8 strided accumulators over
-    its first L - L % 8 terms, combines them as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds the
-    other terms in order; below 8 terms the accumulators are empty and the
-    sum is a plain loop from 0.0.  Adding the 0.0 entries of a masked
-    block changes no accumulator.  Above 128 terms numpy splits the sum in
-    halves, so rows of 128 or more terms are summed by numpy, one at a time.
+    numpy sums n <= 128 doubles with 8 strided accumulators over the first
+    n - n % 8 terms, then adds the rest in order.  So a row of L < 128 terms
+    is laid out in 8m + 7 slots, 8m the largest such L - L % 8: its first
+    L - L % 8 terms, 0.0 up to slot 8m, then its last L % 8 terms.  Adding
+    0.0 changes no partial sum, so numpy adds each laid-out row in its 1-d
+    order, as the summed array is C-contiguous and reduced along its last
+    axis.  Above 128 terms numpy splits the sum in halves, so rows of 128
+    or more terms are summed by numpy, one at a time.
     """
-    rows = len(lengths)
-    block_end = np.where(lengths < 128, lengths - lengths % 8, 0)
-    nblocks = int(block_end.max()) // 8
-    in_blocks = np.arange(8 * nblocks) < block_end[:, None]
-    tail = block_end[:, None] + np.arange(7)
-    tail_index = np.minimum(tail, width - 1)
-    in_tail = tail < lengths[:, None]
-    long_rows = np.flatnonzero(lengths >= 128)
+    short = lengths < 128
+    body = lengths - lengths % 8
+    head = int(body[short].max(initial=0))
+    slot = np.arange(head + 7)
+    column = np.where(slot < head, slot, body[:, None] + slot - head)
+    used = short[:, None] & np.where(slot < head, slot < body[:, None], column < lengths[:, None])
+    column = np.minimum(column, width - 1)
+    long_rows = np.flatnonzero(~short)
 
     def row_sums(e: np.ndarray) -> np.ndarray:
-        if nblocks:
-            body = np.where(in_blocks, e[:, : 8 * nblocks], 0.0).reshape(rows, nblocks, 8)
-            acc = body[:, 0].copy()
-            for k in range(1, nblocks):
-                acc += body[:, k]
-        else:
-            acc = np.zeros((rows, 8))
-        pairs = acc[:, 0::2] + acc[:, 1::2]
-        quads = pairs[:, 0::2] + pairs[:, 1::2]
-        total = quads[:, 0] + quads[:, 1]
-        terms = np.where(in_tail, np.take_along_axis(e, tail_index, axis=1), 0.0)
-        for t in range(7):
-            total += terms[:, t]
+        total = np.where(used, np.take_along_axis(e, column, axis=1), 0.0).sum(axis=1)
         for i in long_rows:
             total[i] = e[i, : lengths[i]].sum()
         return total

@@ -36,9 +36,9 @@ that rounds differently in the last place would change published output.
 
 The horizon recursion steps every finite order at once: each step is one
 call of a ``logsumexp_rows`` kernel over the rows
-``log C(r, j) + log beta_j(n-1)``, padded with -inf.  That kernel copies numpy's pairwise summation order, so each
-row has the bits of a scalar ``logsumexp``; a test pins this, cell by cell,
-against the per-cell recursion.
+``log C(r, j) + log beta_j(n-1)``, padded with -inf.  numpy adds each row
+itself, laid out in its 1-d order, so each row has the bits of a scalar
+``logsumexp``; a test pins this, cell by cell, against the recursion.
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ A CSV read guesses each cell's type with :func:`parse_cell`:
 integer-looking text becomes an ``int``, ``inf``, ``-inf``, ``nan``,
 ``true`` and ``false`` (any case) become their values, a blank cell
 becomes ``None``, other numbers become ``float`` and anything else stays a
-string.  So a string such as ``007`` or ``true`` does not come back as
-written, and a float such as 3.0, written ``3``, comes back as the
-integer 3.  A read cuts the file only at ``\n``, ``\r`` and ``\r\n``,
-keeping the line ends, as the csv reader expects, so a quoted cell keeps
-its line breaks.
+string; a number is read only from ASCII text without ``_``, so ``1_2``
+and ``١٢`` stay strings.  So a string such as ``007`` or ``true`` does not
+come back as written, and a float such as 3.0, written ``3``, comes back
+as the integer 3.  A read cuts the file only at ``\n``, ``\r`` and
+``\r\n``, keeping the line ends, as the csv reader expects, so a quoted
+cell keeps its line breaks.
 
 Tables are written and read ``_CHUNK_ROWS`` rows at a time, so the working
 memory of a write is one chunk and that of a read one chunk beside the
@@ -98,6 +99,8 @@ def parse_cell(text: str):
         return True
     if low == "false":
         return False
+    if not text.isascii() or "_" in text:  # int and float would read '1_2' and '١٢' as 12
+        return text
     try:
         if "." not in text and "e" not in low:
             return int(text)
@@ -218,11 +221,13 @@ def write_csv_table(path, columns, rows, metadata: dict | None = None) -> Path:
 def _read_column(cells) -> list:
     """:func:`parse_cell` of every cell, with one ``float`` per cell where that is the same.
 
-    For a cell holding '.', 'e' or 'E', ``parse_cell`` returns ``float(cell)``
-    or, when that raises, something else (``true``, ``false``, text); so a
-    column of such cells parses with ``float`` until a cell raises.
+    For ASCII cells without '_' that hold '.', 'e' or 'E', ``parse_cell``
+    returns ``float(cell)`` or, when that raises, something else (``true``,
+    ``false``, text); so a column of such cells parses with ``float`` until
+    a cell raises.
     """
-    if all("." in c or "e" in c or "E" in c for c in cells):
+    text = "".join(cells)
+    if text.isascii() and "_" not in text and all("." in c or "e" in c or "E" in c for c in cells):
         try:
             return list(map(float, cells))
         except ValueError:

@@ -7,9 +7,11 @@ deterministic ruin by iterating the wealth map or by summing its series in
 exact rationals, random ruin by the wealth map on numpy floats, the adaptively truncated
 shock series one replicate and one block at a time, series
 moments of Pareto and gamma shocks in exact rationals of their stored
-parameters, log-moments of densities by quadrature, and survival to
-horizon 1 from the reciprocal shock's closed-form CDF.  CSV tables are rendered and read back one cell at a time,
-through ``format_cell``/``parse_cell`` and the csv module.  The exception
+parameters, log-moments of densities by quadrature, survival to horizon 1
+from the reciprocal shock's closed-form CDF, and survival and moments at
+horizon 2 by quadrature over its quantile.  CSV tables are rendered and
+read back one cell at a time, through ``format_cell``/``parse_cell`` and
+the csv module.  The exception
 is ``per_cell_finite_moments``: the partial-sum recursion with one scalar
 ``logsumexp`` per cell, which pins the bits of the batched recursion.
 """
@@ -22,7 +24,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaincc, ndtr
+from scipy.special import gammaincc, gammaincinv, ndtr
 
 
 def naive_infinite_betas(spec, rmax):
@@ -228,6 +230,48 @@ def exact_survival_horizon_1(spec, t):
     if spec.family == "constant":
         return 1.0 if 1.0 / spec.a < t else 0.0
     raise ValueError(f"no closed form for {spec!r}")
+
+
+def _reciprocal_quantile(spec, z):
+    """F^-1(Phi(z)), the quantile of the reciprocal shock Y at the normal probability of z.
+
+    Written in z rather than in u = Phi(z), so that the far tail of Y keeps
+    its digits: a heavy lognormal's sixth moment has its weight where 1 - u
+    is about 1e-15.
+    """
+    if spec.family == "lognormal":
+        return math.exp(math.sqrt(spec.sigma2) * z - spec.mu)
+    if spec.family == "pareto":
+        return float(ndtr(z)) ** (1.0 / spec.beta) / spec.k
+    if spec.family == "gamma":
+        # Q(alpha, theta / y) = Phi(z) is P(alpha, theta / y) = Phi(-z), exact where Phi(z) nears 1
+        return spec.theta / float(gammaincinv(spec.alpha, ndtr(-z)))
+    if spec.family == "constant":
+        return 1.0 / spec.a
+    raise ValueError(f"no closed form for {spec!r}")
+
+
+def reciprocal_expectation(spec, g):
+    """E[g(Y)] = int_0^1 g(F^-1(u)) du, by ``quad`` in z = Phi^-1(u) to a relative 1e-10.
+
+    The normal density is below 1e-195 beyond |z| = 30, and a breakpoint
+    every 2 keeps ``quad`` from stepping over a peak far out in the tail.
+    """
+    def integrand(z):
+        return g(_reciprocal_quantile(spec, z)) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    value, _ = quad(integrand, -30.0, 30.0, points=range(-28, 30, 2), limit=200,
+                    epsabs=0.0, epsrel=1e-10)
+    return value
+
+
+def exact_survival_horizon_2(spec, t):
+    """P(Z_2 < t) = int_0^1 F(t / (1 + F^-1(u))) du, with F the CDF of Y.
+
+    Z_2 = Y_1 (1 + Y_2) for independent reciprocal shocks, so conditioning
+    on Y_2 leaves horizon 1's closed form at t / (1 + Y_2).
+    """
+    return reciprocal_expectation(spec, lambda y: exact_survival_horizon_1(spec, t / (1.0 + y)))
 
 
 def brute_force_best_order(betas, x, c):

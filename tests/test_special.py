@@ -86,6 +86,18 @@ class TestLogSumExpRows:
         want = [e[i, :n].sum() for i, n in enumerate(lengths)]
         assert np.array_equal(_pairwise_row_sums(lengths, 300)(e), want)
 
+    @pytest.mark.parametrize("rows", [1, 2, 64])
+    def test_sums_in_every_layout_width(self, rows):
+        # every laid-out width 8m + 7, and rows past 128 terms; the longest row fills
+        # the width, so the slots past it gather a clamped column that must be masked
+        rng = np.random.default_rng(rows)
+        for longest in [*range(1, 128), 128, 129, 200]:
+            lengths = rng.integers(1, longest + 1, rows)
+            lengths[rng.integers(rows)] = longest
+            e = rng.uniform(0.0, 1.0, (rows, longest)) * (np.arange(longest) < lengths[:, None])
+            want = [e[i, :n].sum() for i, n in enumerate(lengths)]
+            assert np.array_equal(_pairwise_row_sums(lengths, longest)(e), want), lengths
+
     def test_ties_at_a_small_maximum(self):
         # m > 1 with a maximum near 0, where log(m) is not lost beside it
         rng = np.random.default_rng(7)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import traced_peak
 from oracles import identical, per_cell_read_csv, per_cell_render_csv
 from ruinbounds import Pareto, SimConfig, sample_Z, tableio
+from ruinbounds.cli import main
 from ruinbounds.tableio import (
     format_cell,
     parse_cell,
@@ -199,7 +200,8 @@ class TestReadColumns:
         ["1.5", "2e3", "1_000.5", " 7.0 ", "1e400", "3E-2"],
         ["1.5", "true", "2.5"],
         ["007", " 7 ", "+inf", "infinity", ""],
-    ], ids=["specials", "float-raises", "all-float", "true", "no-dot"])
+        ["1.5", "\u0661.\u0665", "2e3", "1_0.5"],                # float reads all four
+    ], ids=["specials", "float-raises", "all-float", "true", "no-dot", "non-ascii"])
     def test_columns(self, tmp_path, column):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
@@ -222,6 +224,22 @@ def test_read_guesses_types_from_text(tmp_path):
     meta, _, rows = read_csv_table(path)
     assert identical(meta, {"truncation": 10, "beta": 3, "seed": 5, "note": "x"})
     assert identical(rows, [(v, 3) for v in (7, math.inf, True, 100000.0, 7, "plain")])
+
+
+@pytest.mark.parametrize("text", ["1_2", "1_0.5", "3_4", "\u0661\u0662"])
+def test_numbers_only_from_ascii_without_underscores(tmp_path, text):
+    # int() and float() read these as 12, 10.5, 34 and 12; a read keeps them as written
+    assert parse_cell(text) == text
+    path = write_csv_table(tmp_path / "t.csv", ("a", "b"), [(text, 1.5)], {"note": text})
+    assert identical(read_csv_table(path), ({"note": text}, ("a", "b"), [(text, 1.5)]))
+
+
+def test_classify_spec_named_with_underscore_reads_back(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[spec:1_2]\nfamily = pareto\nbeta = 0.1\nk = 0.9\n[run]\nc = 1.0\n")
+    out = tmp_path / "classify.csv"
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_csv_table(out)[2][0][0] == "1_2"
 
 
 @pytest.mark.parametrize("metadata, key", [
