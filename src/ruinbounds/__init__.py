@@ -18,6 +18,9 @@ here.  So the CLI answers ``--version`` and ``--help`` without numpy.
 import sys
 
 __version__ = "0.1.0"
+# the reference tables' run defaults, here for the CLI; reference exports them
+_DEFAULT_SEED = 20250801
+_DEFAULT_REPLICATES = 3000
 
 # Each module's __all__ is the one list of its public names.
 _MODULES = ("bounds", "errors", "moments", "montecarlo", "regimes", "shocks")

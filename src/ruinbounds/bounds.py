@@ -39,9 +39,9 @@ moments spanning decades) remain accurate.  A schedule holds its edges and
 log moments as tuples of Python floats, so one scalar evaluation is a
 ``bisect`` and a few ``math`` calls; ``np.asarray`` gives them as arrays.
 ``evaluate_bound`` reads those tuples itself, with the rule of ``order_for``
-(clamped to ``max_order``) and the index of ``log_beta`` written out instead
-of called, and builds its ``BoundResult`` with ``tuple.__new__``, skipping
-the Python-level ``__new__`` that ``NamedTuple`` generates.  The result is
+(clamped to ``max_order``) written out instead of called, and builds its
+``BoundResult`` with ``tuple.__new__``, skipping the Python-level
+``__new__`` that ``NamedTuple`` generates.  The result is
 still an immutable ``BoundResult``, so it also equals the plain tuple of its
 five stored values: ``x``, ``c``, ``order``, ``survival_lower`` and
 ``ruin_raw``.  Its ``ruin_upper``, ``vacuous`` and ``below_consumption`` are
@@ -56,7 +56,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import _require_consumption, _require_horizon, _require_integer
+from .errors import _require_consumption, _require_horizon, _require_integer, _require_stock
 from .moments import FiniteMomentGrid, MomentTable, finite_moments, infinite_moments
 from .shocks import _LOG_FLOAT_MAX, ShockSpec
 
@@ -108,12 +108,9 @@ class BoundSchedule:
     def order_for(self, x: float) -> int:
         """Optimal order for stock ``x > c`` (ties go to the lower order); NaN raises."""
         i = bisect_left(self.boundaries, x)
-        if i == 0 and x != x:  # bisect_left sends NaN to 0; only that branch pays
-            raise ValueError(f"x must not be NaN, got x={x}")
+        if i == 0:  # bisect_left sends NaN to 0; only that branch pays
+            _require_stock(x)
         return i + 1 if i < self.max_order else self.max_order
-
-    def log_beta(self, r: int) -> float:
-        return self.log_beta_values[r]
 
 
 class BoundResult(NamedTuple):
@@ -228,11 +225,10 @@ def evaluate_bound(sched: BoundSchedule, x: float) -> BoundResult:
     """
     c = sched.c
     if not x > c:
-        if x != x:
-            raise ValueError(f"x must not be NaN, got x={x}")
+        _require_stock(x)
         # x, c, order, survival_lower, ruin_raw
         return _new_tuple(BoundResult, (x, c, 0, 0.0, math.inf))
-    # sched.order_for(x) and sched.log_beta(r), without the two method calls
+    # sched.order_for(x), without the method call
     r = bisect_left(sched.boundaries, x) + 1
     if r > sched.max_order:
         r = sched.max_order

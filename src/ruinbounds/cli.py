@@ -32,9 +32,9 @@ Exit codes: 0 success, 2 configuration/usage error, 3 domain error
 (for example adaptive simulation of a shock whose mean log is not
 positive), 4 I/O error.
 
-At import the module loads only the standard library and the numpy-free
-``errors`` and ``_defaults``; each command imports the computing modules
-it uses, so ``--version``, ``--help`` and usage errors run without numpy.
+At import the module loads only the standard library and the package's
+numpy-free ``__init__`` and ``errors``; each command imports the computing
+modules it uses, so ``--version``, ``--help`` and usage errors run without numpy.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__
-from ._defaults import DEFAULT_REPLICATES, DEFAULT_SEED
+from . import _DEFAULT_REPLICATES, _DEFAULT_SEED, __version__
 from .errors import (ConfigError, DomainError, _require_consumption, _require_horizon,
-                     _require_integer, _require_seed, _require_truncation)
+                     _require_integer, _require_seed, _require_stock, _require_truncation)
 
 
 class ExperimentConfig:
@@ -62,7 +61,7 @@ class ExperimentConfig:
     x_grid: tuple = ()
     horizons: tuple = (math.inf,)
     rmax: int = 6
-    replicates: int = DEFAULT_REPLICATES
+    replicates: int = _DEFAULT_REPLICATES
     truncation: int | str = "adaptive"
     seed: int = 0
     fmt: str = "csv"
@@ -72,12 +71,10 @@ class ExperimentConfig:
         self.specs = []  # [(name, ShockSpec)]
 
     def validate(self) -> None:
-        """Check every setting, with the library's rules where they have one."""
+        """Check every setting but x, which ``_parse_stocks`` checks, with the library's rules."""
         if not self.specs:
             raise ConfigError("no shock specs configured; add a [spec:NAME] section")
         _require_consumption(self.c)
-        if not all(x > 0 for x in self.x_grid):
-            raise ConfigError(f"x grid values must be positive, got {self.x_grid}")
         _require_integer("rmax", self.rmax, 1)
         for h in self.horizons:
             _require_horizon(h)
@@ -92,13 +89,14 @@ class ExperimentConfig:
         _require_truncation(self.truncation)
 
 
-def _parse_floats(text: str) -> tuple:
+def _parse_stocks(text: str) -> tuple:
     out = []
     for token in text.replace(",", " ").split():
         try:
             out.append(float(token))
         except ValueError as exc:
             raise ConfigError(f"expected a number, got {token!r}") from exc
+        _require_stock(out[-1], positive=True)
     return tuple(out)
 
 
@@ -127,7 +125,7 @@ def _parse_truncation(text: str):
 # [run] key -> (ExperimentConfig field, parser of the raw config text)
 _RUN_FIELDS = {
     "c": ("c", float),
-    "x": ("x_grid", _parse_floats),
+    "x": ("x_grid", _parse_stocks),
     "horizons": ("horizons", _parse_horizons),
     "rmax": ("rmax", int),
     "replicates": ("replicates", int),
@@ -363,8 +361,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     from .reference import build_table
     from .tableio import write_csv_table, write_json
 
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    replicates = args.replicates if args.replicates is not None else DEFAULT_REPLICATES
+    seed = args.seed if args.seed is not None else _DEFAULT_SEED
+    replicates = args.replicates if args.replicates is not None else _DEFAULT_REPLICATES
     result = build_table(args.table, seed=seed, replicates=replicates)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -395,7 +393,7 @@ _FLAGS = {
     "--out": {"metavar": "PATH", "help": "output file or directory"},
     "--seed": {"type": int, "metavar": "U64", "help": "master seed"},
     "--replicates": {"type": int, "metavar": "N",
-                     "help": f"Monte Carlo replicates (default {DEFAULT_REPLICATES})"},
+                     "help": f"Monte Carlo replicates (default {_DEFAULT_REPLICATES})"},
     "--truncation": {"metavar": "N|adaptive",
                      "help": "series truncation: term count or 'adaptive'"},
     "--rmax": {"type": int, "metavar": "R", "help": "largest moment order"},

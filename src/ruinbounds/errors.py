@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the one statement of each input rule.
 
-Each rule below (integer, positive and finite, horizon, seed, truncation) names
-its argument.
+Each rule below (integer, positive and finite, shock parameters, stock,
+growth, horizon, seed, truncation) names its argument; a NaN stock fails first.
 
 The CLI maps these onto distinct exit codes: configuration problems exit
 with 2, domain errors (a computation requested outside its region of
@@ -41,6 +41,32 @@ def _require_positive_finite(name: str, symbol: str, value) -> None:
     """Raise ``ValueError`` unless ``value`` is positive and finite (NaN is neither)."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {symbol}={value}")
+
+
+def _require_shock_parameters(spec, finite=()) -> None:
+    """Raise ``ValueError`` unless each shock parameter is finite, and > 0 if not in ``finite``."""
+    for name, value in vars(spec).items():
+        label = f"{spec.family} {name}"
+        if name not in finite:
+            _require_positive_finite(label, name, value)
+        elif not -math.inf < value < math.inf:
+            raise ValueError(f"{label} must be finite, got {name}={value}")
+
+
+def _require_stock(x, positive: bool = False) -> None:
+    """Raise ``ValueError`` if the stock ``x`` is NaN or, when ``positive``, not above 0."""
+    if x != x:  # NaN first: it has no order and no survival event
+        raise ValueError(f"x must not be NaN, got x={x}")
+    if positive and x <= 0:
+        raise ValueError(f"x must be positive, got x={x}")
+
+
+def _require_growth(spec) -> None:
+    """Raise ``DomainError`` unless ``spec`` has E[log shock] > 0; else the series diverges."""
+    elog = spec.expected_log()
+    if not elog > 0.0:
+        raise DomainError(f"the series needs E[log shock] > 0, got {elog} for {spec!r}; "
+                          "it diverges almost surely")
 
 
 def _require_consumption(c) -> None:

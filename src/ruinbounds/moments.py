@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._special import lgamma_int, logsumexp, logsumexp_rows
-from .errors import DomainError, _require_integer
+from .errors import _require_growth, _require_integer
 from .shocks import _LOG_FLOAT_MAX, ShockSpec
 
 __all__ = ["MomentTable", "FiniteMomentGrid", "infinite_moments", "finite_moments"]
@@ -122,9 +122,6 @@ class FiniteMomentGrid:
     def nmax(self) -> int:
         return self.log_beta_grid.shape[1] - 1
 
-    def log_beta(self, r: int, n: int) -> float:
-        return float(self.log_beta_grid[r, n])
-
     def beta(self, r: int, n: int) -> float:
         return _exp(self.log_beta_grid[r, n])
 
@@ -153,11 +150,7 @@ def infinite_moments(spec: ShockSpec, rmax: int) -> MomentTable:
     almost surely and no finite moment exists.
     """
     _require_integer("rmax", rmax, 1)
-    if not spec.expected_log() > 0.0:
-        raise DomainError(
-            "series moments need E[log shock] > 0; the series diverges almost "
-            f"surely for {spec!r}"
-        )
+    _require_growth(spec)
     log_gamma = _log_gammas(spec, rmax)
     log_binom = _log_binomial_rows(rmax)
     first_infinite = first_infinite_order(spec, rmax)

@@ -62,9 +62,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._defaults import DEFAULT_REPLICATES
-from .errors import (DomainError, _require_consumption, _require_integer, _require_seed,
-                     _require_truncation)
+from . import _DEFAULT_REPLICATES
+from .errors import (DomainError, _require_consumption, _require_growth, _require_integer,
+                     _require_seed, _require_stock, _require_truncation)
 from .shocks import ShockSpec
 
 __all__ = [
@@ -167,7 +167,7 @@ def _philox_keys(seed: int, count: int, start: int = 0) -> np.ndarray:
 class SimConfig:
     """Simulation settings: replicate count, truncation mode, seed."""
 
-    replicates: int = DEFAULT_REPLICATES
+    replicates: int = _DEFAULT_REPLICATES
     truncation: int | str = "adaptive"
     seed: int = 0
 
@@ -319,13 +319,9 @@ def sample_Z(spec: ShockSpec, config: SimConfig) -> EcdfEstimate:
     Fixed truncation samples the n-term partial sum exactly; adaptive mode
     approximates the full series and requires ``E[log shock] > 0``.
     """
-    if config.adaptive and not spec.expected_log() > 0.0:
-        raise DomainError(
-            "adaptive truncation needs E[log shock] > 0; the series diverges "
-            f"almost surely for {spec!r}"
-        )
     out = np.empty(config.replicates)
     if config.adaptive:
+        _require_growth(spec)
         _adaptive_sums(spec, config.seed, out)
     else:
         for start, rows in _row_blocks(spec, config.seed, len(out), int(config.truncation)):
@@ -345,8 +341,7 @@ def sample_Z(spec: ShockSpec, config: SimConfig) -> EcdfEstimate:
 def ecdf_survival(est: EcdfEstimate, x: float, c: float = 1.0) -> float:
     """Fraction of sampled series values strictly below ``x/c - 1``."""
     _require_consumption(c)
-    if not x > 0:
-        raise ValueError(f"x must be positive, got x={x}")
+    _require_stock(x, positive=True)
     threshold = x / c - 1.0
     count = int(np.searchsorted(est.samples, threshold, side="left"))
     return count / est.replicates
@@ -362,8 +357,7 @@ def simulate_path(spec: ShockSpec, x: float, c: float, horizon: int,
     ``horizon`` periods.
     """
     _require_consumption(c)
-    if not x > 0:
-        raise ValueError(f"x must be positive, got x={x}")
+    _require_stock(x, positive=True)
     _require_integer("horizon", horizon, 1)
     if x <= c:
         return 0
@@ -417,6 +411,7 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
     reported with the path's draws.
     """
     _require_consumption(c)
+    _require_stock(x)
     if not x > c:
         raise ValueError(f"requires x > c, got x={x}, c={c}")
     _require_integer("horizon", horizon, 1)

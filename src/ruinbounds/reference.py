@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 
-from ._defaults import DEFAULT_REPLICATES, DEFAULT_SEED
+from . import _DEFAULT_REPLICATES as DEFAULT_REPLICATES, _DEFAULT_SEED as DEFAULT_SEED
 from .bounds import boundary_table, schedule, schedules, survival_lower_bound
 from .errors import _require_integer, _require_seed
 from .moments import first_infinite_order, infinite_moments
@@ -75,6 +75,7 @@ MATCHED_TRIO: dict[str, ShockSpec] = {
 }
 
 _TRIO_HORIZONS = (3, 5, 10, 20)
+_RMAX_CAP = 64  # the top order of a survival table's bound where no moment reaches 1 first
 
 
 @dataclass(frozen=True)
@@ -293,10 +294,10 @@ def reference_table(table_id: int) -> ReferenceTable:
     return _REFERENCE_TABLES[table_id]
 
 
-def _restricted_rmax(spec: ShockSpec, cap: int = 64) -> int:
-    """Largest order whose reciprocal-shock moment stays below 1."""
-    fi = first_infinite_order(spec, cap)
-    return cap if fi is None else fi - 1
+def _restricted_rmax(spec: ShockSpec) -> int:
+    """Largest order up to ``_RMAX_CAP`` whose reciprocal-shock moment stays below 1."""
+    fi = first_infinite_order(spec, _RMAX_CAP)
+    return _RMAX_CAP if fi is None else fi - 1
 
 
 def _build_moment_table(ref: ReferenceTable, spec: ShockSpec, meta: dict) -> TableResult:

@@ -27,7 +27,7 @@ import enum
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import _require_consumption, _require_positive_finite
+from .errors import _require_consumption, _require_positive_finite, _require_stock
 from .shocks import ShockSpec
 
 # Horizons checked against the exact partial sums; r**N has about 53*N bits.
@@ -126,8 +126,7 @@ def deterministic_horizon(r: float, x: float, c: float) -> float:
     """
     _require_consumption(c)
     _require_positive_finite("productivity", "r", r)
-    if x != x:
-        raise ValueError(f"x must not be NaN, got x={x}")
+    _require_stock(x)
     if x <= c:
         return 0.0
     if x == math.inf:
@@ -194,8 +193,7 @@ def trichotomy(regime: Regime, x: float, c: float) -> Trichotomy:
     threshold stock sustains consumption exactly), so it returns ONE.
     """
     _require_consumption(c)
-    if x != x:
-        raise ValueError(f"x must not be NaN, got x={x}")
+    _require_stock(x)
     if x <= c or regime.elog <= 0.0:
         return Trichotomy.ZERO
     w = x / c - 1.0

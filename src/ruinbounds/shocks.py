@@ -14,8 +14,8 @@ degenerate constant shock used as an exactly solvable oracle in tests.
 Each is a frozen dataclass derived from ``ShockSpec``, the base class that
 defines the record format (``family`` plus the dataclass fields, in field
 order), the family registry behind ``spec_from_record``, the linear
-inverse moment and ``sample_inverse``.  All parameterizations are validated
-on construction; instances are frozen and safe to share between threads.
+inverse moment, ``sample_inverse`` and the parameter check on construction
+(``errors``' rule).  Instances are frozen and safe to share between threads.
 
 A family states its draw once, in two pieces: ``_draw`` makes the raw
 uniform, standard normal or standard gamma draw into an array ``out``, and
@@ -49,7 +49,7 @@ from typing import ClassVar
 import numpy as np
 
 from ._special import digamma
-from .errors import ConfigError, FeasibilityError, _require_integer
+from .errors import ConfigError, FeasibilityError, _require_integer, _require_shock_parameters
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp stays finite up to here
 _FLOAT_MIN = sys.float_info.min  # smallest normal double
@@ -80,12 +80,16 @@ class ShockSpec:
     """
 
     family: ClassVar[str]
+    _finite: ClassVar[tuple] = ()  # parameters that need not be positive
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         # each family holds its own binding, so a per-class wrapper (the
         # benchmark tracer's) counts that family's draws alone
         cls.sample_inverse = ShockSpec.sample_inverse
+
+    def __post_init__(self) -> None:
+        _require_shock_parameters(self, self._finite)
 
     def sample_inverse(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """An array of ``size`` draws of the reciprocal shock."""
@@ -110,12 +114,9 @@ class Lognormal(ShockSpec):
     """Shock ``exp(N)`` with ``N`` normal with mean ``mu``, variance ``sigma2``."""
 
     family = "lognormal"
+    _finite = ("mu",)
     mu: float
     sigma2: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError(f"lognormal requires finite mu and sigma2 > 0, got {self}")
 
     def log_inverse_moment(self, r: int) -> float:
         """log E[shock^-r] = -r*mu + r^2*sigma2/2, exact for every r >= 1."""
@@ -176,10 +177,6 @@ class Pareto(ShockSpec):
     beta: float
     k: float
 
-    def __post_init__(self) -> None:
-        if not (0 < self.beta < math.inf and 0 < self.k < math.inf):
-            raise ValueError(f"pareto requires finite beta > 0 and k > 0, got {self}")
-
     def log_inverse_moment(self, r: int) -> float:
         _require_integer("moment order", r, 1)
         return math.log(self.beta) - r * math.log(self.k) - math.log(self.beta + r)
@@ -224,10 +221,6 @@ class Gamma(ShockSpec):
     family = "gamma"
     alpha: float
     theta: float
-
-    def __post_init__(self) -> None:
-        if not (0 < self.alpha < math.inf and 0 < self.theta < math.inf):
-            raise ValueError(f"gamma requires finite alpha > 0 and theta > 0, got {self}")
 
     def log_inverse_moment(self, r: int) -> float:
         _require_integer("moment order", r, 1)
@@ -288,10 +281,6 @@ class Constant(ShockSpec):
 
     family = "constant"
     a: float
-
-    def __post_init__(self) -> None:
-        if not (self.a > 0 and math.isfinite(self.a)):
-            raise ValueError(f"constant requires a > 0, got {self}")
 
     def log_inverse_moment(self, r: int) -> float:
         _require_integer("moment order", r, 1)

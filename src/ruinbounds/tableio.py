@@ -3,7 +3,8 @@
 Conventions shared by every output file: UTF-8 text, '.' decimal
 separator, no thousands separators, infinities spelled literally as
 ``inf``/``-inf``, blank cells empty.  CSV files carry ``# key = value``
-metadata lines above the header row; floats are written with full repr
+metadata lines above the header row, so a header line may not start with
+``#`` (a write raises ``ValueError``); floats are written with full repr
 precision so a parsed file compares equal to the in-memory values that
 produced it.
 
@@ -155,8 +156,8 @@ def _csv_pieces(columns, rows, metadata: dict | None):
 
     Each chunk of ``_CHUNK_ROWS`` rows is formatted a column at a time when
     every cell is a float, else cell by cell; both write the same bytes.
-    A metadata line break, or a ``=`` in a metadata key, raises before the
-    first piece.
+    A metadata line break, a ``=`` in a metadata key, or a header line that
+    starts with ``#`` raises before the first piece.
     """
     buf = io.StringIO()
     for key, value in (metadata or {}).items():
@@ -169,7 +170,10 @@ def _csv_pieces(columns, rows, metadata: dict | None):
             raise ValueError(f"metadata key {key!r} holds '=', which a read takes as its end")
         buf.write(line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
+    header = buf.tell()
     _write_row(buf, writer, columns)
+    if buf.getvalue().startswith("#", header):  # a read takes that line for metadata
+        raise ValueError(f"column {columns[0]!r} starts with '#', which a read takes as metadata")
     yield buf.getvalue()
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):

@@ -432,7 +432,10 @@ def per_cell_render_csv(columns, rows, metadata=None):
         else:
             writer.writerow(cells)
 
+    header = buf.tell()
     write(columns)
+    if buf.getvalue()[header:].startswith("#"):  # it would read back as a metadata line
+        raise ValueError(f"column {columns[0]!r} starts with '#'")
     for row in rows:
         write([format_cell(v) for v in row])
     return buf.getvalue()

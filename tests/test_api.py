@@ -33,8 +33,8 @@ PUBLIC = {
 }
 
 # The modules the first access to an exported name loads.
-LOADED_ON_FIRST_USE = {"ruinbounds", "ruinbounds._defaults", "ruinbounds._special",
-                       "ruinbounds.bounds", "ruinbounds.errors", "ruinbounds.moments", "ruinbounds.montecarlo",
+LOADED_ON_FIRST_USE = {"ruinbounds", "ruinbounds._special", "ruinbounds.bounds",
+                       "ruinbounds.errors", "ruinbounds.moments", "ruinbounds.montecarlo",
                        "ruinbounds.regimes", "ruinbounds.shocks"}
 
 
@@ -182,6 +182,43 @@ def test_consumption_must_be_positive_and_finite(entry, c):
     call(1.5)
 
 
+def _stock_entry_points():
+    """Each public function that takes a stock ``x``, called with it."""
+    rb = ruinbounds
+    spec = rb.Constant(2.0)
+    sched = rb.schedule(rb.infinite_moments(spec, 4), 1.0)
+    estimate = rb.sample_Z(spec, rb.SimConfig(replicates=4, truncation=3, seed=0))
+    return {
+        "evaluate_bound": lambda x: rb.evaluate_bound(sched, x),
+        "survival_lower_bound": lambda x: rb.survival_lower_bound(sched, x),
+        "ruin_upper_bound": lambda x: rb.ruin_upper_bound(sched, x),
+        "order_for": lambda x: sched.order_for(x),
+        "ecdf_survival": lambda x: rb.ecdf_survival(estimate, x, 1.0),
+        "simulate_path": lambda x: rb.simulate_path(spec, x, 1.0, 5, rb.replicate_stream(0, 0)),
+        "crosscheck_equivalence": lambda x: rb.crosscheck_equivalence(spec, x, 1.0, 5, 3, 0),
+        "trichotomy": lambda x: rb.trichotomy(rb.classify(spec), x, 1.0),
+        "deterministic_horizon": lambda x: rb.deterministic_horizon(2.0, x, 1.0),
+    }
+
+
+@pytest.mark.parametrize("entry", ["evaluate_bound", "survival_lower_bound", "ruin_upper_bound",
+                                   "order_for", "ecdf_survival", "simulate_path",
+                                   "crosscheck_equivalence", "trichotomy",
+                                   "deterministic_horizon"])
+def test_stock_must_not_be_nan(entry):
+    call = _stock_entry_points()[entry]
+    with pytest.raises(ValueError, match=r"^x must not be NaN, got x=nan$"):
+        call(math.nan)
+    call(3.0)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, -math.inf])
+@pytest.mark.parametrize("entry", ["ecdf_survival", "simulate_path"])
+def test_stock_must_be_positive_where_it_is_simulated(entry, x):
+    with pytest.raises(ValueError, match=f"^x must be positive, got x={x}$"):
+        _stock_entry_points()[entry](x)
+
+
 def _seeded_calls():
     """Each public function that takes a seed, called with it; equal results hold equal bits."""
     rb = ruinbounds
@@ -227,13 +264,23 @@ def test_numpy_seed_gives_the_bits_of_the_equal_int(entry):
 @pytest.mark.parametrize("rule", [r"horizon must be an integer >= 1 or math\.inf",
                                   r"must be positive and finite",
                                   r"2\s*\*\*\s*64",
-                                  r"truncation\s*!=\s*\"adaptive\""])
+                                  r"truncation\s*!=\s*\"adaptive\"",
+                                  r"x must not be NaN",
+                                  r"x must be positive",
+                                  r"needs? E\[log shock\] > 0"])
 def test_each_input_rule_is_stated_once(rule):
-    """The horizon, positive-and-finite, seed and truncation rules are in ``errors`` alone."""
+    """The horizon, positive-and-finite, seed, truncation, NaN-stock, positive-stock and
+    growth rules are in ``errors`` alone."""
     package = Path(ruinbounds.__file__).parent
     stating = [path.name for path in sorted(package.glob("*.py"))
                if re.search(rule, path.read_text(encoding="utf-8"))]
     assert stating == ["errors.py"]
+
+
+def test_shock_families_keep_no_parameter_check_of_their_own():
+    """``ShockSpec.__post_init__`` checks each family's parameters with the rule in ``errors``."""
+    for cls in (ruinbounds.Lognormal, ruinbounds.Pareto, ruinbounds.Gamma, ruinbounds.Constant):
+        assert "__post_init__" not in vars(cls), cls.__name__
 
 
 def test_numpy_and_seed_derivation_stay_in_their_modules():

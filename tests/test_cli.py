@@ -529,7 +529,16 @@ class TestErrorPaths:
         assert main(["bounds", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "x grid values must be positive" in captured.err
+        assert "[run] x: x must not be NaN, got x=nan" in captured.err
+
+    @pytest.mark.parametrize("x", ["0", "-1"])
+    def test_nonpositive_x_in_x_grid(self, tmp_path, capsys, x):
+        cfg = tmp_path / "x.ini"
+        cfg.write_text(f"[spec:c]\nfamily = constant\na = 2\n[run]\nx = 1.5 {x} 3.0\n")
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"[run] x: x must be positive, got x={float(x)}" in captured.err
 
     @pytest.mark.parametrize("c", ["inf", "0", "-1", "nan"])
     def test_consumption_must_be_positive_and_finite(self, tmp_path, capsys, c):

@@ -240,12 +240,12 @@ class TestFiniteMoments:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             grid = finite_moments(Lognormal(0.1, 2.0), 60, 50)
-            assert math.isfinite(grid.log_beta(60, 50))
+            assert math.isfinite(grid.log_beta_grid[60, 50])
             assert grid.beta(60, 50) == math.inf
             for r in range(1, 61):
                 for n in range(1, 51):
-                    if grid.log_beta(r, n) <= math.log(np.finfo(float).max):
-                        assert grid.beta(r, n) == float(np.exp(grid.log_beta(r, n)))
+                    if grid.log_beta_grid[r, n] <= math.log(np.finfo(float).max):
+                        assert grid.beta(r, n) == float(np.exp(grid.log_beta_grid[r, n]))
                     else:
                         assert grid.beta(r, n) == math.inf
 
@@ -345,7 +345,7 @@ class TestStructuralProperties:
             assert all(a <= b + 1e-12 for a, b in zip(root, root[1:]))
             grid = finite_moments(spec, 6, 20)
             for n in (1, 3, 10, 20):
-                root = [grid.log_beta(r, n) / r for r in range(1, 7)]
+                root = [grid.log_beta_grid[r, n] / r for r in range(1, 7)]
                 assert all(a <= b + 1e-12 for a, b in zip(root, root[1:]))
 
     def test_rejects_bad_sizes(self):

@@ -497,7 +497,7 @@ class TestEcdf:
 
     def test_rejects_nan_stock(self):
         est = sample_Z(Constant(2.0), SimConfig(replicates=8, truncation=5, seed=0))
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match="x must not be NaN"):
             ecdf_survival(est, float("nan"), 1.0)
 
 
@@ -556,7 +556,7 @@ class TestSimulatePath:
 
     def test_rejects_nan_stock(self):
         # a shrinking shock would otherwise report the NaN stock as surviving
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match="x must not be NaN"):
             simulate_path(Constant(0.5), float("nan"), 1.0, 10, replicate_stream(0, 0))
 
 
@@ -630,7 +630,7 @@ class TestCrosscheck:
             crosscheck_equivalence(Constant(2.0), 1.0, 1.0, 5, 10, seed=0)
 
     def test_rejects_nan_stock(self):
-        with pytest.raises(ValueError, match="requires x > c"):
+        with pytest.raises(ValueError, match="x must not be NaN"):
             crosscheck_equivalence(Constant(0.5), float("nan"), 1.0, 5, 3, seed=0)
 
     @pytest.mark.parametrize("horizon, paths, message", [

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -411,19 +412,32 @@ class TestRecords:
             spec_from_record(record)
 
 
+# a bad parameter and the message naming it
+BAD_PARAMETERS = [
+    (lambda: Lognormal(0.0, 0.0),
+     "lognormal sigma2 must be positive and finite, got sigma2=0.0"),
+    (lambda: Pareto(0.0, 1.0), "pareto beta must be positive and finite, got beta=0.0"),
+    (lambda: Pareto(1.0, -1.0), "pareto k must be positive and finite, got k=-1.0"),
+    (lambda: Gamma(-1.0, 1.0), "gamma alpha must be positive and finite, got alpha=-1.0"),
+    (lambda: Constant(0.0), "constant a must be positive and finite, got a=0.0"),
+    (lambda: Lognormal(math.nan, 1.0), "lognormal mu must be finite, got mu=nan"),
+    (lambda: Pareto(math.inf, 0.9), "pareto beta must be positive and finite, got beta=inf"),
+    (lambda: Pareto(1.0, math.inf), "pareto k must be positive and finite, got k=inf"),
+    (lambda: Gamma(math.inf, 1.0), "gamma alpha must be positive and finite, got alpha=inf"),
+    (lambda: Gamma(17.0, math.inf), "gamma theta must be positive and finite, got theta=inf"),
+    (lambda: Constant(math.inf), "constant a must be positive and finite, got a=inf"),
+    (lambda: Constant(math.nan), "constant a must be positive and finite, got a=nan"),
+    (lambda: Lognormal(1.0, math.inf),
+     "lognormal sigma2 must be positive and finite, got sigma2=inf"),
+    (lambda: Lognormal(math.inf, 1.0), "lognormal mu must be finite, got mu=inf"),
+    (lambda: Gamma(1.0, math.nan), "gamma theta must be positive and finite, got theta=nan"),
+]
+
+
 class TestValidation:
-    @pytest.mark.parametrize("build", [
-        lambda: Lognormal(0.0, 0.0),
-        lambda: Pareto(0.0, 1.0),
-        lambda: Pareto(1.0, -1.0),
-        lambda: Gamma(-1.0, 1.0),
-        lambda: Constant(0.0),
-        lambda: Lognormal(math.nan, 1.0),
-        lambda: Pareto(math.inf, 0.9),
-        lambda: Pareto(1.0, math.inf),
-        lambda: Gamma(math.inf, 1.0),
-        lambda: Gamma(17.0, math.inf),
-    ])
-    def test_bad_parameters_raise(self, build):
-        with pytest.raises(ValueError):
+    # ids stay <lambda>N, as for a list of the builders alone
+    @pytest.mark.parametrize("build, message", BAD_PARAMETERS,
+                             ids=[f"<lambda>{i}" for i in range(len(BAD_PARAMETERS))])
+    def test_bad_parameters_raise(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()

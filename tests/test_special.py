@@ -177,8 +177,7 @@ class TestImportGuard:
         names = loaded_modules("-m", "ruinbounds.cli", *args, returncode=returncode)
         assert "ruinbounds.cli" not in names  # runpy runs it as __main__
         assert [n for n in names if is_numpy(n)] == []
-        assert [n for n in names if n.startswith("ruinbounds.")] == [
-            "ruinbounds._defaults", "ruinbounds.errors"]
+        assert [n for n in names if n.startswith("ruinbounds.")] == ["ruinbounds.errors"]
         assert "dataclasses" not in names and "inspect" not in names
 
     def test_reproduce_loads_only_what_it_uses(self, tmp_path):

@@ -115,8 +115,8 @@ class TestRenderColumns:
         columns, rows, metadata = table
         try:
             want = per_cell_render_csv(columns, rows, metadata)
-        except ValueError:  # a metadata line break is rejected, not written
-            with pytest.raises(ValueError, match="holds a line break"):
+        except ValueError as exc:  # a metadata line break or a '#' header is rejected
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
                 render_csv(columns, container(rows), metadata)
             return
         assert render_csv(columns, container(rows), metadata) == want
@@ -262,6 +262,24 @@ def test_metadata_key_holding_equals_is_rejected(tmp_path, key):
     with pytest.raises(ValueError, match=re.escape(f"metadata key {key!r} holds '='")):
         write_csv_table(path, ("a",), [(1.5,)], {key: 1})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("columns", [("#id", "v"), ("# x = 1",), ("#",)])
+def test_header_starting_with_hash_is_rejected(tmp_path, columns):
+    # ('#id', 'v') would read back as metadata {'id,v': None}, with the first row as header
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=re.escape(f"column {columns[0]!r} starts with '#'")):
+        write_csv_table(path, columns, [(1, 2.5), (2, 3.5)])
+    assert not path.exists()
+    with pytest.raises(ValueError, match="starts with '#'"):
+        render_csv(columns, [(1, 2.5)], {"a": 1})
+
+
+@pytest.mark.parametrize("columns", [("a", "#b"), ("#a,b", "v"), ("#\r", "v"), (" #a", "v")])
+def test_header_holding_hash_later_reads_back(tmp_path, columns):
+    # a quoted or later '#' leaves the line's first character alone
+    path = write_csv_table(tmp_path / "t.csv", columns, [(1, 2.5)])
+    assert read_csv_table(path) == ({}, columns, [(1, 2.5)])
 
 
 def test_cell_that_fails_to_format_leaves_no_file(tmp_path, monkeypatch):
