@@ -29,6 +29,9 @@ Conventions, fixed here and used by every caller:
 * the raw ruin estimate is ``+inf`` once its log reaches
   ``_LOG_RAW_CUTOFF`` = 700, that is for raw bounds from about 1.01e304,
   although a double reaches 1.8e308; such a bound is vacuous anyway;
+* at ``x = +inf`` (or wherever ``x/c`` overflows) the raw bound is 0 when
+  the moment in use is finite and ``+inf`` when it is infinite, as at every
+  finite x on that schedule;
 * with fewer than two finite moments the schedule degenerates to the
   single order 1 and is flagged;
 * a NaN stock ``x`` raises ``ValueError`` (it has no order), as does a
@@ -37,16 +40,18 @@ Conventions, fixed here and used by every caller:
 Evaluation runs in log space so order-60 schedules (binomials ~1e17,
 moments spanning decades) remain accurate.  A schedule holds its edges and
 log moments as tuples of Python floats, so one scalar evaluation is a
-``bisect`` and a few ``math`` calls; ``np.asarray`` gives them as arrays.
-``evaluate_bound`` reads those tuples itself, with the rule of ``order_for``
-(clamped to ``max_order``) written out instead of called, and builds its
-``BoundResult`` with ``tuple.__new__``, skipping the Python-level
-``__new__`` that ``NamedTuple`` generates.  The result is
+``bisect``, one ``math.log`` and one tuple build; ``np.asarray`` gives them
+as arrays.  ``evaluate_bound`` reads those tuples itself, with the rule of
+``order_for`` (clamped to ``max_order``) written out instead of called, and
+builds its ``BoundResult`` with ``tuple.__new__``, skipping the
+Python-level ``__new__`` that ``NamedTuple`` generates.  The result is
 still an immutable ``BoundResult``, so it also equals the plain tuple of its
-five stored values: ``x``, ``c``, ``order``, ``survival_lower`` and
-``ruin_raw``.  Its ``ruin_upper``, ``vacuous`` and ``below_consumption`` are
-properties derived from those five, so a result kept in a long list costs
-five slots, not eight.
+four stored values: ``x``, ``c``, ``order`` and ``log_raw``, the log of the
+raw bound ``beta_r / (x/c - 1)^r`` (``+inf`` when x <= c).  Its five other
+attributes, ``survival_lower``, ``ruin_raw`` (where the 700 cutoff is
+applied), ``ruin_upper``, ``vacuous`` and ``below_consumption``, are
+properties derived from those four on each read, so a result kept in a
+long list costs four slots and at most one new float.
 """
 
 from __future__ import annotations
@@ -114,20 +119,32 @@ class BoundSchedule:
 
 
 class BoundResult(NamedTuple):
-    """One bound evaluation: clamped survival plus the raw ruin estimate.
+    """One bound evaluation: the log of the raw ruin estimate, and what follows from it.
 
-    An immutable ``NamedTuple`` of five stored fields, so it also equals the
-    plain tuple of those five values in field order.  ``ruin_upper``,
-    ``vacuous`` and ``below_consumption`` are read-only properties derived
-    from them.  There is none for a NaN ``x``: ``evaluate_bound`` raises
-    ``ValueError`` instead.
+    An immutable ``NamedTuple`` of four stored fields, so it also equals the
+    plain tuple ``(x, c, order, log_raw)``.  ``survival_lower``,
+    ``ruin_raw``, ``ruin_upper``, ``vacuous`` and ``below_consumption`` are
+    read-only properties derived from them on each read; ``ruin_raw``
+    applies the ``_LOG_RAW_CUTOFF`` of 700.  There is none for a NaN ``x``:
+    ``evaluate_bound`` raises ``ValueError`` instead.
     """
 
     x: float
     c: float
     order: int               # 0 when x <= c
-    survival_lower: float
-    ruin_raw: float          # +inf when x <= c or log_raw >= _LOG_RAW_CUTOFF
+    log_raw: float           # log(beta_r / (x/c - 1)^r); +inf when x <= c
+
+    @property
+    def survival_lower(self) -> float:
+        """The survival lower bound ``1 - ruin_raw``, clamped to 0."""
+        log_raw = self.log_raw
+        return -math.expm1(log_raw) if log_raw < 0.0 else 0.0
+
+    @property
+    def ruin_raw(self) -> float:
+        """The raw ruin estimate, ``+inf`` from ``log_raw >= _LOG_RAW_CUTOFF`` on."""
+        log_raw = self.log_raw
+        return math.exp(log_raw) if log_raw < _LOG_RAW_CUTOFF else math.inf
 
     @property
     def ruin_upper(self) -> float:
@@ -137,7 +154,7 @@ class BoundResult(NamedTuple):
     @property
     def vacuous(self) -> bool:
         """True when the survival bound was clamped to zero."""
-        return self.survival_lower == 0.0
+        return not self.log_raw < 0.0
 
     @property
     def below_consumption(self) -> bool:
@@ -149,7 +166,7 @@ class BoundResult(NamedTuple):
 # Python-level __new__ that NamedTuple generates.
 _new_tuple = tuple.__new__
 
-# From this log on, the raw ruin estimate is reported as +inf (see the module
+# From this log on, BoundResult.ruin_raw reads +inf (see the module
 # docstring); bench/workloads.py bound_oracle uses the same cutoff.
 _LOG_RAW_CUTOFF = 700.0
 
@@ -224,19 +241,20 @@ def evaluate_bound(sched: BoundSchedule, x: float) -> BoundResult:
     Raises ``ValueError`` for a NaN ``x``.
     """
     c = sched.c
-    if not x > c:
-        _require_stock(x)
-        # x, c, order, survival_lower, ruin_raw
-        return _new_tuple(BoundResult, (x, c, 0, 0.0, math.inf))
+    try:
+        log_excess = math.log(x / c - 1.0)
+    except ValueError:  # x <= c: the log of a number <= 0
+        return _new_tuple(BoundResult, (x, c, 0, math.inf))  # x, c, order, log_raw
+    if not log_excess < math.inf:  # x is NaN, or x/c is +inf
+        r = sched.order_for(x)  # raises for NaN
+        # beta_r / inf**r: 0, or +inf (not NaN) where beta_r is infinite
+        log_raw = -math.inf if sched.log_beta_values[r] < math.inf else math.inf
+        return _new_tuple(BoundResult, (x, c, r, log_raw))
     # sched.order_for(x), without the method call
     r = bisect_left(sched.boundaries, x) + 1
     if r > sched.max_order:
         r = sched.max_order
-    log_raw = sched.log_beta_values[r] - r * math.log(x / c - 1.0)
-    if log_raw >= 0.0:
-        raw = math.exp(log_raw) if log_raw < _LOG_RAW_CUTOFF else math.inf
-        return _new_tuple(BoundResult, (x, c, r, 0.0, raw))
-    return _new_tuple(BoundResult, (x, c, r, -math.expm1(log_raw), math.exp(log_raw)))
+    return _new_tuple(BoundResult, (x, c, r, sched.log_beta_values[r] - r * log_excess))
 
 
 def survival_lower_bound(sched: BoundSchedule, x: float) -> float:

@@ -1,5 +1,6 @@
 import collections
 import copy
+import gc
 import math
 import operator
 import pickle
@@ -16,6 +17,7 @@ from ruinbounds import (
     BoundResult,
     BoundSchedule,
     Constant,
+    Gamma,
     Lognormal,
     Pareto,
     SimConfig,
@@ -189,6 +191,30 @@ class TestBoundValues:
         with pytest.raises(ValueError, match="x must not be NaN"):
             evaluate(sched, np.float64("nan"))
 
+    @pytest.mark.parametrize("build", [
+        lambda: schedule(infinite_moments(Lognormal(0.1, 1.0), 4), 1.0),
+        lambda: schedule(finite_moments(Gamma(0.5, 1.0), 3, 5), 1.0, horizon=3),
+        lambda: BoundSchedule(spec=Constant(2.0), c=1e-10, horizon=math.inf,
+                              log_beta_values=(0.0, math.inf), boundaries=(), max_order=1),
+    ], ids=["lognormal", "gamma_horizon_3", "x_over_c_overflows"])
+    def test_infinite_moment_is_vacuous_at_every_stock(self, build):
+        """Where the moment in use is infinite, x = +inf (and an x/c that overflows)
+        gets what every finite x gets, not NaN."""
+        sched = build()
+        assert sched.log_beta_values[1] == math.inf
+        for x in (1.5, 1e300, 1e308, math.inf, np.float64(math.inf)):
+            res = evaluate_bound(sched, x)
+            assert (res.order, res.log_raw) == (1, math.inf), x
+            assert (res.survival_lower, res.ruin_raw, res.ruin_upper) == (0.0, math.inf, 1.0), x
+            assert res.vacuous and not res.below_consumption, x
+
+    def test_infinite_stock_on_a_finite_moment_survives(self):
+        sched = schedule(infinite_moments(LOGNORMAL_HEAVY, 4), 1.0)
+        for x in (math.inf, np.float64(math.inf)):
+            res = evaluate_bound(sched, x)
+            assert (res.order, res.log_raw) == (sched.max_order, -math.inf)
+            assert (res.survival_lower, res.ruin_raw, res.vacuous) == (1.0, 0.0, False)
+
     def test_ruin_raw_published_value(self):
         sched = schedule(infinite_moments(LOGNORMAL_HEAVY, 4), 1.0)
         res = evaluate_bound(sched, 1.4)
@@ -218,43 +244,46 @@ class TestBoundValues:
         assert 0.0 < res.ruin_upper < 1e-100
 
 
-# The eight attributes of a BoundResult, stored or derived
-_ATTRIBUTES = ("x", "c", "order", "survival_lower", "ruin_upper", "ruin_raw", "vacuous",
-               "below_consumption")
+# The nine attributes of a BoundResult, stored or derived
+_ATTRIBUTES = ("x", "c", "order", "log_raw", "survival_lower", "ruin_upper", "ruin_raw",
+               "vacuous", "below_consumption")
 _Expected = collections.namedtuple("_Expected", _ATTRIBUTES)
 _attribute_values = operator.attrgetter(*_ATTRIBUTES)
 
 
 def _reference_evaluate(sched, x):
     """Reference evaluation: ``np.searchsorted`` on the edge array and the
-    same ``math`` arithmetic, giving all eight attributes."""
+    same ``math`` arithmetic, giving all nine attributes."""
     c = sched.c
     if x <= c:
-        return _Expected(x, c, 0, 0.0, 1.0, math.inf, True, True)
+        return _Expected(x, c, 0, math.inf, 0.0, 1.0, math.inf, True, True)
     i = int(np.searchsorted(sched.boundaries, x, side="left"))
     r = i + 1 if i < sched.max_order else sched.max_order
-    log_raw = float(sched.log_beta_values[r]) - r * math.log(x / c - 1.0)
+    log_beta = float(sched.log_beta_values[r])
+    # an infinite moment gives +inf for every x, x = +inf included (inf - inf is NaN)
+    log_raw = math.inf if log_beta == math.inf else log_beta - r * math.log(x / c - 1.0)
     if log_raw >= 0.0:
         raw = math.exp(log_raw) if log_raw < 700.0 else math.inf
-        return _Expected(x, c, r, 0.0, 1.0, raw, True, False)
+        return _Expected(x, c, r, log_raw, 0.0, 1.0, raw, True, False)
     raw = math.exp(log_raw)
-    return _Expected(x, c, r, -math.expm1(log_raw), raw, raw, False, False)
+    return _Expected(x, c, r, log_raw, -math.expm1(log_raw), raw, raw, False, False)
 
 
 def _float_bits(rows):
-    """Bytes of the float attributes (x, c, survival, ruin, raw) of every row."""
+    """Bytes of the float attributes (x, c, log_raw, survival, ruin, raw) of every row."""
     values = [v for row in rows
-              for v in (row.x, row.c, row.survival_lower, row.ruin_upper, row.ruin_raw)]
+              for v in (row.x, row.c, row.log_raw, row.survival_lower, row.ruin_upper,
+                        row.ruin_raw)]
     return struct.pack(f"<{len(values)}d", *values)
 
 
 def _types(rows):
-    """The type of each of the eight attributes of every row."""
+    """The type of each of the nine attributes of every row."""
     return [tuple(map(type, _attribute_values(row))) for row in rows]
 
 
 def _assert_same_attributes(got, want, context):
-    """All eight attributes of every row alike: floats bit for bit, and every type."""
+    """All nine attributes of every row alike: floats bit for bit, and every type."""
     assert _float_bits(got) == _float_bits(want), context
     assert ([(r.order, r.vacuous, r.below_consumption) for r in got]
             == [(r.order, r.vacuous, r.below_consumption) for r in want]), context
@@ -315,7 +344,7 @@ class TestFastPath:
 
     @pytest.mark.parametrize("name", list(SPECS))
     def test_seeded_sweep_matches_reference(self, name):
-        """All eight attributes, bit for bit and by type, on seeded stocks as the
+        """All nine attributes, bit for bit and by type, on seeded stocks as the
         benchmark draws them: c * (1 + 10**u), u uniform on (-2, 3)."""
         spec = self.SPECS[name]
         grid = finite_moments(spec, 60, 32)
@@ -332,11 +361,28 @@ class TestFastPath:
         sched = schedule(infinite_moments(LOGNORMAL_HEAVY, 4), 1.0)
         res = evaluate_bound(sched, 1.4)
         assert res == tuple(res)
-        assert res._fields == ("x", "c", "order", "survival_lower", "ruin_raw")
-        assert sys.getsizeof(res) == sys.getsizeof((0,) * 5)
-        for name in ("order", "ruin_upper", "vacuous", "below_consumption"):
+        assert res._fields == ("x", "c", "order", "log_raw")
+        assert sys.getsizeof(res) == sys.getsizeof((0,) * 4)
+        for name in ("order", "log_raw", "survival_lower", "ruin_raw", "ruin_upper", "vacuous",
+                     "below_consumption"):
             with pytest.raises(AttributeError):
                 setattr(res, name, 3)
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_kept_result_holds_at_most_one_new_float(self, name):
+        """A kept result refers to one float besides its ``x`` and ``c``, ``log_raw``:
+        the linear bounds are derived on read, not stored."""
+        spec = self.SPECS[name]
+        scheds = [schedule(finite_moments(spec, 60, 8), 1.0, horizon=8),
+                  schedule(infinite_moments(spec, 61), 1.0)]
+        u = np.random.default_rng(29).uniform(-2.0, 3.0, 200)
+        xs = (1.0 + 10.0 ** u).tolist() + [0.5, 1.0, math.inf]
+        kept = [evaluate_bound(sched, x) for sched in scheds for x in xs]
+        assert any(not res.vacuous for res in kept)
+        for res in kept:
+            floats = [o for o in gc.get_referents(res)
+                      if isinstance(o, float) and o is not res.x and o is not res.c]
+            assert len(floats) <= 1 if res.vacuous else len(floats) == 1, res
 
     def test_raw_bound_is_infinite_from_the_cutoff(self):
         """``ruin_raw`` is finite just below ``log_raw = 700`` and ``+inf`` from it on."""
@@ -347,7 +393,7 @@ class TestFastPath:
         below, above = (evaluate_bound(sched, 1.0 + math.exp(-10.0) * (1.0 + d))
                         for d in (1e-9, -1e-9))
         for res, log_raw in ((below, 700.0 - 1e-9), (above, 700.0 + 1e-9)):
-            assert 690.0 - math.log(res.x - 1.0) == pytest.approx(log_raw, abs=1e-11)
+            assert res.log_raw == pytest.approx(log_raw, abs=1e-11)
             assert res.vacuous and res.order == 1 and not res.below_consumption
             assert res.survival_lower == 0.0 and res.ruin_upper == 1.0
         assert 1.0e304 < below.ruin_raw < 1.02e304

@@ -148,6 +148,18 @@ class TestBoundsCommand:
         assert cell["survival_lower"] == pytest.approx(0.8190, abs=1e-3)
         assert cell["order"] == 4
 
+    def test_infinite_stock_on_an_infinite_moment_is_vacuous(self, tmp_path, capsys):
+        """The series of this lognormal has no finite moment: x = inf is vacuous, not NaN."""
+        cfg = tmp_path / "ln.ini"
+        cfg.write_text("[spec:ln]\nfamily = lognormal\nmu = 0.1\nsigma2 = 1.0\n"
+                       "[run]\nx = 2.0 inf\nhorizons = 3 inf\nrmax = 4\n")
+        assert main(["bounds", "--config", str(cfg)]) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if l.startswith("ln,")]
+        assert rows == ["ln,3,2,1,0,1,7.037482548870284,true",
+                        "ln,3,inf,3,1,0,0,false",
+                        "ln,inf,2,1,0,1,inf,true",
+                        "ln,inf,inf,1,0,1,inf,true"]
+
     def test_horizon_label_re_parses_to_value_written(self, config_path, tmp_path,
                                                       monkeypatch):
         written, emit = [], cli._emit
