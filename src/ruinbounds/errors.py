@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the one statement of each input rule.
 
-Each rule below (integer, positive and finite, shock parameters, stock,
+Each rule below (integer, positive and finite, finite, shock parameters, stock,
 growth, horizon, seed, truncation) names its argument; a NaN stock fails first.
 
 The CLI maps these onto distinct exit codes: configuration problems exit
@@ -43,14 +43,20 @@ def _require_positive_finite(name: str, symbol: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {symbol}={value}")
 
 
+def _require_finite(name: str, symbol: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite (NaN and either infinity are not)."""
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {symbol}={value}")
+
+
 def _require_shock_parameters(spec, finite=()) -> None:
     """Raise ``ValueError`` unless each shock parameter is finite, and > 0 if not in ``finite``."""
     for name, value in vars(spec).items():
         label = f"{spec.family} {name}"
         if name not in finite:
             _require_positive_finite(label, name, value)
-        elif not -math.inf < value < math.inf:
-            raise ValueError(f"{label} must be finite, got {name}={value}")
+        else:
+            _require_finite(label, name, value)
 
 
 def _require_stock(x, positive: bool = False) -> None:

@@ -27,7 +27,7 @@ import enum
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import _require_consumption, _require_positive_finite, _require_stock
+from .errors import _require_consumption, _require_finite, _require_positive_finite, _require_stock
 from .shocks import ShockSpec
 
 # Horizons checked against the exact partial sums; r**N has about 53*N bits.
@@ -104,8 +104,7 @@ def deterministic_min_stock(r: float, c: float) -> float:
     reported as ``+inf`` rather than an error.  A NaN or infinite ``r`` raises.
     """
     _require_consumption(c)
-    if not r < math.inf:
-        raise ValueError(f"productivity must be finite, got r={r}")
+    _require_finite("productivity", "r", r)
     if r <= 1.0:
         return math.inf
     return c * (r / (r - 1.0))

@@ -267,10 +267,11 @@ def test_numpy_seed_gives_the_bits_of_the_equal_int(entry):
                                   r"truncation\s*!=\s*\"adaptive\"",
                                   r"x must not be NaN",
                                   r"x must be positive",
-                                  r"needs? E\[log shock\] > 0"])
+                                  r"needs? E\[log shock\] > 0",
+                                  r"must be finite"])
 def test_each_input_rule_is_stated_once(rule):
-    """The horizon, positive-and-finite, seed, truncation, NaN-stock, positive-stock and
-    growth rules are in ``errors`` alone."""
+    """The horizon, positive-and-finite, seed, truncation, NaN-stock, positive-stock,
+    growth and finite rules are in ``errors`` alone."""
     package = Path(ruinbounds.__file__).parent
     stating = [path.name for path in sorted(package.glob("*.py"))
                if re.search(rule, path.read_text(encoding="utf-8"))]

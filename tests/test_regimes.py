@@ -51,6 +51,7 @@ class TestDeterministicMinStock:
         pytest.param(1.5, -1.0, "consumption must be positive", id="-1.0"),
         pytest.param(math.nan, 1.0, "r=nan", id="r=nan"),
         pytest.param(math.inf, 1.0, "r=inf", id="r=inf"),
+        pytest.param(-math.inf, 1.0, "^productivity must be finite, got r=-inf$", id="r=-inf"),
     ])
     def test_rejects_nan_or_negative_consumption(self, r, c, match):
         with pytest.raises(ValueError, match=match):
