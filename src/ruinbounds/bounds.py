@@ -38,20 +38,23 @@ Conventions, fixed here and used by every caller:
   ``c`` that is not positive and finite.
 
 Evaluation runs in log space so order-60 schedules (binomials ~1e17,
-moments spanning decades) remain accurate.  A schedule holds its edges and
-log moments as tuples of Python floats, so one scalar evaluation is a
-``bisect``, one ``math.log`` and one tuple build; ``np.asarray`` gives them
-as arrays.  ``evaluate_bound`` reads those tuples itself, with the rule of
+moments spanning decades) remain accurate.  A schedule holds ``c`` as a
+Python float and its edges and log moments as tuples of them, so one scalar
+evaluation is a ``float(x)``, a ``bisect``, one ``math.log`` and one tuple
+build; ``np.asarray`` gives the tuples as arrays.  Dividing ``float(x)`` by
+``c`` gives a numpy scalar stock or ``c`` the bits of the equal Python
+float, with no numpy overflow warning where ``x/c`` overflows.  ``evaluate_bound`` reads those tuples itself, with the rule of
 ``order_for`` (clamped to ``max_order``) written out instead of called, and
 builds its ``BoundResult`` with ``tuple.__new__``, skipping the
 Python-level ``__new__`` that ``NamedTuple`` generates.  The result is
 still an immutable ``BoundResult``, so it also equals the plain tuple of its
-four stored values: ``x``, ``c``, ``order`` and ``log_raw``, the log of the
-raw bound ``beta_r / (x/c - 1)^r`` (``+inf`` when x <= c).  Its five other
-attributes, ``survival_lower``, ``ruin_raw`` (where the 700 cutoff is
-applied), ``ruin_upper``, ``vacuous`` and ``below_consumption``, are
-properties derived from those four on each read, so a result kept in a
-long list costs four slots and at most one new float.
+two stored values: ``order`` and ``log_raw``, the log of the raw bound
+``beta_r / (x/c - 1)^r`` (``+inf`` when x <= c).  The stock ``x`` and the
+level ``c`` are the caller's (``c`` is ``sched.c``), so a result does not
+repeat them.  Its five other attributes, ``survival_lower``, ``ruin_raw``
+(where the 700 cutoff is applied), ``ruin_upper``, ``vacuous`` and
+``below_consumption``, are properties derived from those two on each read,
+so a result kept in a long list costs two slots and at most one new float.
 """
 
 from __future__ import annotations
@@ -121,16 +124,15 @@ class BoundSchedule:
 class BoundResult(NamedTuple):
     """One bound evaluation: the log of the raw ruin estimate, and what follows from it.
 
-    An immutable ``NamedTuple`` of four stored fields, so it also equals the
-    plain tuple ``(x, c, order, log_raw)``.  ``survival_lower``,
-    ``ruin_raw``, ``ruin_upper``, ``vacuous`` and ``below_consumption`` are
-    read-only properties derived from them on each read; ``ruin_raw``
-    applies the ``_LOG_RAW_CUTOFF`` of 700.  There is none for a NaN ``x``:
-    ``evaluate_bound`` raises ``ValueError`` instead.
+    An immutable ``NamedTuple`` of two stored fields, so it also equals the
+    plain tuple ``(order, log_raw)``; the stock ``x`` and the level ``c``
+    are the caller's.  ``survival_lower``, ``ruin_raw``, ``ruin_upper``,
+    ``vacuous`` and ``below_consumption`` are read-only properties derived
+    from them on each read; ``ruin_raw`` applies the ``_LOG_RAW_CUTOFF`` of
+    700.  There is none for a NaN ``x``: ``evaluate_bound`` raises
+    ``ValueError`` instead.
     """
 
-    x: float
-    c: float
     order: int               # 0 when x <= c
     log_raw: float           # log(beta_r / (x/c - 1)^r); +inf when x <= c
 
@@ -198,6 +200,7 @@ def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
     """
     _require_consumption(c)
     _require_horizon(horizon)
+    c = float(c)  # an int or numpy scalar c would make every x / c, and each edge, its type
     if isinstance(moments, FiniteMomentGrid):
         if horizon > moments.nmax:
             raise ValueError(f"horizon must be at most the grid's nmax {moments.nmax}, "
@@ -213,8 +216,7 @@ def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
         c=c,
         horizon=horizon,
         log_beta_values=tuple(log_col[: max(last_finite, 1) + 1]),
-        # float(): an edge takes the type of c, which may be an int or a numpy scalar
-        boundaries=tuple(float(switch_boundary(log_col, r, c)) for r in range(1, last_finite)),
+        boundaries=tuple(switch_boundary(log_col, r, c) for r in range(1, last_finite)),
         max_order=max(last_finite - 1, 1),
     )
 
@@ -240,21 +242,21 @@ def evaluate_bound(sched: BoundSchedule, x: float) -> BoundResult:
 
     Raises ``ValueError`` for a NaN ``x``.
     """
-    c = sched.c
     try:
-        log_excess = math.log(x / c - 1.0)
+        # float(x): a numpy x / c would warn where it overflows; sched.c is a float
+        log_excess = math.log(float(x) / sched.c - 1.0)
     except ValueError:  # x <= c: the log of a number <= 0
-        return _new_tuple(BoundResult, (x, c, 0, math.inf))  # x, c, order, log_raw
+        return _new_tuple(BoundResult, (0, math.inf))  # order, log_raw
     if not log_excess < math.inf:  # x is NaN, or x/c is +inf
         r = sched.order_for(x)  # raises for NaN
         # beta_r / inf**r: 0, or +inf (not NaN) where beta_r is infinite
         log_raw = -math.inf if sched.log_beta_values[r] < math.inf else math.inf
-        return _new_tuple(BoundResult, (x, c, r, log_raw))
+        return _new_tuple(BoundResult, (r, log_raw))
     # sched.order_for(x), without the method call
     r = bisect_left(sched.boundaries, x) + 1
     if r > sched.max_order:
         r = sched.max_order
-    return _new_tuple(BoundResult, (x, c, r, sched.log_beta_values[r] - r * log_excess))
+    return _new_tuple(BoundResult, (r, sched.log_beta_values[r] - r * log_excess))
 
 
 def survival_lower_bound(sched: BoundSchedule, x: float) -> float:

@@ -342,7 +342,7 @@ def ecdf_survival(est: EcdfEstimate, x: float, c: float = 1.0) -> float:
     """Fraction of sampled series values strictly below ``x/c - 1``."""
     _require_consumption(c)
     _require_stock(x, positive=True)
-    threshold = x / c - 1.0
+    threshold = float(x) / float(c) - 1.0  # Python floats: a numpy x / c warns on overflow
     count = int(np.searchsorted(est.samples, threshold, side="left"))
     return count / est.replicates
 
@@ -424,7 +424,7 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
         _row_partial_sums(rows, partial_sum)  # series side
         if np.isnan(partial_sum).any():
             raise DomainError(_NAN_MESSAGE.format(spec))
-        series_alive = partial_sum < x / c - 1.0
+        series_alive = partial_sum < float(x) / float(c) - 1.0  # as in ecdf_survival
         # Wealth-map side, absorbing at zero: wealth at most c (or NaN) is 0
         # or NaN from the next period on, so the last period's wealth decides.
         wealth = np.full(len(rows), float(x))

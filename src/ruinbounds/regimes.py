@@ -195,7 +195,7 @@ def trichotomy(regime: Regime, x: float, c: float) -> Trichotomy:
     _require_stock(x)
     if x <= c or regime.elog <= 0.0:
         return Trichotomy.ZERO
-    w = x / c - 1.0
+    w = float(x) / float(c) - 1.0  # Python floats: a numpy x / c warns on overflow
     if w < regime.d1:
         return Trichotomy.ZERO
     if w >= regime.d2:

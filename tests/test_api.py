@@ -219,6 +219,26 @@ def test_stock_must_be_positive_where_it_is_simulated(entry, x):
         _stock_entry_points()[entry](x)
 
 
+@pytest.mark.parametrize("x, c", [(np.float64(1e300), 1e-10), (1e300, np.float64(1e-10))],
+                         ids=["numpy_x", "numpy_c"])
+@pytest.mark.parametrize("entry", ["evaluate_bound", "ecdf_survival", "trichotomy",
+                                   "crosscheck_equivalence"])
+def test_numpy_scalar_divides_as_a_python_float(entry, x, c):
+    """Where x/c overflows, a numpy scalar stock or level gives the Python floats' answer,
+    with no numpy overflow warning (an error under this suite's settings)."""
+    rb = ruinbounds
+    spec = rb.Constant(2.0)
+    estimate = rb.sample_Z(spec, rb.SimConfig(replicates=4, truncation=3, seed=0))
+    call = {
+        "evaluate_bound": lambda x, c: rb.evaluate_bound(
+            rb.schedule(rb.infinite_moments(reference.LOGNORMAL_HEAVY, 4), c), x),
+        "ecdf_survival": lambda x, c: rb.ecdf_survival(estimate, x, c),
+        "trichotomy": lambda x, c: rb.trichotomy(rb.classify(spec), x, c),
+        "crosscheck_equivalence": lambda x, c: rb.crosscheck_equivalence(spec, x, c, 5, 3, 0),
+    }[entry]
+    assert call(x, c) == call(float(x), float(c))
+
+
 def _seeded_calls():
     """Each public function that takes a seed, called with it; equal results hold equal bits."""
     rb = ruinbounds

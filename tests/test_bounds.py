@@ -244,19 +244,19 @@ class TestBoundValues:
         assert 0.0 < res.ruin_upper < 1e-100
 
 
-# The nine attributes of a BoundResult, stored or derived
-_ATTRIBUTES = ("x", "c", "order", "log_raw", "survival_lower", "ruin_upper", "ruin_raw",
-               "vacuous", "below_consumption")
+# The seven attributes of a BoundResult, stored or derived
+_ATTRIBUTES = ("order", "log_raw", "survival_lower", "ruin_upper", "ruin_raw", "vacuous",
+               "below_consumption")
 _Expected = collections.namedtuple("_Expected", _ATTRIBUTES)
 _attribute_values = operator.attrgetter(*_ATTRIBUTES)
 
 
 def _reference_evaluate(sched, x):
     """Reference evaluation: ``np.searchsorted`` on the edge array and the
-    same ``math`` arithmetic, giving all nine attributes."""
+    same ``math`` arithmetic, giving all seven attributes."""
     c = sched.c
     if x <= c:
-        return _Expected(x, c, 0, math.inf, 0.0, 1.0, math.inf, True, True)
+        return _Expected(0, math.inf, 0.0, 1.0, math.inf, True, True)
     i = int(np.searchsorted(sched.boundaries, x, side="left"))
     r = i + 1 if i < sched.max_order else sched.max_order
     log_beta = float(sched.log_beta_values[r])
@@ -264,26 +264,25 @@ def _reference_evaluate(sched, x):
     log_raw = math.inf if log_beta == math.inf else log_beta - r * math.log(x / c - 1.0)
     if log_raw >= 0.0:
         raw = math.exp(log_raw) if log_raw < 700.0 else math.inf
-        return _Expected(x, c, r, log_raw, 0.0, 1.0, raw, True, False)
+        return _Expected(r, log_raw, 0.0, 1.0, raw, True, False)
     raw = math.exp(log_raw)
-    return _Expected(x, c, r, log_raw, -math.expm1(log_raw), raw, raw, False, False)
+    return _Expected(r, log_raw, -math.expm1(log_raw), raw, raw, False, False)
 
 
 def _float_bits(rows):
-    """Bytes of the float attributes (x, c, log_raw, survival, ruin, raw) of every row."""
+    """Bytes of the float attributes (log_raw, survival, ruin, raw) of every row."""
     values = [v for row in rows
-              for v in (row.x, row.c, row.log_raw, row.survival_lower, row.ruin_upper,
-                        row.ruin_raw)]
+              for v in (row.log_raw, row.survival_lower, row.ruin_upper, row.ruin_raw)]
     return struct.pack(f"<{len(values)}d", *values)
 
 
 def _types(rows):
-    """The type of each of the nine attributes of every row."""
+    """The type of each of the seven attributes of every row."""
     return [tuple(map(type, _attribute_values(row))) for row in rows]
 
 
 def _assert_same_attributes(got, want, context):
-    """All nine attributes of every row alike: floats bit for bit, and every type."""
+    """All seven attributes of every row alike: floats bit for bit, and every type."""
     assert _float_bits(got) == _float_bits(want), context
     assert ([(r.order, r.vacuous, r.below_consumption) for r in got]
             == [(r.order, r.vacuous, r.below_consumption) for r in want]), context
@@ -344,7 +343,7 @@ class TestFastPath:
 
     @pytest.mark.parametrize("name", list(SPECS))
     def test_seeded_sweep_matches_reference(self, name):
-        """All nine attributes, bit for bit and by type, on seeded stocks as the
+        """All seven attributes, bit for bit and by type, on seeded stocks as the
         benchmark draws them: c * (1 + 10**u), u uniform on (-2, 3)."""
         spec = self.SPECS[name]
         grid = finite_moments(spec, 60, 32)
@@ -361,8 +360,9 @@ class TestFastPath:
         sched = schedule(infinite_moments(LOGNORMAL_HEAVY, 4), 1.0)
         res = evaluate_bound(sched, 1.4)
         assert res == tuple(res)
-        assert res._fields == ("x", "c", "order", "log_raw")
-        assert sys.getsizeof(res) == sys.getsizeof((0,) * 4)
+        assert res._fields == ("order", "log_raw")
+        # a third field would take the next allocation block; x and c are the caller's
+        assert sys.getsizeof(res) == sys.getsizeof((0, 0.0))
         for name in ("order", "log_raw", "survival_lower", "ruin_raw", "ruin_upper", "vacuous",
                      "below_consumption"):
             with pytest.raises(AttributeError):
@@ -370,8 +370,8 @@ class TestFastPath:
 
     @pytest.mark.parametrize("name", list(SPECS))
     def test_kept_result_holds_at_most_one_new_float(self, name):
-        """A kept result refers to one float besides its ``x`` and ``c``, ``log_raw``:
-        the linear bounds are derived on read, not stored."""
+        """A kept result refers to its ``order`` and its ``log_raw`` only: the linear
+        bounds are derived on read, and ``x`` and ``c`` are not kept."""
         spec = self.SPECS[name]
         scheds = [schedule(finite_moments(spec, 60, 8), 1.0, horizon=8),
                   schedule(infinite_moments(spec, 61), 1.0)]
@@ -380,9 +380,9 @@ class TestFastPath:
         kept = [evaluate_bound(sched, x) for sched in scheds for x in xs]
         assert any(not res.vacuous for res in kept)
         for res in kept:
-            floats = [o for o in gc.get_referents(res)
-                      if isinstance(o, float) and o is not res.x and o is not res.c]
-            assert len(floats) <= 1 if res.vacuous else len(floats) == 1, res
+            referents = [o for o in gc.get_referents(res) if o is not BoundResult]
+            assert sorted(map(id, referents)) == sorted(map(id, res)), res
+            assert type(res.log_raw) is float, res
 
     def test_raw_bound_is_infinite_from_the_cutoff(self):
         """``ruin_raw`` is finite just below ``log_raw = 700`` and ``+inf`` from it on."""
@@ -409,7 +409,7 @@ class TestFastPath:
         assert res == BoundResult(*res)
         for other in (res._replace(), copy.copy(res), pickle.loads(pickle.dumps(res))):
             assert type(other) is BoundResult and other == res
-        assert res._replace(order=9) == (*res[:2], 9, *res[3:])
+        assert res._replace(order=9) == (9, *res[1:])
         assert res._asdict() == dict(zip(res._fields, res))
 
     # Largest error in ulp of the 50-digit value (survival_lower: in ulp of
