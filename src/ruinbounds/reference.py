@@ -289,6 +289,7 @@ TABLE_IDS = tuple(sorted(_REFERENCE_TABLES))
 
 
 def reference_table(table_id: int) -> ReferenceTable:
+    _require_integer("table id", table_id)  # True and 1.0 are keys of the dict, as 1
     if table_id not in _REFERENCE_TABLES:
         raise ValueError(f"table id must be in {TABLE_IDS}, got {table_id}")
     return _REFERENCE_TABLES[table_id]
