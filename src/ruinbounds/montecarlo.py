@@ -361,7 +361,7 @@ def simulate_path(spec: ShockSpec, x: float, c: float, horizon: int,
     _require_integer("horizon", horizon, 1)
     if x <= c:
         return 0
-    wealth = x
+    wealth, c = float(x), float(c)  # Python floats: numpy ones warn where wealth overflows
     period = 0
     # growth can overflow float range, and a zero draw (an infinite shock)
     # gives inf wealth at once: inf wealth correctly keeps surviving

@@ -222,10 +222,10 @@ def test_stock_must_be_positive_where_it_is_simulated(entry, x):
 @pytest.mark.parametrize("x, c", [(np.float64(1e300), 1e-10), (1e300, np.float64(1e-10))],
                          ids=["numpy_x", "numpy_c"])
 @pytest.mark.parametrize("entry", ["evaluate_bound", "ecdf_survival", "trichotomy",
-                                   "crosscheck_equivalence"])
+                                   "crosscheck_equivalence", "simulate_path"])
 def test_numpy_scalar_divides_as_a_python_float(entry, x, c):
-    """Where x/c overflows, a numpy scalar stock or level gives the Python floats' answer,
-    with no numpy overflow warning (an error under this suite's settings)."""
+    """Where x/c (or the wealth) overflows, a numpy scalar stock or level gives the Python
+    floats' answer, with no numpy overflow warning (an error under this suite's settings)."""
     rb = ruinbounds
     spec = rb.Constant(2.0)
     estimate = rb.sample_Z(spec, rb.SimConfig(replicates=4, truncation=3, seed=0))
@@ -235,6 +235,8 @@ def test_numpy_scalar_divides_as_a_python_float(entry, x, c):
         "ecdf_survival": lambda x, c: rb.ecdf_survival(estimate, x, c),
         "trichotomy": lambda x, c: rb.trichotomy(rb.classify(spec), x, c),
         "crosscheck_equivalence": lambda x, c: rb.crosscheck_equivalence(spec, x, c, 5, 3, 0),
+        # the wealth doubles each period and passes the float range in period 28
+        "simulate_path": lambda x, c: rb.simulate_path(spec, x, c, 30, rb.replicate_stream(0, 0)),
     }[entry]
     assert call(x, c) == call(float(x), float(c))
 
