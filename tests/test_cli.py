@@ -299,7 +299,8 @@ class TestReproduceCommand:
     def test_invalid_table_id(self):
         assert main(["reproduce", "--table", "12"]) == 2
 
-    @pytest.mark.parametrize("table_id", [True, 1.0, np.float64(1.0)])
+    @pytest.mark.parametrize("table_id", [True, 1.0, np.float64(1.0)],
+                             ids=["bool", "float", "numpy_float"])
     @pytest.mark.parametrize("call", [reference.reference_table, reference.build_table])
     def test_table_id_must_be_an_integer(self, call, table_id):
         """``True`` and ``1.0`` hash as 1, so a dict lookup alone would take them as table 1."""
