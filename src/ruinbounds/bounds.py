@@ -43,10 +43,11 @@ Python float and its edges and log moments as tuples of them, so one scalar
 evaluation is a ``float(x)``, a ``bisect``, one ``math.log`` and one tuple
 build; ``np.asarray`` gives the tuples as arrays.  Dividing ``float(x)`` by
 ``c`` gives a numpy scalar stock or ``c`` the bits of the equal Python
-float, with no numpy overflow warning where ``x/c`` overflows.  ``evaluate_bound`` reads those tuples itself, with the rule of
-``order_for`` (clamped to ``max_order``) written out instead of called, and
-builds its ``BoundResult`` with ``tuple.__new__``, skipping the
-Python-level ``__new__`` that ``NamedTuple`` generates.  The result is
+float, with no numpy overflow warning where ``x/c`` overflows.
+``evaluate_bound`` reads those tuples itself, with the rule of ``order_for``
+(clamped to ``max_order``) written out instead of called, and builds its
+``BoundResult`` with ``tuple.__new__``, skipping the Python-level
+``__new__`` that ``NamedTuple`` generates.  The result is
 still an immutable ``BoundResult``, so it also equals the plain tuple of its
 two stored values: ``order`` and ``log_raw``, the log of the raw bound
 ``beta_r / (x/c - 1)^r`` (``+inf`` when x <= c).  The stock ``x`` and the
