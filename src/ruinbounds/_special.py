@@ -165,8 +165,7 @@ def _pairwise_row_sums(lengths: np.ndarray, width: int):
 
 
 def digamma(x: float) -> float:
-    """psi(x) = d/dx log Gamma(x) for x > 0, equal to ``scipy.special.digamma``."""
-    x = float(x)
+    """psi(x) = d/dx log Gamma(x) for a Python float x > 0, equal to ``scipy.special.digamma``."""
     if not x > 0.0:
         raise ValueError(f"digamma is implemented for x > 0, got {x!r}")
     y = 0.0

@@ -40,10 +40,11 @@ Conventions, fixed here and used by every caller:
 Evaluation runs in log space so order-60 schedules (binomials ~1e17,
 moments spanning decades) remain accurate.  A schedule holds ``c`` as a
 Python float and its edges and log moments as tuples of them, so one scalar
-evaluation is a ``float(x)``, a ``bisect``, one ``math.log`` and one tuple
-build; ``np.asarray`` gives the tuples as arrays.  Dividing ``float(x)`` by
-``c`` gives a numpy scalar stock or ``c`` the bits of the equal Python
-float, with no numpy overflow warning where ``x/c`` overflows.
+evaluation is a type test, a ``bisect``, one ``math.log`` and one tuple
+build; ``np.asarray`` gives the tuples as arrays.  Every argument is
+admitted by its rule in ``errors``, which gives a numpy scalar the equal
+Python number; ``evaluate_bound`` calls the stock rule only for an ``x``
+that is not already a Python float.
 ``evaluate_bound`` reads those tuples itself, with the rule of ``order_for``
 (clamped to ``max_order``) written out instead of called, and builds its
 ``BoundResult`` with ``tuple.__new__``, skipping the Python-level
@@ -184,8 +185,7 @@ def switch_boundary(log_beta, r: int, c: float) -> float:
         return math.inf
     if log_beta[r + 1] == -math.inf:  # a moment of 0 in floats: ratio 0, as for finite log_beta[r]
         return c
-    # Python floats: a difference past the float range is +inf, with no warning
-    log_ratio = float(log_beta[r + 1]) - float(log_beta[r])
+    log_ratio = log_beta[r + 1] - log_beta[r]  # Python floats: +inf past the range, no warning
     if log_ratio > _LOG_FLOAT_MAX:
         return math.inf
     return c * (1.0 + math.exp(log_ratio))
@@ -199,9 +199,8 @@ def schedule(moments: MomentTable | FiniteMomentGrid, c: float,
     default), or a ``FiniteMomentGrid`` together with ``horizon=n``, at most
     its ``nmax``, for the n-term partial sum.
     """
-    _require_consumption(c)
-    _require_horizon(horizon)
-    c = float(c)  # an int or numpy scalar c would make every x / c, and each edge, its type
+    c = _require_consumption(c)
+    horizon = _require_horizon(horizon)
     if isinstance(moments, FiniteMomentGrid):
         if horizon > moments.nmax:
             raise ValueError(f"horizon must be at most the grid's nmax {moments.nmax}, "
@@ -228,10 +227,8 @@ def schedules(spec: ShockSpec, c: float, horizons, rmax: int) -> list[BoundSched
     Each horizon is checked first.  Partial-sum moments are computed once, up
     to the largest integer horizon, and series moments only for ``math.inf``.
     """
-    _require_integer("rmax", rmax, 1)  # also when no horizon needs moments
-    horizons = list(horizons)
-    for h in horizons:
-        _require_horizon(h)
+    rmax = _require_integer("rmax", rmax, 1)  # also when no horizon needs moments
+    horizons = [_require_horizon(h) for h in horizons]
     finite = [h for h in horizons if h != math.inf]
     grid = finite_moments(spec, rmax, max(finite)) if finite else None
     table = infinite_moments(spec, rmax) if math.inf in horizons else None
@@ -243,9 +240,10 @@ def evaluate_bound(sched: BoundSchedule, x: float) -> BoundResult:
 
     Raises ``ValueError`` for a NaN ``x``.
     """
+    if type(x) is not float:  # a Python float, as the rule admits it, skips the call
+        x = _require_stock(x)
     try:
-        # float(x): a numpy x / c would warn where it overflows; sched.c is a float
-        log_excess = math.log(float(x) / sched.c - 1.0)
+        log_excess = math.log(x / sched.c - 1.0)
     except ValueError:  # x <= c: the log of a number <= 0
         return _new_tuple(BoundResult, (0, math.inf))  # order, log_raw
     if not log_excess < math.inf:  # x is NaN, or x/c is +inf
@@ -290,10 +288,10 @@ def boundary_table(spec: ShockSpec, c: float, horizons, rmax: int) -> BoundaryTa
     Column j holds the edges of ``schedules`` at ``horizons[j]``, +inf past
     the last one (infinite next moment).
     """
-    horizons = tuple(horizons)
     scheds = schedules(spec, c, horizons, rmax)  # checks rmax before range() does
     orders = tuple(range(1, rmax))
     # one row per order even with no horizon, where zip(*columns) would give none
     values = tuple(tuple(s.boundaries[i] if i < len(s.boundaries) else math.inf for s in scheds)
                    for i in range(len(orders)))
-    return BoundaryTable(spec=spec, c=c, horizons=horizons, orders=orders, values=values)
+    return BoundaryTable(spec=spec, c=_require_consumption(c),
+                         horizons=tuple(s.horizon for s in scheds), orders=orders, values=values)

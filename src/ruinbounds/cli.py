@@ -74,29 +74,29 @@ class ExperimentConfig:
         """Check every setting but x, which ``_parse_stocks`` checks, with the library's rules."""
         if not self.specs:
             raise ConfigError("no shock specs configured; add a [spec:NAME] section")
-        _require_consumption(self.c)
-        _require_integer("rmax", self.rmax, 1)
-        for h in self.horizons:
-            _require_horizon(h)
+        self.c = _require_consumption(self.c)
+        self.rmax = _require_integer("rmax", self.rmax, 1)
+        self.horizons = tuple(_require_horizon(h) for h in self.horizons)
         if len(set(self.horizons)) != len(self.horizons):
             raise ConfigError(f"horizons must not repeat, got {self.horizons}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.fmt == "json" and self.out is None:  # moments may write two tables
             raise ConfigError("format json writes files only; set --out or [run] out")
-        _require_integer("replicates", self.replicates, 1)  # SimConfig's rules, in its order
-        _require_seed(self.seed)
-        _require_truncation(self.truncation)
+        # SimConfig's rules, in its order
+        self.replicates = _require_integer("replicates", self.replicates, 1)
+        self.seed = _require_seed(self.seed)
+        self.truncation = _require_truncation(self.truncation)
 
 
 def _parse_stocks(text: str) -> tuple:
     out = []
     for token in text.replace(",", " ").split():
         try:
-            out.append(float(token))
+            x = float(token)
         except ValueError as exc:
             raise ConfigError(f"expected a number, got {token!r}") from exc
-        _require_stock(out[-1], positive=True)
+        out.append(_require_stock(x, positive=True))
     return tuple(out)
 
 
@@ -253,7 +253,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     from .moments import finite_moments, first_infinite_order, infinite_moments
 
     cfg = _load_experiment(args)
-    finite_hs = sorted(int(h) for h in cfg.horizons if h != math.inf)
+    finite_hs = sorted(h for h in cfg.horizons if h != math.inf)
     want_series = math.inf in cfg.horizons
     if want_series and finite_hs and cfg.out is not None and not _names_a_directory(cfg.out):
         raise ConfigError(f"moments writes two tables, moments_series and moments_horizons, "
@@ -296,7 +296,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         raise ConfigError("an x grid is required; set x in [run] or the config file")
     columns = ("spec", "horizon", "x", "order", "survival_lower",
                "ruin_upper", "ruin_raw", "vacuous")
-    horizons = sorted(h if h == math.inf else int(h) for h in cfg.horizons)  # series last
+    horizons = sorted(cfg.horizons)  # series last
     records = []
     for name, spec in cfg.specs:
         for h, sched in zip(horizons, schedules(spec, cfg.c, horizons, cfg.rmax)):
@@ -316,7 +316,7 @@ def cmd_boundaries(args: argparse.Namespace) -> int:
     from .bounds import boundary_table
 
     cfg = _load_experiment(args)
-    labels = tuple("Z" if h == math.inf else f"Z_{int(h)}" for h in cfg.horizons)
+    labels = tuple("Z" if h == math.inf else f"Z_{h}" for h in cfg.horizons)
     columns = ("spec", "r") + labels
     records = []
     for name, spec in cfg.specs:

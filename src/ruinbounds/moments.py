@@ -149,7 +149,7 @@ def infinite_moments(spec: ShockSpec, rmax: int) -> MomentTable:
     Requires a positive mean log shock; otherwise the series diverges
     almost surely and no finite moment exists.
     """
-    _require_integer("rmax", rmax, 1)
+    rmax = _require_integer("rmax", rmax, 1)
     _require_growth(spec)
     log_gamma = _log_gammas(spec, rmax)
     log_binom = _log_binomial_rows(rmax)
@@ -180,8 +180,8 @@ def finite_moments(spec: ShockSpec, rmax: int, nmax: int) -> FiniteMomentGrid:
     above it.  Each horizon step computes all finite orders at once: row r
     of the batch holds the r + 1 terms ``log C(r, j) + log beta_j(n-1)``.
     """
-    _require_integer("rmax", rmax, 1)
-    _require_integer("nmax", nmax, 1)
+    rmax = _require_integer("rmax", rmax, 1)
+    nmax = _require_integer("nmax", nmax, 1)
     log_gamma = _log_gammas(spec, rmax)
     log_binom = _log_binomial_rows(rmax)
     grid = np.full((rmax + 1, nmax + 1), -np.inf)

@@ -43,6 +43,12 @@ Two sampling modes produce survival-probability estimates:
   replicates of a block that run past them, the first goes on alone and
   the others together after it, each on its own stream.
 
+Every argument passes its rule in ``errors``, and the code computes only on
+what the rule returns: a stock or level ``c`` as a Python float, a seed,
+count, index or truncation as an ``int``.  So a numpy scalar argument gives
+the equal Python number's samples and answers, with no numpy overflow
+warning, and ``SimConfig`` stores the values its rules admit.
+
 A draw or product of 0 times +inf has no float value; the sampling
 functions raise ``DomainError`` where one would enter a result.
 
@@ -57,7 +63,6 @@ because a shared one is slower.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,18 +111,15 @@ _XSHIFT = 16
 
 def replicate_stream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one replicate, order-insensitive in ``index``."""
-    _require_seed(seed)
-    _require_integer("index", index, 0)
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    seq = np.random.SeedSequence(entropy=_require_seed(seed),
+                                 spawn_key=(_require_integer("index", index, 0),))
     return np.random.Generator(np.random.Philox(seq))
 
 
 def derive_seed(master: int, *path: int) -> int:
     """Deterministic 64-bit sub-seed for a named branch of a master seed."""
-    _require_seed(master)
-    for index in path:
-        _require_integer("index", index, 0)
-    seq = np.random.SeedSequence(entropy=master, spawn_key=tuple(path))
+    seq = np.random.SeedSequence(entropy=_require_seed(master),
+                                 spawn_key=tuple(_require_integer("index", i, 0) for i in path))
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -148,7 +150,6 @@ def _philox_keys(seed: int, count: int, start: int = 0) -> np.ndarray:
     uint32 arrays with one row per pool word, so they wrap without overflow
     warnings.
     """
-    seed = operator.index(seed)  # a numpy integer has no bit_length
     steps = _POOL_SIZE * max(_POOL_SIZE, -(-seed.bit_length() // 32))
     xor, mult = _hash_constants(_INIT_A * pow(_MULT_A, steps, _MASK32 + 1) & _MASK32, _MULT_A)
     value = np.arange(start, start + count, dtype=np.uint32) ^ xor
@@ -171,10 +172,10 @@ class SimConfig:
     truncation: int | str = "adaptive"
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        _require_integer("replicates", self.replicates, 1)
-        _require_seed(self.seed)
-        _require_truncation(self.truncation)
+    def __post_init__(self) -> None:  # stores what each rule admits; the class is frozen
+        object.__setattr__(self, "replicates", _require_integer("replicates", self.replicates, 1))
+        object.__setattr__(self, "seed", _require_seed(self.seed))
+        object.__setattr__(self, "truncation", _require_truncation(self.truncation))
 
     @property
     def adaptive(self) -> bool:
@@ -324,7 +325,7 @@ def sample_Z(spec: ShockSpec, config: SimConfig) -> EcdfEstimate:
         _require_growth(spec)
         _adaptive_sums(spec, config.seed, out)
     else:
-        for start, rows in _row_blocks(spec, config.seed, len(out), int(config.truncation)):
+        for start, rows in _row_blocks(spec, config.seed, len(out), config.truncation):
             _row_partial_sums(rows, out[start:start + len(rows)])
     if np.isnan(out).any():
         raise DomainError(_NAN_MESSAGE.format(spec))
@@ -334,17 +335,15 @@ def sample_Z(spec: ShockSpec, config: SimConfig) -> EcdfEstimate:
         spec=spec,
         samples=out,
         seed=config.seed,
-        n=None if config.adaptive else int(config.truncation),
+        n=None if config.adaptive else config.truncation,
     )
 
 
 def ecdf_survival(est: EcdfEstimate, x: float, c: float = 1.0) -> float:
     """Fraction of sampled series values strictly below ``x/c - 1``."""
-    _require_consumption(c)
-    _require_stock(x, positive=True)
-    threshold = float(x) / float(c) - 1.0  # Python floats: a numpy x / c warns on overflow
-    count = int(np.searchsorted(est.samples, threshold, side="left"))
-    return count / est.replicates
+    c = _require_consumption(c)
+    x = _require_stock(x, positive=True)
+    return int(np.searchsorted(est.samples, x / c - 1.0, side="left")) / est.replicates
 
 
 def simulate_path(spec: ShockSpec, x: float, c: float, horizon: int,
@@ -356,12 +355,11 @@ def simulate_path(spec: ShockSpec, x: float, c: float, horizon: int,
     (0 when already x <= c); None means wealth stayed above c through
     ``horizon`` periods.
     """
-    _require_consumption(c)
-    _require_stock(x, positive=True)
-    _require_integer("horizon", horizon, 1)
-    if x <= c:
+    c = _require_consumption(c)
+    wealth = _require_stock(x, positive=True)
+    horizon = _require_integer("horizon", horizon, 1)
+    if wealth <= c:
         return 0
-    wealth, c = float(x), float(c)  # Python floats: numpy ones warn where wealth overflows
     period = 0
     # growth can overflow float range, and a zero draw (an infinite shock)
     # gives inf wealth at once: inf wealth correctly keeps surviving
@@ -410,13 +408,13 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
     rounding of the survival boundary can disagree; any discrepancy is
     reported with the path's draws.
     """
-    _require_consumption(c)
-    _require_stock(x)
+    c = _require_consumption(c)
+    x = _require_stock(x)
     if not x > c:
         raise ValueError(f"requires x > c, got x={x}, c={c}")
-    _require_integer("horizon", horizon, 1)
-    _require_integer("paths", paths, 1)
-    _require_seed(seed)
+    horizon = _require_integer("horizon", horizon, 1)
+    paths = _require_integer("paths", paths, 1)
+    seed = _require_seed(seed)
     indices, draws = [], []
     for start, rows in _row_blocks(spec, seed, paths, horizon):
         periods = rows.T.copy()  # each period's draws, kept: the partial sum overwrites rows
@@ -424,10 +422,10 @@ def crosscheck_equivalence(spec: ShockSpec, x: float, c: float, horizon: int,
         _row_partial_sums(rows, partial_sum)  # series side
         if np.isnan(partial_sum).any():
             raise DomainError(_NAN_MESSAGE.format(spec))
-        series_alive = partial_sum < float(x) / float(c) - 1.0  # as in ecdf_survival
+        series_alive = partial_sum < x / c - 1.0  # as in ecdf_survival
         # Wealth-map side, absorbing at zero: wealth at most c (or NaN) is 0
         # or NaN from the next period on, so the last period's wealth decides.
-        wealth = np.full(len(rows), float(x))
+        wealth = np.full(len(rows), x)
         # a zero draw (an infinite shock) gives +inf wealth, as in simulate_path,
         # or NaN on a path already ruined, which stays ruined
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

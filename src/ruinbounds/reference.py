@@ -289,7 +289,7 @@ TABLE_IDS = tuple(sorted(_REFERENCE_TABLES))
 
 
 def reference_table(table_id: int) -> ReferenceTable:
-    _require_integer("table id", table_id)  # True and 1.0 are keys of the dict, as 1
+    table_id = _require_integer("table id", table_id)  # True and 1.0 are keys of the dict, as 1
     if table_id not in _REFERENCE_TABLES:
         raise ValueError(f"table id must be in {TABLE_IDS}, got {table_id}")
     return _REFERENCE_TABLES[table_id]
@@ -353,8 +353,8 @@ def build_table(table_id: int, seed: int = DEFAULT_SEED,
     >= 1, also for the analytic tables 1-2 and 4-6, which use neither.
     """
     ref = reference_table(table_id)
-    _require_seed(seed)
-    _require_integer("replicates", replicates, 1)
+    seed = _require_seed(seed)
+    replicates = _require_integer("replicates", replicates, 1)
     if table_id == 1:
         return _build_moment_table(ref, LOGNORMAL_HEAVY, {
             "spec": "lognormal",

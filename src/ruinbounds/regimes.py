@@ -103,8 +103,8 @@ def deterministic_min_stock(r: float, c: float) -> float:
     threshold itself does.  For r <= 1 no initial stock works,
     reported as ``+inf`` rather than an error.  A NaN or infinite ``r`` raises.
     """
-    _require_consumption(c)
-    _require_finite("productivity", "r", r)
+    c = _require_consumption(c)
+    r = _require_finite("productivity", "r", r)
     if r <= 1.0:
         return math.inf
     return c * (r / (r - 1.0))
@@ -123,9 +123,9 @@ def deterministic_horizon(r: float, x: float, c: float) -> float:
     ``_EXACT_TERMS``, and used as it is beyond.  An N past 2**53, which a
     float cannot hold exactly, raises ``ValueError``.
     """
-    _require_consumption(c)
-    _require_positive_finite("productivity", "r", r)
-    _require_stock(x)
+    c = _require_consumption(c)
+    r = _require_positive_finite("productivity", "r", r)
+    x = _require_stock(x)
     if x <= c:
         return 0.0
     if x == math.inf:
@@ -191,11 +191,11 @@ def trichotomy(regime: Regime, x: float, c: float) -> Trichotomy:
     belongs to the survival side (when the shock is bounded away from 1 the
     threshold stock sustains consumption exactly), so it returns ONE.
     """
-    _require_consumption(c)
-    _require_stock(x)
+    c = _require_consumption(c)
+    x = _require_stock(x)
     if x <= c or regime.elog <= 0.0:
         return Trichotomy.ZERO
-    w = float(x) / float(c) - 1.0  # Python floats: a numpy x / c warns on overflow
+    w = x / c - 1.0
     if w < regime.d1:
         return Trichotomy.ZERO
     if w >= regime.d2:

@@ -15,7 +15,8 @@ Each is a frozen dataclass derived from ``ShockSpec``, the base class that
 defines the record format (``family`` plus the dataclass fields, in field
 order), the family registry behind ``spec_from_record``, the linear
 inverse moment, ``sample_inverse`` and the parameter check on construction
-(``errors``' rule).  Instances are frozen and safe to share between threads.
+(``errors``' rule, which stores each parameter as a Python float).
+Instances are frozen and safe to share between threads.
 
 A family states its draw once, in two pieces: ``_draw`` makes the raw
 uniform, standard normal or standard gamma draw into an array ``out``, and
@@ -120,7 +121,7 @@ class Lognormal(ShockSpec):
 
     def log_inverse_moment(self, r: int) -> float:
         """log E[shock^-r] = -r*mu + r^2*sigma2/2, exact for every r >= 1."""
-        _require_integer("moment order", r, 1)
+        r = _require_integer("moment order", r, 1)
         value = -r * self.mu + r * r * self.sigma2 / 2.0
         if value == value:
             return value
@@ -178,7 +179,7 @@ class Pareto(ShockSpec):
     k: float
 
     def log_inverse_moment(self, r: int) -> float:
-        _require_integer("moment order", r, 1)
+        r = _require_integer("moment order", r, 1)
         return math.log(self.beta) - r * math.log(self.k) - math.log(self.beta + r)
 
     def expected_log(self) -> float:
@@ -223,7 +224,7 @@ class Gamma(ShockSpec):
     theta: float
 
     def log_inverse_moment(self, r: int) -> float:
-        _require_integer("moment order", r, 1)
+        r = _require_integer("moment order", r, 1)
         alpha = self.alpha
         if r >= alpha:
             return math.inf
@@ -283,7 +284,7 @@ class Constant(ShockSpec):
     a: float
 
     def log_inverse_moment(self, r: int) -> float:
-        _require_integer("moment order", r, 1)
+        r = _require_integer("moment order", r, 1)
         return -r * math.log(self.a)
 
     def expected_log(self) -> float:

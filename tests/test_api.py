@@ -212,6 +212,35 @@ def test_stock_must_not_be_nan(entry):
     call(3.0)
 
 
+def _degenerate_stock_entry_points():
+    """The bound entry points on a schedule with no edge, where no comparison meets ``x``."""
+    rb = ruinbounds
+    sched = rb.schedule(rb.infinite_moments(rb.Pareto(0.1, 0.9), 1), 1.0)
+    assert sched.degenerate
+    return {
+        "evaluate_bound": lambda x: rb.evaluate_bound(sched, x),
+        "survival_lower_bound": lambda x: rb.survival_lower_bound(sched, x),
+        "ruin_upper_bound": lambda x: rb.ruin_upper_bound(sched, x),
+        "order_for": lambda x: sched.order_for(x),
+    }
+
+
+@pytest.mark.parametrize("x", ["0.5", "3.0"])
+@pytest.mark.parametrize("entry", ["evaluate_bound", "survival_lower_bound", "ruin_upper_bound",
+                                   "order_for", "ecdf_survival", "simulate_path",
+                                   "crosscheck_equivalence", "trichotomy",
+                                   "deterministic_horizon", "degenerate_evaluate_bound",
+                                   "degenerate_survival_lower_bound",
+                                   "degenerate_ruin_upper_bound", "degenerate_order_for"])
+def test_stock_must_be_a_number_not_text(entry, x):
+    """``float`` would parse the text; the stock rule takes numbers only."""
+    calls = {**_stock_entry_points(),
+             **{f"degenerate_{name}": call
+                for name, call in _degenerate_stock_entry_points().items()}}
+    with pytest.raises(TypeError):
+        calls[entry](x)
+
+
 @pytest.mark.parametrize("x", [0.0, -1.0, -math.inf])
 @pytest.mark.parametrize("entry", ["ecdf_survival", "simulate_path"])
 def test_stock_must_be_positive_where_it_is_simulated(entry, x):
@@ -239,6 +268,67 @@ def test_numpy_scalar_divides_as_a_python_float(entry, x, c):
         "simulate_path": lambda x, c: rb.simulate_path(spec, x, c, 30, rb.replicate_stream(0, 0)),
     }[entry]
     assert call(x, c) == call(float(x), float(c))
+
+
+def _numpy_scalar_calls():
+    """Calls whose numpy-scalar arithmetic would overflow, each with numpy and Python arguments."""
+    rb = ruinbounds
+    calls = {
+        "lognormal_mu": lambda f, i: rb.Lognormal(f(1e308), 1.0).log_inverse_moment(2),
+        "lognormal_order": lambda f, i: rb.Lognormal(1.0, 1e308).log_inverse_moment(i(2)),
+        "pareto_expected_log": lambda f, i: rb.Pareto(f(1e-320), 2.0).expected_log(),
+        "deterministic_min_stock": lambda f, i: rb.deterministic_min_stock(f(1 + 2 ** -52),
+                                                                           f(1e300)),
+    }
+    for spec in (rb.Lognormal(0.2, 0.1), rb.Pareto(3.0, 0.9), rb.Gamma(17.0, 13.0),
+                 rb.Constant(2.0)):
+        calls[f"{spec.family}_log_inverse_moment"] = (
+            lambda f, i, spec=spec: spec.log_inverse_moment(i(3)))
+    return calls
+
+
+@pytest.mark.parametrize("entry", sorted(_numpy_scalar_calls()))
+def test_numpy_scalar_computes_as_a_python_number(entry):
+    """Each rule admits a numpy scalar as the equal Python number, so no numpy overflow warning
+    (an error under this suite's settings) is raised, and the result is a Python float."""
+    call = _numpy_scalar_calls()[entry]
+    got = call(np.float64, np.int64)
+    assert type(got) is float
+    assert got == call(float, int)
+
+
+def _python_fields(entry: str, numpy: bool) -> tuple:
+    """The numeric fields of one result, built from numpy or from Python arguments."""
+    rb = ruinbounds
+    f, i = (np.float64, np.int64) if numpy else (float, int)
+    if entry == "Regime":
+        return dataclasses.astuple(rb.classify(rb.Constant(f(1 + 2 ** -52))))
+    if entry == "match_inverse_moments":
+        spec = rb.match_inverse_moments("gamma", f(5 / 6), f(20 / 27))
+        return spec.alpha, spec.theta
+    config = rb.SimConfig(replicates=i(8), truncation=np.int32(5) if numpy else 5,
+                          seed=np.uint64(2 ** 64 - 1) if numpy else 2 ** 64 - 1)
+    if entry == "SimConfig":
+        return config.replicates, config.truncation, config.seed
+    if entry == "EcdfEstimate":
+        est = rb.sample_Z(rb.Pareto(3.0, 0.9), config)
+        return (est.seed, est.n, est.replicates, *est.samples.tolist())
+    spec = rb.Constant(2.0)
+    if entry == "BoundSchedule":
+        return (rb.schedule(rb.finite_moments(spec, 4, 4), 1.0, i(4)).horizon,)
+    if entry == "BoundaryTable":
+        return rb.boundary_table(spec, f(1.0), [i(3), math.inf], 4).horizons
+    report = rb.crosscheck_equivalence(spec, f(3.0), f(1.5), i(5), i(3), i(0))
+    return report.x, report.c, report.horizon, report.paths, report.seed
+
+
+@pytest.mark.parametrize("entry", ["Regime", "match_inverse_moments", "SimConfig",
+                                   "EcdfEstimate", "BoundSchedule", "BoundaryTable",
+                                   "CrosscheckReport"])
+def test_results_hold_python_numbers_from_numpy_arguments(entry):
+    got = _python_fields(entry, numpy=True)
+    assert [type(v) for v in got if type(v) not in (int, float)] == []
+    assert got == _python_fields(entry, numpy=False)
 
 
 def _seeded_calls():
@@ -290,14 +380,52 @@ def test_numpy_seed_gives_the_bits_of_the_equal_int(entry):
                                   r"x must not be NaN",
                                   r"x must be positive",
                                   r"needs? E\[log shock\] > 0",
-                                  r"must be finite"])
+                                  r"must be finite",
+                                  r"math\.ldexp",
+                                  r"operator\.index"])
 def test_each_input_rule_is_stated_once(rule):
     """The horizon, positive-and-finite, seed, truncation, NaN-stock, positive-stock,
-    growth and finite rules are in ``errors`` alone."""
+    growth and finite rules, and the two conversions they admit with, are in ``errors``
+    alone."""
     package = Path(ruinbounds.__file__).parent
     stating = [path.name for path in sorted(package.glob("*.py"))
                if re.search(rule, path.read_text(encoding="utf-8"))]
     assert stating == ["errors.py"]
+
+
+def test_no_module_converts_an_argument_itself():
+    """The conversions the rules replaced are gone from every module."""
+    package = Path(ruinbounds.__file__).parent
+    converting = [(path.name, m.group()) for path in sorted(package.glob("*.py"))
+                  for m in re.finditer(r"\bfloat\((x|c)\)|\bint\((config\.|h\))",
+                                       path.read_text(encoding="utf-8"))]
+    assert converting == []
+
+
+# The calls of a rule whose value no code computes on: a rule that returns
+# nothing, and order_for's NaN check, after which it computes nothing on x.
+UNBOUND_RULE_CALLS = {("bounds.py", "order_for", "_require_stock"),
+                      ("moments.py", "infinite_moments", "_require_growth"),
+                      ("montecarlo.py", "sample_Z", "_require_growth"),
+                      ("shocks.py", "__post_init__", "_require_shock_parameters")}
+
+
+def test_callers_compute_on_what_each_rule_admits():
+    """Outside ``errors``, every other call of a rule is bound or passed on, never dropped."""
+    package = Path(ruinbounds.__file__).parent
+    dropped = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                        and isinstance(node.value.func, ast.Name)
+                        and node.value.func.id.startswith("_require_")):
+                    dropped.add((path.name, func.name, node.value.func.id))
+    assert dropped == UNBOUND_RULE_CALLS
 
 
 def test_shock_families_keep_no_parameter_check_of_their_own():
