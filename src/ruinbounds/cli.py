@@ -12,6 +12,14 @@ reproduce    regenerate a reference table plus a cell-by-cell delta report
 Shock specs and run settings come from an INI-style config file; command
 line flags override the ``[run]`` section.  Each subcommand takes only the
 flags it reads (see ``_COMMANDS``); one config file serves them all.
+
+Each setting is declared once, as a row of ``_SETTINGS``: its field, its
+default and its admission, which turns the setting's text into its value
+through the setting's rule.  A ``[run]`` value is admitted as the file
+loads, and a flag by the same row as it is parsed.  So a setting reads the
+same from either source, and a flag replaces a valid ``[run]`` value but
+never hides an invalid one.  Only the checks that span settings or specs
+wait for ``ExperimentConfig.validate``.
 Example::
 
     [spec:heavy]
@@ -27,6 +35,8 @@ Example::
     replicates = 3000
     truncation = adaptive
     seed = 42
+    format = csv
+    out = results/
 
 Exit codes: 0 success, 2 configuration/usage error, 3 domain error
 (for example adaptive simulation of a shock whose mean log is not
@@ -49,91 +59,63 @@ from .errors import (ConfigError, DomainError, _require_consumption, _require_ho
                      _require_integer, _require_seed, _require_stock, _require_truncation)
 
 
+# [run] key -> (ExperimentConfig field, default, admission).  The admission
+# turns the setting's text into its value through the setting's rule and
+# raises ValueError for a bad one; the flag named after the key is admitted
+# by the same row as argparse parses it (see _admitted_by).
+_SETTINGS = {
+    "c": ("c", 1.0, lambda text: _require_consumption(float(text))),
+    "x": ("x_grid", (), lambda text: _items(
+        text, lambda token: _require_stock(float(token), positive=True))),
+    "horizons": ("horizons", (math.inf,), lambda text: _items(
+        text, lambda token: _require_horizon(math.inf if token.lower() == "inf" else int(token)),
+        required=True)),
+    "rmax": ("rmax", 6, lambda text: _require_integer("rmax", int(text), 1)),
+    "replicates": ("replicates", _DEFAULT_REPLICATES,
+                   lambda text: _require_integer("replicates", int(text), 1)),
+    "truncation": ("truncation", "adaptive", lambda text: _require_truncation(
+        "adaptive" if text.lower() == "adaptive" else int(text))),
+    "seed": ("seed", 0, lambda text: _require_seed(int(text))),
+    "format": ("fmt", "csv", lambda text: _csv_or_json(text.strip().lower())),
+    "out": ("out", None, str.strip),
+}
+
+
+def _items(text: str, admit, required: bool = False) -> tuple:
+    """A list setting's items, split at commas or blanks, each admitted by ``admit``."""
+    items = tuple(admit(token) for token in text.replace(",", " ").split())
+    if required and not items:
+        raise ConfigError("needs at least one value")
+    return items
+
+
+def _csv_or_json(fmt: str) -> str:
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    return fmt
+
+
 class ExperimentConfig:
-    """Shock specs and run settings of one command.
+    """Shock specs and run settings of one command, each setting at its default.
 
     A plain class, not a dataclass, so that loading the CLI for
     ``--version`` or ``--help`` imports neither ``dataclasses`` nor
     ``inspect``.
     """
 
-    c: float = 1.0
-    x_grid: tuple = ()
-    horizons: tuple = (math.inf,)
-    rmax: int = 6
-    replicates: int = _DEFAULT_REPLICATES
-    truncation: int | str = "adaptive"
-    seed: int = 0
-    fmt: str = "csv"
-    out: str | None = None
-
     def __init__(self):
         self.specs = []  # [(name, ShockSpec)]
+        for field, default, _ in _SETTINGS.values():
+            setattr(self, field, default)
 
     def validate(self) -> None:
-        """Check every setting but x, which ``_parse_stocks`` checks, with the library's rules."""
+        """Check what spans specs or settings; each setting was admitted where it entered."""
         if not self.specs:
             raise ConfigError("no shock specs configured; add a [spec:NAME] section")
-        self.c = _require_consumption(self.c)
-        self.rmax = _require_integer("rmax", self.rmax, 1)
-        self.horizons = tuple(_require_horizon(h) for h in self.horizons)
         if len(set(self.horizons)) != len(self.horizons):
             raise ConfigError(f"horizons must not repeat, got {self.horizons}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.fmt == "json" and self.out is None:  # moments may write two tables
             raise ConfigError("format json writes files only; set --out or [run] out")
-        # SimConfig's rules, in its order
-        self.replicates = _require_integer("replicates", self.replicates, 1)
-        self.seed = _require_seed(self.seed)
-        self.truncation = _require_truncation(self.truncation)
-
-
-def _parse_stocks(text: str) -> tuple:
-    out = []
-    for token in text.replace(",", " ").split():
-        try:
-            x = float(token)
-        except ValueError as exc:
-            raise ConfigError(f"expected a number, got {token!r}") from exc
-        out.append(_require_stock(x, positive=True))
-    return tuple(out)
-
-
-def _parse_horizons(text: str) -> tuple:
-    out = []
-    for token in text.replace(",", " ").split():
-        if token.lower() == "inf":
-            out.append(math.inf)
-            continue
-        try:
-            out.append(int(token))
-        except ValueError as exc:
-            raise ConfigError(f"horizon must be an integer or 'inf', got {token!r}") from exc
-    return tuple(out)
-
-
-def _parse_truncation(text: str):
-    if text.lower() == "adaptive":
-        return "adaptive"
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"truncation must be an integer or 'adaptive', got {text!r}") from exc
-
-
-# [run] key -> (ExperimentConfig field, parser of the raw config text)
-_RUN_FIELDS = {
-    "c": ("c", float),
-    "x": ("x_grid", _parse_stocks),
-    "horizons": ("horizons", _parse_horizons),
-    "rmax": ("rmax", int),
-    "replicates": ("replicates", int),
-    "truncation": ("truncation", _parse_truncation),
-    "seed": ("seed", int),
-    "format": ("fmt", lambda text: text.strip().lower()),
-    "out": ("out", str.strip),
-}
 
 
 def load_config_file(path: str) -> ExperimentConfig:
@@ -163,16 +145,16 @@ def load_config_file(path: str) -> ExperimentConfig:
             except ConfigError as exc:
                 raise ConfigError(f"{path} [{section}]: {exc}") from exc
         elif section.lower() == "run":
-            for key, value in parser.items(section):
-                if key not in _RUN_FIELDS:
+            for key, text in parser.items(section):
+                if key not in _SETTINGS:
                     raise ConfigError(
                         f"{path} [run]: unknown key {key!r}; expected one of "
-                        f"{sorted(_RUN_FIELDS)}"
+                        f"{sorted(_SETTINGS)}"
                     )
-                name, parse = _RUN_FIELDS[key]
+                field, _, admit = _SETTINGS[key]
                 try:
-                    setattr(cfg, name, parse(value))
-                except ValueError as exc:  # a ConfigError, or int()/float() on bad text
+                    setattr(cfg, field, admit(text))
+                except ValueError as exc:  # the rule's error, or int()/float() on bad text
                     raise ConfigError(f"{path} [run] {key}: {exc}") from exc
         else:
             raise ConfigError(f"{path}: unknown section [{section}]")
@@ -180,18 +162,14 @@ def load_config_file(path: str) -> ExperimentConfig:
     return cfg
 
 
-def _merge_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    for name in ("seed", "out", "fmt", "replicates", "truncation", "rmax"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, _parse_truncation(value) if name == "truncation" else value)
-    return cfg
-
-
 def _load_experiment(args: argparse.Namespace) -> ExperimentConfig:
     if not args.config:
         raise ConfigError("--config is required for this command")
-    cfg = _merge_flags(load_config_file(args.config), args)
+    cfg = load_config_file(args.config)
+    for field, _, _ in _SETTINGS.values():
+        value = getattr(args, field, None)  # None: the command has no such flag, or it was not set
+        if value is not None:
+            setattr(cfg, field, value)
     cfg.validate()
     return cfg
 
@@ -281,8 +259,6 @@ def cmd_moments(args: argparse.Namespace) -> int:
                                     "beta_r_n": grid.beta(r, n)})
         outputs.append(("moments_horizons", ("spec", "r", "n", "beta_r_n"), records,
                         _base_metadata(cfg)))
-    if not outputs:
-        raise ConfigError("horizons selected neither 'inf' nor any finite horizon")
     for default_name, columns, records, meta in outputs:
         _emit(cfg, columns, records, meta, default_name)
     return 0
@@ -383,20 +359,33 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- plumbing
 
+def _admitted_by(key: str):
+    """The argparse type of the flag of ``[run]`` key ``key``: that setting's admission."""
+    admit = _SETTINGS[key][2]
+
+    def admit_flag(text: str):
+        try:
+            return admit(text)
+        except ValueError as exc:  # argparse prints the rule's message after the flag
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return admit_flag
+
+
 # Every flag, declared once: option string -> add_argument keywords.
 _FLAGS = {
     "--table": {"type": int, "required": True, "metavar": "1..9",
                 "help": "reference table number"},
     "--config": {"metavar": "PATH", "help": "experiment config file"},
-    "--format": {"dest": "fmt", "choices": ("csv", "json"),
+    "--format": {"dest": "fmt", "type": _admitted_by("format"), "metavar": "csv|json",
                  "help": "output format (default csv)"},
-    "--out": {"metavar": "PATH", "help": "output file or directory"},
-    "--seed": {"type": int, "metavar": "U64", "help": "master seed"},
-    "--replicates": {"type": int, "metavar": "N",
+    "--out": {"type": _admitted_by("out"), "metavar": "PATH",
+              "help": "output file or directory"},
+    "--seed": {"type": _admitted_by("seed"), "metavar": "U64", "help": "master seed"},
+    "--replicates": {"type": _admitted_by("replicates"), "metavar": "N",
                      "help": f"Monte Carlo replicates (default {_DEFAULT_REPLICATES})"},
-    "--truncation": {"metavar": "N|adaptive",
+    "--truncation": {"type": _admitted_by("truncation"), "metavar": "N|adaptive",
                      "help": "series truncation: term count or 'adaptive'"},
-    "--rmax": {"type": int, "metavar": "R", "help": "largest moment order"},
+    "--rmax": {"type": _admitted_by("rmax"), "metavar": "R", "help": "largest moment order"},
 }
 
 # the flags of moments, bounds and boundaries

@@ -50,7 +50,8 @@ from typing import ClassVar
 import numpy as np
 
 from ._special import digamma
-from .errors import ConfigError, FeasibilityError, _require_integer, _require_shock_parameters
+from .errors import (ConfigError, FeasibilityError, _as_float, _require_integer,
+                     _require_shock_parameters)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp stays finite up to here
 _FLOAT_MIN = sys.float_info.min  # smallest normal double
@@ -358,25 +359,39 @@ def match_inverse_moments(family: str, gamma1: float, gamma2: float) -> ShockSpe
 
     Feasibility requires ``gamma2 > gamma1**2`` (Cauchy-Schwarz, with
     equality only for a degenerate shock, which this function does not
-    produce).
+    produce).  Where ``gamma1**2`` falls below the normal float range, the
+    ratio ``t = gamma2 / gamma1**2`` is taken from the logs of the moments.
+    A family member whose parameters leave the float range raises
+    ``FeasibilityError``, like moments that no member has.
     """
     family = family.lower()
+    gamma1, gamma2 = _as_float(gamma1), _as_float(gamma2)
     if not (0.0 < gamma1 < 1.0 and 0.0 < gamma2 < 1.0):
         raise FeasibilityError(
             f"moments must lie in (0, 1), got gamma1={gamma1}, gamma2={gamma2}"
         )
-    if gamma2 <= gamma1 * gamma1:
+    square = gamma1 * gamma1
+    if square >= _FLOAT_MIN:
+        t = gamma2 / square
+        log_t = math.log(t)
+    else:  # gamma1**2 underflows: take t from the logs
+        log_t = math.log(gamma2) - 2.0 * math.log(gamma1)
+        t = math.inf if log_t > _LOG_FLOAT_MAX else math.exp(log_t)
+    if not t > 1.0:
         raise FeasibilityError(
-            f"gamma2 must exceed gamma1^2 = {gamma1 * gamma1}; got gamma2={gamma2}"
+            f"gamma2 must exceed gamma1^2 = {square}; got gamma2={gamma2}"
         )
-    t = gamma2 / (gamma1 * gamma1)
     if family == "lognormal":
-        sigma2 = math.log(t)
+        sigma2 = log_t
         mu = sigma2 / 2.0 - math.log(gamma1)
         return Lognormal(mu, sigma2)
     if family == "pareto":
         beta = math.sqrt(t / (t - 1.0)) - 1.0
         k = beta / (gamma1 * (beta + 1.0))
+        if not (beta > 0.0 and k < math.inf):  # beta rounds to 0, or k overflows
+            raise FeasibilityError(
+                f"no pareto shock in the float range has gamma1={gamma1}, gamma2={gamma2}"
+            )
         return Pareto(beta, k)
     if family == "gamma":
         alpha = (2.0 * t - 1.0) / (t - 1.0)

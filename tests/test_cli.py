@@ -1,4 +1,5 @@
 import argparse
+import configparser
 import contextlib
 import io
 import json
@@ -324,8 +325,10 @@ class TestReproduceCommand:
     def test_bad_seed_or_replicates_exits_2(self, tmp_path, capsys, table_id, flag, value,
                                             message):
         out = tmp_path / "repro"
-        assert main(["reproduce", "--table", table_id, flag, value, "--out", str(out)]) == 2
-        assert f"config error: {message}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:  # argparse admits the flag
+            main(["reproduce", "--table", table_id, flag, value, "--out", str(out)])
+        assert info.value.code == 2
+        assert f"error: argument {flag}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_defaults_are_the_reference_defaults(self):
@@ -577,8 +580,10 @@ class TestErrorPaths:
     def test_bad_simulation_flag_exits_2_before_writing(self, config_path, tmp_path, capsys,
                                                         flag, value, name):
         out = tmp_path / "sim"
-        assert main(["simulate", "--config", config_path, "--out", str(out), flag, value]) == 2
-        assert f"config error: {name} must be " in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:  # argparse admits the flag
+            main(["simulate", "--config", config_path, "--out", str(out), flag, value])
+        assert info.value.code == 2
+        assert f"error: argument {flag}: {name} must be " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("seed", "-5"), ("seed", str(2 ** 64)),
@@ -592,7 +597,7 @@ class TestErrorPaths:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"config error: {key} must be " in captured.err
+        assert f"config error: {cfg} [run] {key}: {key} must be " in captured.err
         assert not out.exists()
 
     def test_unwritable_output_path(self, tmp_path):
@@ -613,6 +618,85 @@ class TestErrorPaths:
         a = (out1 / "samples_heavy.csv").read_text()
         b = (out2 / "samples_heavy.csv").read_text()
         assert a != b
+
+
+# [run] key -> (a command whose parser has the key's flag, texts to admit from each source)
+SHARED_SETTINGS = {
+    "rmax": ("bounds", ["4", " 4", "0", "2.5"]),
+    "format": ("bounds", ["json", "JSON", " Csv ", "xml"]),
+    "out": ("bounds", ["o/", " padded "]),
+    "seed": ("simulate", ["3", "-5", str(2 ** 64), "1e3"]),
+    "replicates": ("simulate", ["10", "0", "ten"]),
+    "truncation": ("simulate", ["7", "Adaptive", "0", "x"]),
+}
+
+
+class TestOneAdmissionPerSetting:
+    """A setting's text is admitted by one rule, from a [run] key or from its flag."""
+
+    @staticmethod
+    def admit(tmp_path, command, key, text, source):
+        """The exit code of loading ``text`` for ``key`` from ``source``, and the value."""
+        run = {"x": "2", "out": "o/"}  # an output path, so that format json is admitted
+        flags = []
+        if source == "run":
+            run[key] = text
+        else:
+            flags = [f"--{key}", text]
+        cfg = tmp_path / f"{source}.ini"
+        cfg.write_text("[spec:a]\nfamily = pareto\nk = 3\nbeta = 0.9\n[run]\n"
+                       + "".join(f"{name} = {value}\n" for name, value in run.items()))
+        try:
+            args = cli.build_parser().parse_args([command, "--config", str(cfg), *flags])
+            loaded = cli._load_experiment(args)
+        except SystemExit as exc:  # argparse rejected the flag
+            return exc.code, None
+        except ValueError:  # main's config error
+            return 2, None
+        return 0, getattr(loaded, "fmt" if key == "format" else key)
+
+    @pytest.mark.parametrize("key, text", [(key, text)
+                                           for key, (_, texts) in SHARED_SETTINGS.items()
+                                           for text in texts])
+    def test_same_text_same_value_from_either_source(self, tmp_path, key, text):
+        command = SHARED_SETTINGS[key][0]
+        from_flag = self.admit(tmp_path, command, key, text, "flag")
+        assert from_flag == self.admit(tmp_path, command, key, text, "run")
+        if key == "format" and text in ("json", "JSON"):
+            assert from_flag == (0, "json")
+
+    @pytest.mark.parametrize("command, key, bad, good", [
+        ("bounds", "rmax", "0", "4"),
+        ("bounds", "format", "xml", "csv"),
+        ("simulate", "seed", "-5", "3"),
+        ("simulate", "replicates", "0", "5"),
+        ("simulate", "truncation", "0", "5"),
+    ])
+    def test_flag_does_not_hide_a_bad_run_value(self, tmp_path, capsys, command, key, bad,
+                                                good):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[spec:a]\nfamily = pareto\nk = 3\nbeta = 0.9\n"
+                       f"[run]\nx = 2\n{key} = {bad}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), f"--{key}", good, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {cfg} [run] {key}: {key} must be ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizons", ["", " , "])
+    @pytest.mark.parametrize("command", ["classify", "moments", "bounds", "boundaries",
+                                         "simulate"])
+    def test_empty_horizons_exits_2(self, tmp_path, capsys, command, horizons):
+        cfg = tmp_path / "none.ini"
+        cfg.write_text("[spec:a]\nfamily = pareto\nk = 3\nbeta = 0.9\n"
+                       f"[run]\nx = 2\nhorizons = {horizons}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", f"{out}{os.sep}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {cfg} [run] horizons: needs at least one value\n"
+        assert not out.exists()
 
 
 # The (command, flag) pairs whose command does not read the flag, so its parser rejects it.
@@ -659,3 +743,13 @@ class TestFlagsPerCommand:
                               if option.startswith("--") and option != "--help")
                   for name, sub in subparsers.items()}
         assert parsed == documented
+
+    def test_readme_example_config_names_every_run_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("## CLI", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "example.ini"
+        path.write_text(example, encoding="utf-8")
+        parser = configparser.ConfigParser()
+        parser.read(path, encoding="utf-8")
+        assert sorted(parser["run"]) == sorted(cli._SETTINGS)
+        assert cli.load_config_file(str(path)).specs  # and every value is admitted

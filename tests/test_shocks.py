@@ -362,6 +362,40 @@ class TestMatching:
         for got, want in zip(mp_inverse_moments(spec), (g1, g2)):
             assert abs(got - want) <= 8 * math.ulp(want), (got, want)
 
+    @pytest.mark.parametrize("number", [float, np.float64], ids=["python", "numpy"])
+    def test_first_moment_squared_below_the_float_range(self, number):
+        # gamma1**2 underflows to 0, yet sigma2 = log(gamma2 / gamma1**2) ~ 920.34 is a float
+        spec = match_inverse_moments("lognormal", number(1e-200), number(0.5))
+        assert type(spec.mu) is float and type(spec.sigma2) is float
+        assert abs(spec.log_inverse_moment(1) - math.log(1e-200)) <= 1e-11
+        assert abs(spec.log_inverse_moment(2) - math.log(0.5)) <= 1e-11
+        # a Pareto tail index or gamma shape - 2 near gamma1**2 / gamma2 is below every float
+        for family in ("pareto", "gamma"):
+            with pytest.raises(FeasibilityError):
+                match_inverse_moments(family, number(1e-200), number(0.5))
+
+    @pytest.mark.parametrize("family", ["lognormal", "pareto", "gamma"])
+    def test_extreme_moments_match_or_are_infeasible(self, family):
+        """No ZeroDivisionError, OverflowError or numpy warning, from float or numpy moments."""
+        edges = [5e-324, 1e-320, 1e-310, 2.0 ** -1022, 1e-200, 1.4e-154, 1.5e-154, 1e-100,
+                 1e-20, 1e-8, 0.5, 0.9, 1.0 - 2.0 ** -53]
+        for number in (float, np.float64):
+            for g1 in edges:
+                for g2 in edges:
+                    try:
+                        spec = match_inverse_moments(family, number(g1), number(g2))
+                    except FeasibilityError:
+                        continue
+                    assert spec.family == family
+                    assert all(type(v) is float for v in spec.to_record().values()
+                               if v != family)
+
+    def test_text_moments_are_rejected(self):
+        with pytest.raises(TypeError):
+            match_inverse_moments("lognormal", "0.5", 0.3)
+        with pytest.raises(TypeError):
+            match_inverse_moments("lognormal", 0.5, "0.3")
+
     def test_infeasible_below_cauchy_schwarz(self):
         with pytest.raises(FeasibilityError):
             match_inverse_moments("lognormal", 0.5, 0.25)
