@@ -311,7 +311,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if cfg.out is None:
         raise ConfigError("simulate writes sample files; --out DIR is required")
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before sampling: a bad --out fails first
     for index, (name, spec) in enumerate(cfg.specs):
         sim = SimConfig(replicates=cfg.replicates, truncation=cfg.truncation,
                         seed=derive_seed(cfg.seed, index))
@@ -341,7 +341,6 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     replicates = args.replicates if args.replicates is not None else _DEFAULT_REPLICATES
     result = build_table(args.table, seed=seed, replicates=replicates)
     out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     ref = result.reference
     meta = {"table_id": ref.table_id, "title": ref.title,
             "version": __version__, **result.metadata}

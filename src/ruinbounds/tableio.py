@@ -194,32 +194,36 @@ def render_csv(columns, rows, metadata: dict | None = None) -> str:
     return "".join(_csv_pieces(columns, rows, metadata))
 
 
-def write_csv_table(path, columns, rows, metadata: dict | None = None) -> Path:
-    """Write the table to ``path`` a chunk of rows at a time, whole or not at all.
+def _write_whole(path, pieces) -> Path:
+    """Write the text ``pieces`` to ``path``, whole or not at all, and return ``Path(path)``.
 
-    ``rows`` may be any iterable, consumed once.  The text goes to a file
-    next to the file ``path`` names, which it replaces once complete; a
-    cell that fails to format leaves neither file behind.  A device or a
-    pipe, such as ``/dev/null``, is written through instead.
+    The text goes to a file next to the file ``path`` names, which it
+    replaces once complete; a failure part-way leaves neither file behind.
+    A device or a pipe, such as ``/dev/null``, is written through instead.
     """
     path = Path(path)
-    pieces = _csv_pieces(columns, rows, metadata)
-    head = next(pieces)  # a metadata line break raises before any file is made
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.exists() and not path.is_file():
         with open(path, "w", encoding="utf-8") as f:
-            f.writelines(chain([head], pieces))
+            f.writelines(pieces)
         return path
     target = path.resolve() if path.is_symlink() else path  # a link keeps naming its file
     partial = target.with_name(f".{target.name}.{os.getpid()}.partial")
     try:
         with open(partial, "w", encoding="utf-8") as f:
-            f.writelines(chain([head], pieces))
+            f.writelines(pieces)
         os.replace(partial, target)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
     return path
+
+
+def write_csv_table(path, columns, rows, metadata: dict | None = None) -> Path:
+    """Write the table to ``path`` whole or not at all; ``rows`` is any iterable, read once."""
+    pieces = _csv_pieces(columns, rows, metadata)
+    head = next(pieces)  # a metadata line break raises before any file is made
+    return _write_whole(path, chain([head], pieces))
 
 
 def _read_column(cells) -> list:
@@ -285,11 +289,7 @@ def _to_jsonable(obj):
 
 
 def write_json(path, obj) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_to_jsonable(obj), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+    return _write_whole(path, [json.dumps(_to_jsonable(obj), indent=2, sort_keys=True) + "\n"])
 
 
 def read_json(path):

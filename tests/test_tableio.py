@@ -1,10 +1,13 @@
+import builtins
 import csv
+import errno
 import io
 import math
 import os
 import re
 import stat
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +318,69 @@ def test_write_through_a_symlink_or_a_pipe(tmp_path):
     write_csv_table(pipe, ("a",), [(2.5,)])
     reader.join(timeout=30)
     assert got == [b"a\n2.5\n"] and stat.S_ISFIFO(pipe.stat().st_mode)
+
+
+class _FullDisk:
+    """A text file that takes ``room`` characters, then raises ENOSPC as a full disk does."""
+
+    def __init__(self, file, room):
+        self._file, self._room = file, room
+
+    def write(self, text):
+        if len(text) > self._room:
+            self._file.write(text[:self._room])
+            self._file.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self._room -= len(text)
+        return self._file.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_json(path, {"rows": list(range(50))}),
+    lambda path: write_csv_table(path, ("a",), [(1.5,)] * 50),
+], ids=["json", "csv"])
+def test_write_that_fails_part_way_leaves_the_target_as_it_was(tmp_path, monkeypatch, write):
+    path = tmp_path / "t.out"
+    path.write_bytes(b"old\n")
+    real_open = io.open
+
+    def open_on_a_full_disk(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return _FullDisk(f, 8) if "w" in mode else f
+
+    # open() and io.open(), which Path.write_text calls, are one function under two names
+    monkeypatch.setattr(builtins, "open", open_on_a_full_disk)
+    monkeypatch.setattr(io, "open", open_on_a_full_disk)
+    with pytest.raises(OSError) as info:
+        write(path)
+    monkeypatch.undo()
+    assert info.value.errno == errno.ENOSPC
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old\n"
+
+
+def test_json_through_a_symlink_or_a_device(tmp_path):
+    # a symlink keeps naming the file, which is replaced
+    target = tmp_path / "data" / "t.json"
+    target.parent.mkdir()
+    target.write_bytes(b"old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert write_json(link, {"a": 1.5}) == link
+    assert link.is_symlink() and target.read_bytes() == b'{\n  "a": 1.5\n}\n'
+    assert sorted(p.name for p in target.parent.iterdir()) == ["t.json"]
+    # a device is written through, not replaced by a file
+    assert write_json(os.devnull, {"a": 1.5}) == Path(os.devnull)
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 class TestBoundedMemory:
