@@ -77,7 +77,7 @@ _SETTINGS = {
         "adaptive" if text.lower() == "adaptive" else int(text))),
     "seed": ("seed", 0, lambda text: _require_seed(int(text))),
     "format": ("fmt", "csv", lambda text: _csv_or_json(text.strip().lower())),
-    "out": ("out", None, str.strip),
+    "out": ("out", None, lambda text: _nonblank_path(text.strip())),
 }
 
 
@@ -87,6 +87,12 @@ def _items(text: str, admit, required: bool = False) -> tuple:
     if required and not items:
         raise ConfigError("needs at least one value")
     return items
+
+
+def _nonblank_path(out: str) -> str:
+    if not out:  # Path("") would name the current directory
+        raise ConfigError("out must name a file or directory, got a blank value")
+    return out
 
 
 def _csv_or_json(fmt: str) -> str:
@@ -132,8 +138,8 @@ def load_config_file(path: str) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for section in parser.sections():
-        if section.lower().startswith("spec"):
-            name = section.split(":", 1)[1].strip() if ":" in section else section
+        if section.lower().startswith("spec:"):
+            name = section[len("spec:"):].strip()
             if not name or "/" in name or "\\" in name:  # the name is part of output file names
                 raise ConfigError(f"{path} [{section}]: spec name {name!r} is empty or holds "
                                   "'/' or '\\'")
@@ -157,7 +163,8 @@ def load_config_file(path: str) -> ExperimentConfig:
                 except ValueError as exc:  # the rule's error, or int()/float() on bad text
                     raise ConfigError(f"{path} [run] {key}: {exc}") from exc
         else:
-            raise ConfigError(f"{path}: unknown section [{section}]")
+            raise ConfigError(f"{path}: unknown section [{section}]; expected [run] or "
+                              "[spec:NAME]")
     cfg.specs.sort(key=lambda item: item[0])
     return cfg
 
@@ -340,7 +347,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _DEFAULT_SEED
     replicates = args.replicates if args.replicates is not None else _DEFAULT_REPLICATES
     result = build_table(args.table, seed=seed, replicates=replicates)
-    out_dir = Path(args.out) if args.out else Path(".")
+    out_dir = Path(args.out) if args.out is not None else Path(".")
     ref = result.reference
     meta = {"table_id": ref.table_id, "title": ref.title,
             "version": __version__, **result.metadata}

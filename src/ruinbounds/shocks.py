@@ -386,7 +386,7 @@ def match_inverse_moments(family: str, gamma1: float, gamma2: float) -> ShockSpe
         mu = sigma2 / 2.0 - math.log(gamma1)
         return Lognormal(mu, sigma2)
     if family == "pareto":
-        beta = math.sqrt(t / (t - 1.0)) - 1.0
+        beta = math.expm1(-0.5 * math.log1p(-1.0 / t))  # sqrt(t / (t - 1)) - 1, no cancellation
         k = beta / (gamma1 * (beta + 1.0))
         if not (beta > 0.0 and k < math.inf):  # beta rounds to 0, or k overflows
             raise FeasibilityError(

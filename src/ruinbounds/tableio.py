@@ -19,12 +19,15 @@ as the integer 3.  A read cuts the file only at ``\n``, ``\r`` and
 ``\r\n``, keeping the line ends, as the csv reader expects, so a quoted
 cell keeps its line breaks.
 
-Tables are written and read ``_CHUNK_ROWS`` rows at a time, so the working
-memory of a write is one chunk and that of a read one chunk beside the
-rows it returns; a write goes to a file next to the target, which replaces
-the target once it is complete.  Chunks whose cells are all floats are
-formatted and parsed a column at a time; the bytes written and the values
-read are those of the per-cell rules above.
+Every output file, CSV or JSON, is written by one writer, whole or not
+at all: the text goes to a file next to the target, which replaces the
+target once it is complete, so a write that fails leaves no partial file
+and an existing target as it was.  Tables are written and read
+``_CHUNK_ROWS`` rows at a time, so the working memory of a write is one
+chunk and that of a read one chunk beside the rows it returns.  Chunks
+whose cells are all floats are formatted and parsed a column at a time;
+the bytes written and the values read are those of the per-cell rules
+above.
 
 The module does not import numpy.  A numpy scalar or array, which exists
 only once numpy is loaded, is found through ``sys.modules`` and written as
@@ -262,10 +265,7 @@ def read_csv_table(path):
         else:
             return metadata, (), []
         reader = csv.reader(chain([line], f))
-        try:
-            columns = tuple(next(reader))
-        except StopIteration:
-            return metadata, (), []
+        columns = tuple(next(reader))  # the line that ended the metadata makes a row, maybe []
         rows: list = []
         while chunk := list(islice(reader, _CHUNK_ROWS)):
             chunk = [row for row in chunk if row]

@@ -572,6 +572,12 @@ class TestLogMomentsPastTheFloatRange:
         assert list(sched.log_beta_values[3:]) == [-math.inf, -math.inf]
         assert list(sched.boundaries) == [1.0, 1.0, 1.0]
 
+    def test_ratio_past_the_float_range(self):
+        # log beta_2 - log beta_1 = 799 is a float, but beta_2 / beta_1 is not
+        switch_boundary = ruinbounds.bounds.switch_boundary
+        assert switch_boundary((0.0, 1.0, 800.0), 1, 1.0) == math.inf
+        assert switch_boundary((0.0, 1.0, 700.0), 1, 2.0) == 2.0 * (1.0 + math.exp(699.0))
+
     def test_gap_past_the_float_range(self):
         # -log gamma_1 = mu - sigma2/2 is an exact rational above DBL_MAX: 1 - gamma_1 is 1
         table = infinite_moments(Lognormal(8.98846567431158e307, 1.1235584101968108e307), 4)

@@ -297,6 +297,22 @@ class TestReproduceCommand:
         assert by_x[9.5]["survival_mc_5"] is None
         assert by_x[9.5]["lower_bound_10"] is not None
 
+    def test_without_out_writes_to_the_current_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["reproduce", "--table", "2"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table_2.csv",
+                                                              "table_2_deltas.json"]
+
+    @pytest.mark.parametrize("out", ["", "  "])
+    def test_blank_out_exits_2(self, tmp_path, monkeypatch, capsys, out):
+        # Path("") would name the current directory
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["reproduce", "--table", "2", "--out", out])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --out: out must name a file or directory, got a blank value\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_table_id(self):
         assert main(["reproduce", "--table", "12"]) == 2
 
@@ -423,6 +439,40 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {cfg} [run] {key}: ")
         assert repr(value) in err
+
+    def test_malformed_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.ini"
+        cfg.write_text("[spec:c]\nfamily = constant\na = 2\na = 3\n")
+        assert main(["classify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {cfg}: While reading from ")
+
+    @pytest.mark.parametrize("section", ["output", "specimen", "spec", "SPEC", "spec x"])
+    def test_only_run_and_spec_colon_sections(self, tmp_path, capsys, section):
+        # a spec's name is the text after 'spec:', so [specimen] and [spec] are no specs
+        cfg = tmp_path / "section.ini"
+        cfg.write_text(f"[{section}]\nfamily = constant\na = 2\n[run]\nx = 3\n")
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {cfg}: unknown section [{section}]; "
+                                "expected [run] or [spec:NAME]\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_spec_colon_in_any_case(self, tmp_path):
+        cfg = tmp_path / "case.ini"
+        cfg.write_text("[SPEC: a]\nfamily = constant\na = 2\n[Spec:b]\nfamily = constant\n"
+                       "a = 3\n")
+        assert [name for name, _ in cli.load_config_file(str(cfg)).specs] == ["a", "b"]
+
+    def test_non_numeric_spec_parameter(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[spec:p]\nfamily = pareto\nbeta = abc\nk = 0.9\n")
+        assert main(["classify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg} [spec:p]: non-numeric parameter for family 'pareto': "
+            "could not convert string to float: 'abc'\n")
 
     def test_unknown_family(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -683,6 +733,28 @@ class TestOneAdmissionPerSetting:
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {cfg} [run] {key}: {key} must be ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "  "])
+    @pytest.mark.parametrize("source", ["run", "flag"])
+    def test_blank_out_exits_2_naming_its_source(self, tmp_path, monkeypatch, capsys, source,
+                                                 text):
+        # Path("") would name the current directory, and bounds would write bounds.csv there
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "blank.ini"
+        cfg.write_text("[spec:a]\nfamily = pareto\nk = 3\nbeta = 0.9\n[run]\nx = 2\n"
+                       + (f"out = {text}\n" if source == "run" else ""))
+        argv = ["bounds", "--config", str(cfg)]
+        if source == "run":
+            assert main(argv) == 2
+            want = f"config error: {cfg} [run] out: out must name a file or directory, got a blank value\n"
+        else:
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--out", text])
+            assert info.value.code == 2
+            want = "error: argument --out: out must name a file or directory, got a blank value\n"
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(want)
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("horizons", ["", " , "])
     @pytest.mark.parametrize("command", ["classify", "moments", "bounds", "boundaries",

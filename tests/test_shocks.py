@@ -362,6 +362,12 @@ class TestMatching:
         for got, want in zip(mp_inverse_moments(spec), (g1, g2)):
             assert abs(got - want) <= 8 * math.ulp(want), (got, want)
 
+    def test_pareto_round_trip_at_a_large_ratio(self):
+        # t = g2 / g1**2 = 1e15, where sqrt(t / (t - 1)) - 1 cancels to 0.89 of beta.  At
+        # this point the lognormal misses by 4.7e-15 (exp at mu ~ 35.7), and the gamma by
+        # 12.6%, since its shape 2 + 1e-15 rounds to 2.000000000000001.
+        self.test_round_trip("pareto", 1e-8, 0.1)
+
     @pytest.mark.parametrize("number", [float, np.float64], ids=["python", "numpy"])
     def test_first_moment_squared_below_the_float_range(self, number):
         # gamma1**2 underflows to 0, yet sigma2 = log(gamma2 / gamma1**2) ~ 920.34 is a float

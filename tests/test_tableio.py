@@ -229,6 +229,14 @@ def test_read_guesses_types_from_text(tmp_path):
     assert identical(rows, [(v, 3) for v in (7, math.inf, True, 100000.0, 7, "plain")])
 
 
+@pytest.mark.parametrize("text, metadata", [("", {}), ("# a = 1\n# b = x\n", {"a": 1, "b": "x"}),
+                                            ("# a = 1", {"a": 1})])
+def test_file_without_a_header_reads_as_no_table(tmp_path, text, metadata):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    assert read_csv_table(path) == (metadata, (), [])
+
+
 @pytest.mark.parametrize("text", ["1_2", "1_0.5", "3_4", "\u0661\u0662"])
 def test_numbers_only_from_ascii_without_underscores(tmp_path, text):
     # int() and float() read these as 12, 10.5, 34 and 12; a read keeps them as written
