@@ -42,6 +42,10 @@ seed = 99
 """
 
 
+# the rule of a blank out, from [run] or --out
+BLANK_OUT = "out must name a file or directory, got a blank value"
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "exp.ini"
@@ -310,7 +314,7 @@ class TestReproduceCommand:
         with pytest.raises(SystemExit) as info:
             main(["reproduce", "--table", "2", "--out", out])
         assert info.value.code == 2
-        assert capsys.readouterr().err.endswith("error: argument --out: out must name a file or directory, got a blank value\n")
+        assert capsys.readouterr().err.endswith(f"error: argument --out: {BLANK_OUT}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_invalid_table_id(self):
@@ -746,12 +750,12 @@ class TestOneAdmissionPerSetting:
         argv = ["bounds", "--config", str(cfg)]
         if source == "run":
             assert main(argv) == 2
-            want = f"config error: {cfg} [run] out: out must name a file or directory, got a blank value\n"
+            want = f"config error: {cfg} [run] out: {BLANK_OUT}\n"
         else:
             with pytest.raises(SystemExit) as info:
                 main(argv + ["--out", text])
             assert info.value.code == 2
-            want = "error: argument --out: out must name a file or directory, got a blank value\n"
+            want = f"error: argument --out: {BLANK_OUT}\n"
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.endswith(want)
         assert list(tmp_path.iterdir()) == [cfg]

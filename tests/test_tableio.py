@@ -366,7 +366,7 @@ def test_write_that_fails_part_way_leaves_the_target_as_it_was(tmp_path, monkeyp
         f = real_open(file, mode, *args, **kwargs)
         return _FullDisk(f, 8) if "w" in mode else f
 
-    # open() and io.open(), which Path.write_text calls, are one function under two names
+    # open() and io.open() are one function under two names; Path.open calls the second
     monkeypatch.setattr(builtins, "open", open_on_a_full_disk)
     monkeypatch.setattr(io, "open", open_on_a_full_disk)
     with pytest.raises(OSError) as info:
