@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 from .errors import _require_consumption, _require_horizon, _require_integer, _require_stock
 from .moments import FiniteMomentGrid, MomentTable, finite_moments, infinite_moments
-from .shocks import _LOG_FLOAT_MAX, ShockSpec
+from .shocks import ShockSpec, _exp_or_inf
 
 __all__ = [
     "BoundResult",
@@ -148,6 +148,7 @@ class BoundResult(NamedTuple):
     def ruin_raw(self) -> float:
         """The raw ruin estimate, ``+inf`` from ``log_raw >= _LOG_RAW_CUTOFF`` on."""
         log_raw = self.log_raw
+        # not shocks._exp_or_inf: bench/workloads.py bound_oracle shares this 700 cutoff
         return math.exp(log_raw) if log_raw < _LOG_RAW_CUTOFF else math.inf
 
     @property
@@ -179,16 +180,14 @@ def switch_boundary(log_beta, r: int, c: float) -> float:
     """Upper edge ``c*(1 + beta_{r+1}/beta_r)`` of order r's interval, from log moments.
 
     ``+inf`` when either moment is infinite or the ratio overflows.  Keep
-    ``math.exp``: ``np.exp`` differs in the last bit on some inputs.
+    ``_exp_or_inf``'s ``math.exp``: ``np.exp`` differs in the last bit on some inputs.
     """
     if log_beta[r + 1] == math.inf or log_beta[r] == math.inf:
         return math.inf
     if log_beta[r + 1] == -math.inf:  # a moment of 0 in floats: ratio 0, as for finite log_beta[r]
         return c
     log_ratio = log_beta[r + 1] - log_beta[r]  # Python floats: +inf past the range, no warning
-    if log_ratio > _LOG_FLOAT_MAX:
-        return math.inf
-    return c * (1.0 + math.exp(log_ratio))
+    return c * (1.0 + _exp_or_inf(log_ratio))
 
 
 def schedule(moments: MomentTable | FiniteMomentGrid, c: float,

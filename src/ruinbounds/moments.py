@@ -127,6 +127,7 @@ class FiniteMomentGrid:
 
 
 def _exp(log_value: float) -> float:
+    # not shocks._exp_or_inf: the golden digests pin np.exp's last bits, which math.exp's miss
     if log_value > _LOG_FLOAT_MAX:
         return math.inf
     return float(np.exp(log_value))

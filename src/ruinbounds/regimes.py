@@ -16,7 +16,9 @@ The deterministic helpers cover the constant-productivity special case,
 where the threshold ``c*r/(r-1)`` and the exact ruin period have closed
 forms; they double as oracles for the degenerate constant-shock family.
 
-Infinities are ordinary ``math.inf`` values throughout, never sentinels.
+Infinities are ordinary ``math.inf`` values throughout, except that
+``Regime.to_record`` writes the string ``"inf"``, which the benchmark's
+recorded regimes hold and compare.
 A NaN stock ``x``, a ``c`` that is not positive and finite, or a NaN or
 infinite productivity ``r`` raises ``ValueError``.
 """

@@ -57,6 +57,12 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp stays finite up to here
 _FLOAT_MIN = sys.float_info.min  # smallest normal double
 _LARGE_SHAPE = 2.0 ** 10  # from here on, a gamma moment takes the product form
 
+
+def _exp_or_inf(log_value: float) -> float:
+    """``math.exp(log_value)``, or ``+inf`` above ``_LOG_FLOAT_MAX``, where ``math.exp`` raises."""
+    return math.inf if log_value > _LOG_FLOAT_MAX else math.exp(log_value)
+
+
 __all__ = [
     "Lognormal",
     "Pareto",
@@ -103,8 +109,7 @@ class ShockSpec:
 
     def inverse_moment(self, r: int) -> float:
         """E[shock^-r], ``+inf`` where it diverges or overflows a double."""
-        log_value = self.log_inverse_moment(r)
-        return math.inf if log_value > _LOG_FLOAT_MAX else math.exp(log_value)
+        return _exp_or_inf(self.log_inverse_moment(r))
 
     def to_record(self) -> dict:
         """Flat record ``{"family": ..., <field>: <value>, ...}`` in field order."""
@@ -362,7 +367,9 @@ def match_inverse_moments(family: str, gamma1: float, gamma2: float) -> ShockSpe
     produce).  Where ``gamma1**2`` falls below the normal float range, the
     ratio ``t = gamma2 / gamma1**2`` is taken from the logs of the moments.
     A family member whose parameters leave the float range raises
-    ``FeasibilityError``, like moments that no member has.
+    ``FeasibilityError``, like moments that no member has, and so does one
+    whose ``log E[shock^-2]`` misses ``log(gamma2)`` by more than 1e-9, as
+    where a gamma shape of 2 + 1e-15 rounds to ``2.000000000000001``.
     """
     family = family.lower()
     gamma1, gamma2 = _as_float(gamma1), _as_float(gamma2)
@@ -376,32 +383,31 @@ def match_inverse_moments(family: str, gamma1: float, gamma2: float) -> ShockSpe
         log_t = math.log(t)
     else:  # gamma1**2 underflows: take t from the logs
         log_t = math.log(gamma2) - 2.0 * math.log(gamma1)
-        t = math.inf if log_t > _LOG_FLOAT_MAX else math.exp(log_t)
+        t = _exp_or_inf(log_t)
     if not t > 1.0:
         raise FeasibilityError(
             f"gamma2 must exceed gamma1^2 = {square}; got gamma2={gamma2}"
         )
     if family == "lognormal":
-        sigma2 = log_t
-        mu = sigma2 / 2.0 - math.log(gamma1)
-        return Lognormal(mu, sigma2)
-    if family == "pareto":
+        spec = Lognormal(log_t / 2.0 - math.log(gamma1), log_t)  # sigma2 = log t
+    elif family == "pareto":
         beta = math.expm1(-0.5 * math.log1p(-1.0 / t))  # sqrt(t / (t - 1)) - 1, no cancellation
         k = beta / (gamma1 * (beta + 1.0))
         if not (beta > 0.0 and k < math.inf):  # beta rounds to 0, or k overflows
             raise FeasibilityError(
                 f"no pareto shock in the float range has gamma1={gamma1}, gamma2={gamma2}"
             )
-        return Pareto(beta, k)
-    if family == "gamma":
+        spec = Pareto(beta, k)
+    elif family == "gamma":
         alpha = (2.0 * t - 1.0) / (t - 1.0)
-        if not alpha > 2.0:
-            raise FeasibilityError(
-                f"gamma family needs shape > 2 for a finite second inverse moment, "
-                f"got alpha={alpha}"
-            )
-        theta = gamma1 * (alpha - 1.0)
-        return Gamma(alpha, theta)
-    raise FeasibilityError(
-        f"family {family!r} cannot be matched; choose lognormal, pareto, or gamma"
-    )
+        if not 2.0 < alpha < math.inf:  # 2t overflows where alpha rounds to 2 anyway
+            raise FeasibilityError(f"gamma family needs a finite shape > 2 for a finite second "
+                                   f"inverse moment, got alpha={alpha}")
+        spec = Gamma(alpha, gamma1 * (alpha - 1.0))  # theta
+    else:
+        raise FeasibilityError(f"family {family!r} cannot be matched; "
+                               f"choose lognormal, pareto, or gamma")
+    miss = abs(spec.log_inverse_moment(2) - math.log(gamma2))
+    if not miss <= 1e-9:
+        raise FeasibilityError(f"{spec}, the closest in floats, misses log gamma2 by {miss:.3g}")
+    return spec

@@ -4,9 +4,10 @@ Conventions shared by every output file: UTF-8 text, '.' decimal
 separator, no thousands separators, infinities spelled literally as
 ``inf``/``-inf``, blank cells empty.  CSV files carry ``# key = value``
 metadata lines above the header row, so a header line may not start with
-``#`` (a write raises ``ValueError``); floats are written with full repr
-precision so a parsed file compares equal to the in-memory values that
-produced it.
+``#`` (a write raises ``ValueError``).  Every float, in a cell, a metadata
+line or as JSON's ``inf``, ``-inf`` or ``nan``, is written by one rule,
+``_float_texts``: its ``repr``, less the ``.0`` of an integral value below
+1e15 in magnitude, so a parsed file compares equal to the values written.
 
 A CSV read guesses each cell's type with :func:`parse_cell`:
 integer-looking text becomes an ``int``, ``inf``, ``-inf``, ``nan``,
@@ -26,8 +27,7 @@ and an existing target as it was.  Tables are written and read
 ``_CHUNK_ROWS`` rows at a time, so the working memory of a write is one
 chunk and that of a read one chunk beside the rows it returns.  Chunks
 whose cells are all floats are formatted and parsed a column at a time;
-the bytes written and the values read are those of the per-cell rules
-above.
+the values read are those of the per-cell rule above.
 
 The module does not import numpy.  A numpy scalar or array, which exists
 only once numpy is loaded, is found through ``sys.modules`` and written as
@@ -76,16 +76,7 @@ def format_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(int(value))
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if math.isnan(v):
-        return "nan"
-    if v == 0.0 and math.copysign(1.0, v) < 0:
-        return "-0.0"
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
+    return _float_texts([float(value)])[0]
 
 
 def parse_cell(text: str):
@@ -114,10 +105,10 @@ def parse_cell(text: str):
 
 
 def _float_texts(column) -> list:
-    """:func:`format_cell` of every float in ``column``, from its repr.
+    """The text of every float in ``column``, by the one float rule of every output file.
 
-    ``repr`` already spells ``inf``, ``-inf``, ``nan`` and ``-0.0``; it ends
-    in ``.0`` exactly when the value is integral and below 1e16.
+    ``repr`` spells ``inf``, ``-inf``, ``nan`` and ``-0.0`` and ends in ``.0`` exactly for an
+    integral value below 1e16; the text drops that ``.0`` below 1e15, but not from ``-0.0``.
     """
     texts = list(map(float.__repr__, column))
     if ".0\n" in "\n".join(texts) + "\n":  # one search skips the pass when none is integral

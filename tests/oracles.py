@@ -9,9 +9,10 @@ shock series one replicate and one block at a time, series
 moments of Pareto and gamma shocks in exact rationals of their stored
 parameters, log-moments of densities by quadrature, survival to horizon 1
 from the reciprocal shock's closed-form CDF, and survival and moments at
-horizon 2 by quadrature over its quantile.  CSV tables are rendered and
-read back one cell at a time, through ``format_cell``/``parse_cell`` and
-the csv module.  The exception
+horizon 2 by quadrature over its quantile.  CSV tables are rendered one
+cell at a time, through ``cell_text``, which states the float rule on its
+own, and read back one cell at a time, through ``parse_cell`` and the csv
+module.  The exception
 is ``per_cell_finite_moments``: the partial-sum recursion with one scalar
 ``logsumexp`` per cell, which pins the bits of the batched recursion.
 """
@@ -411,13 +412,35 @@ def quad_expected_log_gamma(alpha, theta):
 LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def per_cell_render_csv(columns, rows, metadata=None):
-    """``tableio.render_csv`` one cell at a time through ``format_cell`` and ``csv.writer``."""
-    from ruinbounds.tableio import format_cell
+def cell_text(value):
+    """``tableio.format_cell`` with a float rule of its own, sharing no code with the package."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        value = value.tolist()
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(int(value))
+    v = float(value)
+    if math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    if math.isnan(v):
+        return "nan"
+    if v == 0.0 and math.copysign(1.0, v) < 0:
+        return "-0.0"
+    if v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    return repr(v)
 
+
+def per_cell_render_csv(columns, rows, metadata=None):
+    """``tableio.render_csv`` one cell at a time through ``cell_text`` and ``csv.writer``."""
     buf = io.StringIO()
     for key, value in (metadata or {}).items():
-        text = f"{key} = {format_cell(value)}"
+        text = f"{key} = {cell_text(value)}"
         if any(ch in text for ch in LINE_BREAKS):
             raise ValueError(f"metadata {key!r} holds a line break")
         buf.write(f"# {text}\n")
@@ -437,7 +460,7 @@ def per_cell_render_csv(columns, rows, metadata=None):
     if buf.getvalue()[header:].startswith("#"):  # it would read back as a metadata line
         raise ValueError(f"column {columns[0]!r} starts with '#'")
     for row in rows:
-        write([format_cell(v) for v in row])
+        write([cell_text(v) for v in row])
     return buf.getvalue()
 
 

@@ -26,6 +26,8 @@ from ruinbounds import (
     spec_from_record,
 )
 from ruinbounds._special import digamma
+from ruinbounds.bounds import switch_boundary
+from ruinbounds.shocks import _LOG_FLOAT_MAX, _exp_or_inf
 
 GAMMA1 = 5.0 / 6.0
 GAMMA2 = 20.0 / 27.0
@@ -368,6 +370,27 @@ class TestMatching:
         # 12.6%, since its shape 2 + 1e-15 rounds to 2.000000000000001.
         self.test_round_trip("pareto", 1e-8, 0.1)
 
+    @pytest.mark.parametrize("family", ["lognormal", "pareto", "gamma"])
+    def test_every_match_within_its_tolerance_of_the_50_digit_moment(self, family):
+        # a gamma shape 2 + 1/(t - 1) keeps few digits of 1/(t - 1) once t is large: at
+        # (1e-8, 0.1) it rounds to 2.000000000000001, whose log gamma2 misses by 0.119,
+        # at (1e-6, 0.1) by 8.3e-8 and at (1e-4, 0.1) by 5.0e-10
+        edges = [1e-200, 1e-20, 1e-8, 1e-6, 1e-4, 0.01, 0.1, 0.5, 0.9, GAMMA1, GAMMA2]
+        for g1 in edges:
+            for g2 in edges:
+                try:
+                    spec = match_inverse_moments(family, g1, g2)
+                except FeasibilityError:
+                    continue
+                miss = abs(mp_log_inverse_moment(spec, 2) - math.log(g2))
+                assert miss <= 1e-9 + 1e-12, (g1, g2, spec, miss)
+
+    @pytest.mark.parametrize("g1", [1e-8, 1e-6])
+    def test_gamma_shape_rounded_past_its_tolerance_is_infeasible(self, g1):
+        with pytest.raises(FeasibilityError, match="misses log gamma2 by"):
+            match_inverse_moments("gamma", g1, 0.1)
+        assert match_inverse_moments("gamma", 1e-4, 0.1).alpha > 2.0
+
     @pytest.mark.parametrize("number", [float, np.float64], ids=["python", "numpy"])
     def test_first_moment_squared_below_the_float_range(self, number):
         # gamma1**2 underflows to 0, yet sigma2 = log(gamma2 / gamma1**2) ~ 920.34 is a float
@@ -415,6 +438,65 @@ class TestMatching:
     def test_rejects_unknown_family(self):
         with pytest.raises(FeasibilityError):
             match_inverse_moments("constant", 0.5, 0.3)
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowToInf:
+    """``_exp_or_inf`` and its callers at log(DBL_MAX), where ``math.exp`` is still finite,
+    and one ulp above, where it raises ``OverflowError``."""
+
+    ABOVE = math.nextafter(_LOG_FLOAT_MAX, math.inf)
+    EXP_EDGE = 1.7976931348622732e308  # math.exp(_LOG_FLOAT_MAX), 213 ulp below DBL_MAX
+
+    def test_edge(self):
+        assert math.exp(_LOG_FLOAT_MAX) == self.EXP_EDGE
+        with pytest.raises(OverflowError):
+            math.exp(self.ABOVE)
+        assert _exp_or_inf(_LOG_FLOAT_MAX) == self.EXP_EDGE
+        assert _exp_or_inf(self.ABOVE) == math.inf
+        assert _exp_or_inf(-math.inf) == 0.0 and _exp_or_inf(math.inf) == math.inf
+
+    def test_inverse_moment(self):
+        # log E[shock^-1] = -mu + sigma2/2, and 5e-324 / 2 rounds to 0
+        for log_value, want in [(_LOG_FLOAT_MAX, self.EXP_EDGE), (self.ABOVE, math.inf)]:
+            spec = Lognormal(-log_value, 5e-324)
+            assert spec.log_inverse_moment(1) == log_value
+            assert spec.inverse_moment(1) == want
+
+    def test_switch_boundary(self):
+        for c in (0.5, 1.0):
+            assert switch_boundary((0.0, 0.0, _LOG_FLOAT_MAX), 1, c) == c * (1.0 + self.EXP_EDGE)
+            assert switch_boundary((0.0, 0.0, self.ABOVE), 1, c) == math.inf
+
+    @staticmethod
+    def _moments_at(log_t):
+        """``(gamma1, gamma2)`` whose ratio t = gamma2 / gamma1**2 has the float log ``log_t``.
+
+        gamma1**2 underflows, so ``match_inverse_moments`` takes t from the logs.
+        """
+        g1 = 1e-155
+        g2 = math.exp(log_t + 2.0 * math.log(g1))
+        for _ in range(64):
+            got = math.log(g2) - 2.0 * math.log(g1)
+            if got == log_t:
+                return g1, g2
+            g2 = math.nextafter(g2, 0.0 if got > log_t else 1.0)
+        raise AssertionError(f"no gamma2 within 64 ulp gives log t = {log_t!r}")
+
+    def test_match_inverse_moments(self):
+        g1, g2 = self._moments_at(_LOG_FLOAT_MAX)  # t = EXP_EDGE
+        assert match_inverse_moments("lognormal", g1, g2) == Lognormal(
+            _LOG_FLOAT_MAX / 2.0 - math.log(g1), _LOG_FLOAT_MAX)
+        # beta ~ 1/(2t) is subnormal but positive
+        assert match_inverse_moments("pareto", g1, g2).beta == pytest.approx(
+            0.5 / self.EXP_EDGE, rel=1e-6)
+        with pytest.raises(FeasibilityError, match="finite shape"):  # 2t overflows
+            match_inverse_moments("gamma", g1, g2)
+        g1, g2 = self._moments_at(self.ABOVE)  # t = +inf
+        assert match_inverse_moments("lognormal", g1, g2).sigma2 == self.ABOVE
+        for family in ("pareto", "gamma"):
+            with pytest.raises(FeasibilityError):
+                match_inverse_moments(family, g1, g2)
 
 
 class TestRecords:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import traced_peak
-from oracles import identical, per_cell_read_csv, per_cell_render_csv
+from oracles import cell_text, identical, per_cell_read_csv, per_cell_render_csv
 from ruinbounds import Pareto, SimConfig, sample_Z, tableio
 from ruinbounds.cli import main
 from ruinbounds.tableio import (
@@ -82,10 +82,22 @@ EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e15 - 1, -(1e15 - 1), 
 _floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(),
                     st.integers(-10 ** 17, 10 ** 17).map(float))
 FLOAT_CELLS = st.one_of(_floats, _floats.map(np.float64))
+# integral and not, within 1000 of the edges of the integer spelling
+_near_edges = st.sampled_from([1e15, -1e15, 1e16, -1e16]).flatmap(
+    lambda edge: st.integers(-1000, 1000).map(lambda d: edge + d)
+    | st.floats(edge - 1000, edge + 1000))
+_subnormals = st.floats(-2.0 ** -1022, 2.0 ** -1022)
 TEXTS = st.one_of(st.text(), st.sampled_from(["", "a,b", 'say "hi"', "two\nlines", "x\r\ny",
                                               "x\ry", ",", '"', "007", "true", "inf", "1e5"]))
 OTHER_CELLS = st.one_of(st.floats(width=32).map(np.float32), st.booleans(), st.integers(),
                         st.none(), TEXTS, st.integers(-5, 5).map(np.int64))
+
+
+@given(st.one_of(_floats, _near_edges, _subnormals).flatmap(
+    lambda v: st.sampled_from([v, np.float64(v)])))
+@settings(max_examples=1000)
+def test_format_cell_keeps_the_per_cell_float_rule(value):
+    assert format_cell(value) == cell_text(value)
 
 
 @pytest.fixture(scope="class")
