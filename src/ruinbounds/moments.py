@@ -127,7 +127,7 @@ class FiniteMomentGrid:
 
 
 def _exp(log_value: float) -> float:
-    # not shocks._exp_or_inf: the golden digests pin np.exp's last bits, which math.exp's miss
+    # np.exp, not shocks._exp_or_inf's math.exp: the golden digests pin np.exp's last bits
     if log_value > _LOG_FLOAT_MAX:
         return math.inf
     return float(np.exp(log_value))
