@@ -25,9 +25,15 @@ at all: the text goes to a file next to the target, which replaces the
 target once it is complete, so a write that fails leaves no partial file
 and an existing target as it was.  Tables are written and read
 ``_CHUNK_ROWS`` rows at a time, so the working memory of a write is one
-chunk and that of a read one chunk beside the rows it returns.  Chunks
-whose cells are all floats are formatted and parsed a column at a time;
-the values read are those of the per-cell rule above.
+chunk and that of a read one chunk beside the rows it returns.  Every CSV
+line is written by one path, ``_csv_lines``, the header as a row of its
+own: a chunk's cells are formatted together, by ``_float_texts`` when all
+are floats and by :func:`format_cell` otherwise, so a header cell follows
+the cell rule too (``1.0`` is written ``1``, ``True`` ``true``).  A cell
+holding ``,``, ``"``, ``\r`` or ``\n`` is quoted, each ``"`` doubled, and
+a row of one empty cell is written ``""``, as csv writes them; csv itself
+only reads.  A read parses a chunk as wide as the header a column at a
+time, to the values of the per-cell rule above.
 
 The module does not import numpy.  A numpy scalar or array, which exists
 only once numpy is loaded, is found through ``sys.modules`` and written as
@@ -37,7 +43,6 @@ its ``.tolist()``, so it gives the bytes of the equal Python value.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -117,43 +122,43 @@ def _float_texts(column) -> list:
     return texts
 
 
-def _float_columns(rows, width: int):
-    """The columns of ``rows`` as lists, or None unless every cell is a float.
+def _csv_lines(chunk) -> str:
+    """The CSV lines of ``chunk``, a list of sized rows, each line ending in '\n'.
 
-    ``np.float64`` subclasses ``float``; ``bool``, ``int``, ``np.float32``,
-    ``str`` and ``None`` do not.  Tables with no cells, ragged rows and
-    rows other than tuples and lists return None as well.
+    The cells of the chunk are formatted together: by ``_float_texts`` when
+    every one is a float (``np.float64`` subclasses ``float``; ``bool``,
+    ``int``, ``np.float32``, ``str`` and ``None`` do not), else by
+    :func:`format_cell`.  A cell holding ',', '"', '\r' or '\n' is quoted,
+    and a row of one empty cell is written '""', as csv writes them.
     """
-    if (width == 0 or not rows or not set(map(type, rows)) <= {tuple, list}
-            or set(map(len, rows)) != {width}):
-        return None
-    # one itemgetter pass per column: zip(*rows) would make an iterator per row
-    columns = [list(map(itemgetter(j), rows)) for j in range(width)]
-    for column in columns:
-        if not all(issubclass(t, float) for t in set(map(type, column))):
-            return None
-    return columns
-
-
-def _write_row(buf, writer, cells) -> None:
-    """Write one CSV line ending in '\n', quoting a cell with a lone '\r' as csv quotes '\n'."""
-    if any(isinstance(cell, str) and "\r" in cell for cell in cells):
-        line = io.StringIO()  # csv quotes the characters of its line terminator
-        csv.writer(line, lineterminator="\r\n").writerow(cells)
-        buf.write(line.getvalue()[:-2] + "\n")
+    cells = list(chain.from_iterable(chunk))
+    if all(issubclass(t, float) for t in set(map(type, cells))):
+        texts = _float_texts(cells)  # a float text holds no comma, quote or line break
     else:
-        writer.writerow(cells)
+        texts = list(map(format_cell, cells))
+        whole = "".join(texts)  # one search skips the pass when no cell needs quotes
+        if any(ch in whole for ch in ',"\r\n'):  # quoted as csv quotes, each '"' doubled
+            texts = ['"' + t.replace('"', '""') + '"' if "," in t or '"' in t or "\r" in t
+                     or "\n" in t else t for t in texts]
+    width, *ragged = set(map(len, chunk))
+    if ragged or width == 0 or width == 1 and "" in texts:
+        # row by row: ragged or empty rows, or a row of one empty cell, which csv writes ""
+        cells = iter(texts)
+        lines = [",".join(islice(cells, len(row))) or '""' * (len(row) == 1) for row in chunk]
+    else:
+        lines = texts if width == 1 else map(",".join, zip(*[iter(texts)] * width))
+    return "\n".join(lines) + "\n"
 
 
 def _csv_pieces(columns, rows, metadata: dict | None):
     """Yield the text of a CSV table: the metadata and header, then one piece per chunk of rows.
 
-    Each chunk of ``_CHUNK_ROWS`` rows is formatted a column at a time when
-    every cell is a float, else cell by cell; both write the same bytes.
-    A metadata line break, a ``=`` in a metadata key, or a header line that
-    starts with ``#`` raises before the first piece.
+    The header is written as a row of its own, and each chunk of
+    ``_CHUNK_ROWS`` rows by :func:`_csv_lines`.  A metadata line break, a
+    metadata key holding ``=``, or a header line that starts with ``#``
+    raises before the first piece.
     """
-    buf = io.StringIO()
+    lines = []
     for key, value in (metadata or {}).items():
         line = f"# {key} = {format_cell(value)}"
         if line.splitlines() != [line]:  # no line break of any kind, so it reads back whole
@@ -162,26 +167,15 @@ def _csv_pieces(columns, rows, metadata: dict | None):
             )
         if "=" in str(key):  # a read splits the line at its first '='
             raise ValueError(f"metadata key {key!r} holds '=', which a read takes as its end")
-        buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    header = buf.tell()
-    _write_row(buf, writer, columns)
-    if buf.getvalue().startswith("#", header):  # a read takes that line for metadata
+        lines.append(line + "\n")
+    columns = tuple(columns)
+    header = _csv_lines([columns])
+    if header.startswith("#"):  # a read takes that line for metadata
         raise ValueError(f"column {columns[0]!r} starts with '#', which a read takes as metadata")
-    yield buf.getvalue()
+    yield "".join(lines) + header
     rows = iter(rows)
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        float_columns = _float_columns(chunk, len(columns))
-        if float_columns is None:
-            buf.seek(0)
-            buf.truncate()
-            for row in chunk:
-                _write_row(buf, writer, [format_cell(v) for v in row])
-            yield buf.getvalue()
-        else:
-            # float texts hold no comma, quote or line break, so need no csv quoting
-            texts = [_float_texts(column) for column in float_columns]
-            yield "\n".join(map(",".join, zip(*texts))) + "\n"
+    while chunk := list(map(tuple, islice(rows, _CHUNK_ROWS))):  # an iterator row has no len
+        yield _csv_lines(chunk)
 
 
 def render_csv(columns, rows, metadata: dict | None = None) -> str:

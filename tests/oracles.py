@@ -437,7 +437,10 @@ def cell_text(value):
 
 
 def per_cell_render_csv(columns, rows, metadata=None):
-    """``tableio.render_csv`` one cell at a time through ``cell_text`` and ``csv.writer``."""
+    """``tableio.render_csv`` one cell at a time through ``cell_text`` and ``csv.writer``.
+
+    Header cells follow the cell rule too, so a header ``(1.0, True)`` is written ``1,true``.
+    """
     buf = io.StringIO()
     for key, value in (metadata or {}).items():
         text = f"{key} = {cell_text(value)}"
@@ -456,7 +459,7 @@ def per_cell_render_csv(columns, rows, metadata=None):
             writer.writerow(cells)
 
     header = buf.tell()
-    write(columns)
+    write([cell_text(v) for v in columns])
     if buf.getvalue()[header:].startswith("#"):  # it would read back as a metadata line
         raise ValueError(f"column {columns[0]!r} starts with '#'")
     for row in rows:

@@ -70,6 +70,12 @@ class TestRoundTrip:
         assert path.read_bytes() == b'a,b\n"x\ry",1.5\nz,2\n'
         assert read_csv_table(path) == ({}, ("a", "b"), [("x\ry", 1.5), ("z", 2)])
 
+    def test_header_cells_follow_the_cell_rule(self, tmp_path):
+        columns = (1.0, None, True, "x,y", np.float64(-0.0), "")
+        path = write_csv_table(tmp_path / "t.csv", columns, [(1, 2, 3, 4, 5, 6)])
+        assert path.read_bytes() == b'1,,true,"x,y",-0.0,\n1,2,3,4,5,6\n'
+        assert render_csv(("",), [(1.5,)]) == '""\n1.5\n'  # a lone empty cell, as csv writes it
+
     def test_json_file(self, tmp_path):
         path = write_json(tmp_path / "t.json", {"zero": -0.0})
         assert _same(read_json(path)["zero"], -0.0)
@@ -110,9 +116,13 @@ def small_chunks():
 
 @st.composite
 def tables(draw):
-    """``(columns, rows, metadata)``: all-float tables half of the time, some ragged."""
+    """``(columns, rows, metadata)``: all-float tables half of the time, some ragged.
+
+    Header cells are text half of the time, else any cell, which the cell rule formats.
+    """
     width = draw(st.integers(1, 4))
-    columns = tuple(draw(st.lists(TEXTS, min_size=width, max_size=width)))
+    header = draw(st.sampled_from([TEXTS, st.one_of(FLOAT_CELLS, OTHER_CELLS)]))
+    columns = tuple(draw(st.lists(header, min_size=width, max_size=width)))
     cells = draw(st.sampled_from([FLOAT_CELLS, st.one_of(FLOAT_CELLS, OTHER_CELLS)]))
     lengths = st.just(width) if draw(st.booleans()) else st.integers(0, width + 2)
     row = lengths.flatmap(lambda n: st.lists(cells, min_size=n, max_size=n)).map(tuple)
@@ -143,7 +153,9 @@ class TestRenderColumns:
         [(0.5, np.float32(0.5)), (True, 1)],
         [(0.5, np.float32(0.5)), (1.5, np.float32(2.0))],
         [],
-    ], ids=["empty-string", "short-row", "long-row", "non-float", "float32", "no-rows"])
+        [(1.5, 2.5), ("",), ()],                   # a lone empty cell and an empty row
+    ], ids=["empty-string", "short-row", "long-row", "non-float", "float32", "no-rows",
+            "empty-cell-and-row"])
     def test_tables_off_the_float_path(self, rows):
         columns = ("a", "b")
         assert render_csv(columns, rows) == per_cell_render_csv(columns, rows)
