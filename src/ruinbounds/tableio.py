@@ -4,10 +4,12 @@ Conventions shared by every output file: UTF-8 text, '.' decimal
 separator, no thousands separators, infinities spelled literally as
 ``inf``/``-inf``, blank cells empty.  CSV files carry ``# key = value``
 metadata lines above the header row, so a header line may not start with
-``#`` (a write raises ``ValueError``).  Every float, in a cell, a metadata
-line or as JSON's ``inf``, ``-inf`` or ``nan``, is written by one rule,
-``_float_texts``: its ``repr``, less the ``.0`` of an integral value below
-1e15 in magnitude, so a parsed file compares equal to the values written.
+``#``, and a metadata key may neither hold ``=`` nor start or end with
+whitespace, which a read would cut or strip (a write raises
+``ValueError``).  Every float, in a cell, a metadata line or as JSON's
+``inf``, ``-inf`` or ``nan``, is written by one rule, ``_float_texts``: its
+``repr``, less the ``.0`` of an integral value below 1e15 in magnitude, so
+a parsed file compares equal to the values written.
 
 A CSV read guesses each cell's type with :func:`parse_cell`:
 integer-looking text becomes an ``int``, ``inf``, ``-inf``, ``nan``,
@@ -155,8 +157,8 @@ def _csv_pieces(columns, rows, metadata: dict | None):
 
     The header is written as a row of its own, and each chunk of
     ``_CHUNK_ROWS`` rows by :func:`_csv_lines`.  A metadata line break, a
-    metadata key holding ``=``, or a header line that starts with ``#``
-    raises before the first piece.
+    metadata key holding ``=`` or edged by whitespace, or a header line that
+    starts with ``#`` raises before the first piece.
     """
     lines = []
     for key, value in (metadata or {}).items():
@@ -167,6 +169,9 @@ def _csv_pieces(columns, rows, metadata: dict | None):
             )
         if "=" in str(key):  # a read splits the line at its first '='
             raise ValueError(f"metadata key {key!r} holds '=', which a read takes as its end")
+        if str(key) != str(key).strip():  # a read strips the key, so ' k' would read as 'k'
+            raise ValueError(f"metadata key {key!r} starts or ends with whitespace, "
+                             "which a read strips")
         lines.append(line + "\n")
     columns = tuple(columns)
     header = _csv_lines([columns])

@@ -290,11 +290,12 @@ def test_metadata_line_break_is_rejected(tmp_path, metadata, key):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("key", ["a=b", "=", "x = y"])
+@pytest.mark.parametrize("key", ["a=b", "=", "x = y", " k", "k\t"])
 def test_metadata_key_holding_equals_is_rejected(tmp_path, key):
-    # '# a=b = 1' would read back as {'a': 'b = 1'}
+    # '# a=b = 1' would read back as {'a': 'b = 1'}, and '#  k = 1' as {'k': 1}
     path = tmp_path / "t.csv"
-    with pytest.raises(ValueError, match=re.escape(f"metadata key {key!r} holds '='")):
+    rule = "holds '='" if "=" in key else "starts or ends with whitespace"
+    with pytest.raises(ValueError, match=re.escape(f"metadata key {key!r} {rule}")):
         write_csv_table(path, ("a",), [(1.5,)], {key: 1})
     assert not path.exists()
 
