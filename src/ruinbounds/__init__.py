@@ -9,10 +9,12 @@ everything against seeded Monte Carlo simulation.  A command-line front
 end reproduces the reference numerical tables end to end.
 
 ``import ruinbounds`` loads neither numpy nor any computing module.  The
-first access to a public name not yet bound (an exported name,
-``__all__``, or a submodule name such as ``cli`` in ``from ruinbounds
-import cli``) imports the six modules below once and binds their names
-here.  So the CLI answers ``--version`` and ``--help`` without numpy.
+first access to a public name not yet bound (an exported name or
+``__all__``) imports the six modules below once and binds their names
+here.  So the CLI answers ``--version`` and ``--help`` without numpy.  The
+submodules ``cli``, ``reference`` and ``tableio`` are left to the import
+system, so ``from ruinbounds import tableio`` loads what
+``import ruinbounds.tableio`` loads, and no more.
 """
 
 import sys
@@ -24,6 +26,8 @@ _DEFAULT_REPLICATES = 3000
 
 # Each module's __all__ is the one list of its public names.
 _MODULES = ("bounds", "errors", "moments", "montecarlo", "regimes", "shocks")
+# Submodules that export nothing here; ``from ruinbounds import cli`` imports cli alone.
+_OWN_MODULES = ("cli", "reference", "tableio")
 
 
 def _load() -> None:
@@ -40,7 +44,8 @@ def _load() -> None:
 
 def __getattr__(name: str):
     # a private name is never exported, so probing one loads nothing
-    if "__all__" not in globals() and (name == "__all__" or not name.startswith("_")):
+    if "__all__" not in globals() and (name == "__all__" or not name.startswith("_")
+                                       and name not in _OWN_MODULES):
         _load()
         if name in globals():
             return globals()[name]

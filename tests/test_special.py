@@ -213,3 +213,11 @@ class TestImportGuard:
         names = loaded_modules("-c", "import ruinbounds.tableio")
         assert "ruinbounds.tableio" in names
         assert [n for n in names if is_numpy(n)] == []
+
+    @pytest.mark.parametrize("module", ["tableio", "cli"])
+    def test_from_import_of_a_submodule_loads_no_numpy(self, module):
+        # the same modules as 'import ruinbounds.<module>', not the six computing ones
+        names = loaded_modules("-c", f"from ruinbounds import {module}")
+        assert f"ruinbounds.{module}" in names
+        assert [n for n in names if is_numpy(n)] == []
+        assert "ruinbounds.bounds" not in names
