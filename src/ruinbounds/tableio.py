@@ -145,8 +145,8 @@ def _csv_lines(chunk) -> str:
     width, *ragged = set(map(len, chunk))
     if ragged or width == 0 or width == 1 and "" in texts:
         # row by row: ragged or empty rows, or a row of one empty cell, which csv writes ""
-        cells = iter(texts)
-        lines = [",".join(islice(cells, len(row))) or '""' * (len(row) == 1) for row in chunk]
+        rest = iter(texts)
+        lines = [",".join(islice(rest, len(row))) or '""' * (len(row) == 1) for row in chunk]
     else:
         lines = texts if width == 1 else map(",".join, zip(*[iter(texts)] * width))
     return "\n".join(lines) + "\n"

@@ -65,7 +65,7 @@ class TestRoundTrip:
         assert read_csv_table(path) == ({}, ("a", "b"), [("x\ny", 1.5), ("p\x0cq", 2)])
 
     def test_lone_carriage_return_in_a_cell(self, tmp_path):
-        # csv.writer quotes only the characters of its '\n' line terminator
+        # a read cuts lines at '\r' too, so the cell is quoted as one holding '\n' is
         path = write_csv_table(tmp_path / "t.csv", ("a", "b"), [("x\ry", 1.5), ("z", 2)])
         assert path.read_bytes() == b'a,b\n"x\ry",1.5\nz,2\n'
         assert read_csv_table(path) == ({}, ("a", "b"), [("x\ry", 1.5), ("z", 2)])
@@ -74,7 +74,6 @@ class TestRoundTrip:
         columns = (1.0, None, True, "x,y", np.float64(-0.0), "")
         path = write_csv_table(tmp_path / "t.csv", columns, [(1, 2, 3, 4, 5, 6)])
         assert path.read_bytes() == b'1,,true,"x,y",-0.0,\n1,2,3,4,5,6\n'
-        assert render_csv(("",), [(1.5,)]) == '""\n1.5\n'  # a lone empty cell, as csv writes it
 
     def test_json_file(self, tmp_path):
         path = write_json(tmp_path / "t.json", {"zero": -0.0})
