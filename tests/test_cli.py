@@ -355,6 +355,44 @@ class TestReproduceCommand:
         assert cli.ExperimentConfig().replicates == reference.DEFAULT_REPLICATES
 
 
+class TestWroteLines:
+    """The whole stdout of each command that writes files: a ``wrote`` line per write."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["classify", "bounds", "boundaries"])
+    def test_one_table_to_a_file_or_a_directory(self, config_path, tmp_path, capsys, command,
+                                                fmt):
+        out = tmp_path / f"t.{fmt}"
+        assert main([command, "--config", config_path, "--format", fmt, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        out_dir = tmp_path / "d"
+        out_dir.mkdir()
+        assert main([command, "--config", config_path, "--format", fmt,
+                     "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out == f"wrote {out_dir / command}.{fmt}\n"
+
+    def test_moments_to_a_directory_series_first(self, config_path, tmp_path, capsys):
+        out_dir = tmp_path / "m"
+        assert main(["moments", "--config", config_path, "--out", f"{out_dir}{os.sep}"]) == 0
+        assert capsys.readouterr().out == (f"wrote {out_dir / 'moments_series.csv'}\n"
+                                           f"wrote {out_dir / 'moments_horizons.csv'}\n")
+
+    def test_simulate_one_line_per_spec_in_name_order(self, config_path, tmp_path, capsys):
+        out_dir = tmp_path / "s"
+        assert main(["simulate", "--config", config_path, "--out", str(out_dir),
+                     "--replicates", "20", "--truncation", "10"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"wrote {out_dir / f'samples_{name}.csv'} and "
+            f"{out_dir / f'estimate_{name}.json'}\n" for name in ("heavy", "matched"))
+
+    def test_reproduce_wrote_and_delta_lines(self, tmp_path, capsys):
+        out_dir = tmp_path / "r"
+        assert main(["reproduce", "--table", "2", "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {out_dir / 'table_2.csv'} and {out_dir / 'table_2_deltas.json'}\n"
+            "table 2: max analytic |delta| = 4.97e-05, max monte-carlo |delta| = 0.000\n")
+
+
 class TestNonAsciiUnderAsciiLocale:
     """Files are UTF-8 whatever the locale: run under the C locale with UTF-8 mode off."""
 
