@@ -181,40 +181,68 @@ def _load_experiment(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _names_a_directory(out: str) -> bool:
-    """Whether ``out`` is a directory, where each table takes its default file name."""
-    return Path(out).is_dir() or str(out).endswith(("/", "\\"))
+def _paths(cfg, command: str, *names: str) -> list:
+    """Where each of the outputs ``names`` of ``command`` goes: a path, or None for stdout.
+
+    ``cfg`` is the command's settings, or the parsed flags of ``reproduce``;
+    only its ``out`` and ``fmt`` are read.  ``simulate`` and ``reproduce``
+    write every output into the directory ``out``, under its name as given;
+    ``reproduce`` writes into ``.`` without one.  The other commands write
+    CSV to stdout without an output path, and ``NAME.FORMAT`` inside a
+    directory, which ``out`` names when it is one or ends in '/' or '\\';
+    any other path is a file, which holds one table.  Each command calls
+    this before it computes anything, so outputs with no place to go exit 2
+    first.
+    """
+    if cfg.out is None and command == "simulate":
+        raise ConfigError("simulate writes sample files; --out DIR is required")
+    if command in ("simulate", "reproduce"):
+        return [Path(cfg.out or ".") / name for name in names]
+    if cfg.out is None:
+        return [None] * len(names)
+    if Path(cfg.out).is_dir() or cfg.out.endswith(("/", "\\")):
+        return [Path(cfg.out) / f"{name}.{cfg.fmt}" for name in names]
+    if len(names) > 1:
+        raise ConfigError(f"{command} writes two tables, {' and '.join(names)}, but the output "
+                          f"path {cfg.out!r} names one file; set --out or [run] out to a directory")
+    return [Path(cfg.out)]
 
 
-def _emit(cfg: ExperimentConfig, columns, records, metadata, default_name: str) -> None:
-    """Write records as CSV or JSON to cfg.out, or CSV text to stdout.
+def _table(cfg: ExperimentConfig, columns, records, **extra):
+    """A table of ``records`` as ``_emit`` takes it, with the run's metadata and ``extra``.
 
-    CSV rows hold the ``columns`` of each record; JSON keeps every key.
+    CSV rows hold the ``columns`` of each record; under ``format = json`` a
+    JSON document keeps every key.
+    """
+    metadata = {"version": __version__, "c": cfg.c, "seed": cfg.seed, **extra}
+    if cfg.fmt == "json":
+        return {"metadata": metadata, "rows": records}
+    return columns, [tuple(record[col] for col in columns) for record in records], metadata
+
+
+def _emit(*outputs) -> None:
+    """Write each ``(path, content)`` pair, then print one line naming the files written.
+
+    A tuple ``(columns, rows, metadata)`` is a CSV table, which goes to stdout
+    where the path is None; a dict is a JSON document.
     """
     from .tableio import render_csv, write_csv_table, write_json
 
-    rows = [tuple(record[col] for col in columns) for record in records]
-    if cfg.out is None:
-        text = render_csv(columns, rows, metadata)
-        stdout = getattr(sys.stdout, "buffer", None)
-        if stdout is None:  # a text-only stream, such as a redirect to StringIO
-            print(text, end="")
-        else:  # UTF-8 like every output file, whatever the locale
-            sys.stdout.flush()
-            stdout.write(text.encode("utf-8"))
-        return
-    path = Path(cfg.out)
-    if _names_a_directory(cfg.out):
-        path = path / f"{default_name}.{cfg.fmt}"
-    if cfg.fmt == "json":
-        write_json(path, {"metadata": metadata, "rows": records})
-    else:
-        write_csv_table(path, columns, rows, metadata)
-    print(f"wrote {path}")
-
-
-def _base_metadata(cfg: ExperimentConfig) -> dict:
-    return {"version": __version__, "c": cfg.c, "seed": cfg.seed}
+    for path, content in outputs:
+        if path is None:
+            text = render_csv(*content)
+            if hasattr(sys.stdout, "buffer"):  # UTF-8 like every output file, whatever the locale
+                sys.stdout.flush()
+                sys.stdout.buffer.write(text.encode("utf-8"))
+            else:  # a text-only stream, such as a redirect to StringIO
+                print(text, end="")
+        elif isinstance(content, dict):
+            write_json(path, content)
+        else:
+            write_csv_table(path, *content)
+    written = [str(path) for path, _ in outputs if path is not None]
+    if written:
+        print(f"wrote {' and '.join(written)}")
 
 
 # ----------------------------------------------------------------- commands
@@ -223,6 +251,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     from .regimes import classify
 
     cfg = _load_experiment(args)
+    path, = _paths(cfg, "classify", "classify")
     columns = ("spec", "elog", "m", "M", "d1", "d2",
                "certain_ruin_threshold", "certain_survival_threshold", "regime")
     records = []
@@ -230,7 +259,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         regime = classify(spec)
         records.append({"spec": name, **spec.to_record(), **regime.to_record(),
                         "regime": regime.describe()})
-    _emit(cfg, columns, records, _base_metadata(cfg), "classify")
+    _emit((path, _table(cfg, columns, records)))
     return 0
 
 
@@ -240,22 +269,20 @@ def cmd_moments(args: argparse.Namespace) -> int:
     cfg = _load_experiment(args)
     finite_hs = sorted(h for h in cfg.horizons if h != math.inf)
     want_series = math.inf in cfg.horizons
-    if want_series and finite_hs and cfg.out is not None and not _names_a_directory(cfg.out):
-        raise ConfigError(f"moments writes two tables, moments_series and moments_horizons, "
-                          f"but the output path {cfg.out!r} names one file; set --out or "
-                          "[run] out to a directory")
-    outputs = []
+    paths = _paths(cfg, "moments",
+                   *["moments_series"] * want_series, *["moments_horizons"] * bool(finite_hs))
+    outputs = []  # every table is computed before any is written
     if want_series:
         records = []
-        meta = _base_metadata(cfg)
+        first_infinite = {}
         for name, spec in cfg.specs:
             table = infinite_moments(spec, cfg.rmax)
             # scan past rmax so the metadata names the order even when it is not printed
-            meta[f"first_infinite_{name}"] = first_infinite_order(spec, 1024)
+            first_infinite[f"first_infinite_{name}"] = first_infinite_order(spec, 1024)
             for r in range(1, cfg.rmax + 1):
                 records.append({"spec": name, "r": r, "gamma_r": table.gamma(r),
                                 "beta_r": table.beta(r)})
-        outputs.append(("moments_series", ("spec", "r", "gamma_r", "beta_r"), records, meta))
+        outputs.append(_table(cfg, ("spec", "r", "gamma_r", "beta_r"), records, **first_infinite))
     if finite_hs:
         records = []
         for name, spec in cfg.specs:
@@ -264,10 +291,9 @@ def cmd_moments(args: argparse.Namespace) -> int:
                 for n in finite_hs:
                     records.append({"spec": name, "r": r, "n": n,
                                     "beta_r_n": grid.beta(r, n)})
-        outputs.append(("moments_horizons", ("spec", "r", "n", "beta_r_n"), records,
-                        _base_metadata(cfg)))
-    for default_name, columns, records, meta in outputs:
-        _emit(cfg, columns, records, meta, default_name)
+        outputs.append(_table(cfg, ("spec", "r", "n", "beta_r_n"), records))
+    for output in zip(paths, outputs):  # one wrote line per table
+        _emit(output)
     return 0
 
 
@@ -275,6 +301,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     from .bounds import evaluate_bound, schedules
 
     cfg = _load_experiment(args)
+    path, = _paths(cfg, "bounds", "bounds")
     if not cfg.x_grid:
         raise ConfigError("an x grid is required; set x in [run] or the config file")
     columns = ("spec", "horizon", "x", "order", "survival_lower",
@@ -291,7 +318,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                                 "ruin_upper": res.ruin_upper,
                                 "ruin_raw": res.ruin_raw,
                                 "vacuous": res.vacuous})
-    _emit(cfg, columns, records, {**_base_metadata(cfg), "rmax": cfg.rmax}, "bounds")
+    _emit((path, _table(cfg, columns, records, rmax=cfg.rmax)))
     return 0
 
 
@@ -299,6 +326,7 @@ def cmd_boundaries(args: argparse.Namespace) -> int:
     from .bounds import boundary_table
 
     cfg = _load_experiment(args)
+    path, = _paths(cfg, "boundaries", "boundaries")
     labels = tuple("Z" if h == math.inf else f"Z_{h}" for h in cfg.horizons)
     columns = ("spec", "r") + labels
     records = []
@@ -306,57 +334,46 @@ def cmd_boundaries(args: argparse.Namespace) -> int:
         bt = boundary_table(spec, cfg.c, cfg.horizons, cfg.rmax)
         for r, row in zip(bt.orders, bt.values):
             records.append({"spec": name, "r": r, **dict(zip(labels, row))})
-    _emit(cfg, columns, records, {**_base_metadata(cfg), "rmax": cfg.rmax}, "boundaries")
+    _emit((path, _table(cfg, columns, records, rmax=cfg.rmax)))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .montecarlo import SimConfig, derive_seed, ecdf_survival, sample_Z
-    from .tableio import write_csv_table, write_json
 
     cfg = _load_experiment(args)
-    if cfg.out is None:
-        raise ConfigError("simulate writes sample files; --out DIR is required")
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # before sampling: a bad --out fails first
+    paths = _paths(cfg, "simulate", *(f"{kind}_{name}.{ext}" for name, _ in cfg.specs
+                                      for kind, ext in (("samples", "csv"), ("estimate", "json"))))
+    Path(cfg.out).mkdir(parents=True, exist_ok=True)  # before sampling: a bad --out fails first
     for index, (name, spec) in enumerate(cfg.specs):
         sim = SimConfig(replicates=cfg.replicates, truncation=cfg.truncation,
                         seed=derive_seed(cfg.seed, index))
         est = sample_Z(spec, sim)
-        meta = est.metadata()
-        meta["master_seed"] = cfg.seed
-        meta["version"] = __version__
-        samples_path = out_dir / f"samples_{name}.csv"
-        write_csv_table(samples_path, ("sample",), zip(est.samples), meta)  # rows made lazily
+        meta = {**est.metadata(), "master_seed": cfg.seed, "version": __version__}
         estimate = {
             "metadata": meta,
             "c": cfg.c,
             "x": list(cfg.x_grid),
             "survival": [ecdf_survival(est, x, cfg.c) for x in cfg.x_grid],
         }
-        est_path = out_dir / f"estimate_{name}.json"
-        write_json(est_path, estimate)
-        print(f"wrote {samples_path} and {est_path}")
+        _emit((paths[2 * index], (("sample",), zip(est.samples), meta)),  # rows made lazily
+              (paths[2 * index + 1], estimate))
     return 0
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     from .reference import build_table
-    from .tableio import write_csv_table, write_json
 
+    paths = _paths(args, "reproduce", f"table_{args.table}.csv",
+                   f"table_{args.table}_deltas.json")
     seed = args.seed if args.seed is not None else _DEFAULT_SEED
     replicates = args.replicates if args.replicates is not None else _DEFAULT_REPLICATES
     result = build_table(args.table, seed=seed, replicates=replicates)
-    out_dir = Path(args.out) if args.out is not None else Path(".")
     ref = result.reference
     meta = {"table_id": ref.table_id, "title": ref.title,
             "version": __version__, **result.metadata}
-    csv_path = out_dir / f"table_{ref.table_id}.csv"
-    write_csv_table(csv_path, ref.columns, result.rows, meta)
-    json_path = out_dir / f"table_{ref.table_id}_deltas.json"
     report = result.delta_report()
-    write_json(json_path, report)
-    print(f"wrote {csv_path} and {json_path}")
+    _emit((paths[0], (ref.columns, result.rows, meta)), (paths[1], report))
     print(f"table {ref.table_id}: max analytic |delta| = "
           f"{report['max_abs_delta_analytic']:.2e}, "
           f"max monte-carlo |delta| = {report['max_abs_delta_mc']:.3f}")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fresh import SRC
-from ruinbounds import classify, cli, ecdf_survival, reference, sample_Z, SimConfig
+from ruinbounds import classify, cli, ecdf_survival, reference, sample_Z, SimConfig, tableio
 from ruinbounds.cli import main
 from ruinbounds.montecarlo import GENERATOR_NAME, derive_seed
 from ruinbounds.reference import PARETO_HEAVY
@@ -167,13 +167,14 @@ class TestBoundsCommand:
 
     def test_horizon_label_re_parses_to_value_written(self, config_path, tmp_path,
                                                       monkeypatch):
-        written, emit = [], cli._emit
+        written, write = [], tableio.write_csv_table
 
-        def capture(cfg, columns, records, metadata, default_name):
-            written.extend(tuple(record[col] for col in columns) for record in records)
-            return emit(cfg, columns, records, metadata, default_name)
+        def capture(path, columns, rows, metadata=None):
+            rows = list(rows)
+            written.extend(rows)
+            return write(path, columns, rows, metadata)
 
-        monkeypatch.setattr(cli, "_emit", capture)
+        monkeypatch.setattr(tableio, "write_csv_table", capture)
         out = tmp_path / "bounds.csv"
         assert main(["bounds", "--config", config_path, "--out", str(out)]) == 0
         _, columns, rows = read_csv_table(out)
