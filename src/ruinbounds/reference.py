@@ -50,7 +50,6 @@ __all__ = [
     "DEFAULT_REPLICATES",
     "DEFAULT_SEED",
     "MATCHED_TRIO",
-    "TABLE_IDS",
     "ReferenceTable",
     "TableResult",
     "build_table",

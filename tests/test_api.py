@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ruinbounds
-from fresh import is_numpy, loaded_modules
+from fresh import is_numpy, loaded_modules, run
 from ruinbounds import reference
 from ruinbounds.montecarlo import derive_seed
 
@@ -84,6 +84,21 @@ def test_first_use_loads_the_computing_modules(access):
     assert _package_modules(names) == LOADED_ON_FIRST_USE
     assert "numpy" in names
     assert not set(names) & {"ruinbounds.cli", "ruinbounds.reference", "ruinbounds.tableio"}
+
+
+def test_dir_on_a_fresh_import_lists_every_export():
+    # dir() is the first access here, so it loads the names it lists
+    names = run("-c", "import ruinbounds; print(*dir(ruinbounds))").stdout.split()
+    assert "evaluate_bound" in names
+    assert set(ruinbounds.__all__) <= set(names)
+
+
+def test_readme_quick_start_runs_clean():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    lines = run("-W", "error", "-c", block.split("```", 1)[0]).stdout.splitlines()
+    assert lines[1] == "0.9274702508902504"  # the Chebyshev bound at x = 2
+    assert lines[2] == "0.9806666666666667"  # the seeded Monte Carlo estimate
 
 
 def _package_dataclasses():

@@ -7,6 +7,7 @@ import pickle
 import re
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -577,6 +578,14 @@ class TestLogMomentsPastTheFloatRange:
         switch_boundary = ruinbounds.bounds.switch_boundary
         assert switch_boundary((0.0, 1.0, 800.0), 1, 1.0) == math.inf
         assert switch_boundary((0.0, 1.0, 700.0), 1, 2.0) == 2.0 * (1.0 + math.exp(699.0))
+
+    def test_infinite_moments_give_an_infinite_edge(self):
+        # log_beta[r + 1] - log_beta[r] would be inf - inf, a NaN, without the infinite branch
+        switch_boundary = ruinbounds.bounds.switch_boundary
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in (0.5, 1.0, 2.0):
+                assert switch_boundary((0.0, math.inf, math.inf), 1, c) == math.inf
 
     def test_gap_past_the_float_range(self):
         # -log gamma_1 = mu - sigma2/2 is an exact rational above DBL_MAX: 1 - gamma_1 is 1
