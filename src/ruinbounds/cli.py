@@ -38,6 +38,15 @@ Example::
     format = csv
     out = results/
 
+Every output follows one rule.  Without an output path, ``classify``,
+``moments``, ``bounds`` and ``boundaries`` print CSV to stdout.  An output
+path that is a directory, or ends in '/' or '\\', takes each table as
+``NAME.FORMAT``; any other path is one file, which takes one table.
+``simulate`` and ``reproduce`` always write into a directory (``reproduce``
+into ``.`` without ``--out``).  ``_paths`` resolves where each output goes
+before anything is computed, and ``_emit`` writes the outputs and prints
+one ``wrote A`` or ``wrote A and B`` line per call.
+
 Exit codes: 0 success, 2 configuration/usage error, 3 domain error
 (for example adaptive simulation of a shock whose mean log is not
 positive), 4 I/O error.
